@@ -86,7 +86,10 @@ class RunConfig:
         fs = FunctionSpec.parse(self.function)
         if fs.family == "bandlimited_random":
             fs.params.setdefault("seed", self.seed)
-        return sample(fs, self.grid())
+        try:
+            return sample(fs, self.grid())
+        except (OSError, ValueError) as exc:  # bad parameters or an unreadable file
+            raise UsageError(f"--function {self.function!r}: {exc}") from exc
 
     def echo(self) -> dict:
         return {
@@ -134,6 +137,7 @@ def _build_config(args) -> RunConfig:
         cfg.grid()
         cfg.timegrid()
         cfg.exponents()
+        FunctionSpec.parse(cfg.function)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return cfg
@@ -170,14 +174,14 @@ def _emit(cfg: RunConfig, command: str, results: dict, status: str = "pass") -> 
         "results": _jsonable(results),
         "status": status,
     }
-    body = json.dumps(payload, sort_keys=True, indent=1)
+    body = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
     payload_with_ts = dict(payload)
     payload_with_ts["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if cfg.out:
         out = Path(cfg.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w") as fh:
-            json.dump(payload_with_ts, fh, sort_keys=True, indent=1)
+            json.dump(payload_with_ts, fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")
     else:
         print(body)
@@ -352,10 +356,10 @@ def _cmd_report(cfg: RunConfig, pq: Exponents, methods) -> dict:
     ok = rep.ok and all(info["ok"] is not None for info in rep.pairs.values()) if cfg.do_assert else rep.ok
     if cfg.out:
         csv = _csv_sibling(cfg, "ratios")
-        rows = [(pair, info["min"], info["max"], info["spread"],
-                 info["frozen"] if info["frozen"] is not None else "")
+        cols = ("min", "max", "spread", "frozen")
+        rows = [(pair, *("" if info[c] is None else info[c] for c in cols))
                 for pair, info in rep.pairs.items()]
-        _write_csv(csv, ["pair", "min", "max", "spread", "frozen"], rows)
+        _write_csv(csv, ["pair", *cols], rows)
     payload = _emit(cfg, "report", results, status="pass" if ok else "fail")
     if cfg.do_assert and not ok:
         bad = {k: v for k, v in rep.pairs.items() if v["ok"] is not True}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
-from .grid import GridFunction, GridSpec, SpectralFunction, forward, inverse
+from .grid import GridFunction, GridSpec, SpectralFunction, _read_samples, forward, inverse
 from .norms import Exponents, amalgam_norm
 from .spectral import convolve
 
@@ -49,6 +49,8 @@ class TimeGrid:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+            raise ValueError(f"time bounds must be finite, got [{self.t_min}, {self.t_max}]")
         if self.t_min < T_MIN_FLOOR:
             raise ValueError(f"t_min must be >= {T_MIN_FLOOR}, got {self.t_min}")
         if self.t_max <= self.t_min:
@@ -388,7 +390,5 @@ def read_stack(path) -> ExtensionStack:
             raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
         spec = GridSpec(int(header["dim"]), int(header["L"]), int(header["n"]))
         tg = TimeGrid(float(header["tmin"]), float(header["tmax"]), int(header["tcount"]))
-        raw = fh.read(tg.count * spec.size * 16)
-        values = np.frombuffer(raw, dtype="<c16").astype(complex)
-        values = values.reshape((tg.count,) + spec.shape)
+        values = _read_samples(fh, tg.count, spec, path).reshape((tg.count,) + spec.shape)
     return ExtensionStack(spec, tg, values, header.get("kernel", "custom"))

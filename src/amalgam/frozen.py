@@ -14,6 +14,7 @@ AMALGAM_FROZEN_DIR overrides the directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,12 +62,15 @@ class FrozenStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         doc = {"version": STORE_VERSION, "entries": dict(sorted(self.entries.items()))}
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+            json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return path
 
     def put(self, family: str, item: str, p: float, q: float, grid_id: str, value: float):
-        self.entries[_key(family, item, p, q)] = {"grid_id": grid_id, "value": float(value)}
+        key = _key(family, item, p, q)
+        if value is None or not math.isfinite(value):
+            raise ValueError(f"refusing to freeze non-finite constant {value!r} for {key}")
+        self.entries[key] = {"grid_id": grid_id, "value": float(value)}
 
     def get(self, family: str, item: str, p: float, q: float, grid_id: str) -> float:
         key = _key(family, item, p, q)

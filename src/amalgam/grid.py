@@ -18,6 +18,7 @@ inversion integral; forward/inverse round-trip is exact to rounding.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,6 +238,10 @@ def sup_norm(f: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
+FUNCTION_FAMILIES = ("gaussian", "poisson_kernel", "heat_kernel", "indicator", "haar",
+                     "bandlimited_random", "from_file")
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """Named analytic family with parameters, e.g. FunctionSpec('gaussian', {'width': 1})."""
@@ -248,19 +253,27 @@ class FunctionSpec:
     def parse(text: str) -> "FunctionSpec":
         """Parse 'name' or 'name:key=val,key=val' (values float unless key is path/seed)."""
         name, _, rest = text.partition(":")
+        name = name.strip()
+        if name not in FUNCTION_FAMILIES:
+            raise ValueError(f"unknown function family {name!r}; choose from {list(FUNCTION_FAMILIES)}")
         params = {}
         if rest:
             for item in rest.split(","):
-                key, _, val = item.partition("=")
-                if not _:
+                key, sep, val = item.partition("=")
+                if not sep:
                     raise ValueError(f"malformed function parameter {item!r}")
-                if key == "path":
-                    params[key] = val
-                elif key in ("seed",):
-                    params[key] = int(val)
-                else:
-                    params[key] = float(val)
-        return FunctionSpec(name.strip(), params)
+                try:
+                    if key == "path":
+                        params[key] = val
+                    elif key == "seed":
+                        params[key] = int(val)
+                    else:
+                        params[key] = float(val)
+                except ValueError:
+                    raise ValueError(f"function parameter {item!r} is not a number") from None
+        if name == "from_file" and "path" not in params:
+            raise ValueError("from_file needs a path=FILE parameter")
+        return FunctionSpec(name, params)
 
 
 def _centers(spec: GridSpec, params, key="center"):
@@ -411,6 +424,15 @@ def read_grid_function(path) -> GridFunction:
         if header.get("layout") != "row-major":
             raise ValueError(f"unsupported layout {header.get('layout')!r}")
         spec = GridSpec(int(header["dim"]), int(header["L"]), int(header["n"]))
-        raw = fh.read(spec.size * 16)
-        values = np.frombuffer(raw, dtype="<c16").astype(complex)
+        values = _read_samples(fh, 1, spec, path)
     return GridFunction(spec, values)
+
+
+def _read_samples(fh, count: int, spec: GridSpec, path) -> np.ndarray:
+    """The rest of a binary file after its header: exactly count * n^d complex128 samples."""
+    expected = count * spec.size * 16
+    actual = os.fstat(fh.fileno()).st_size - fh.tell()
+    if actual != expected:
+        raise ValueError(f"{path}: payload is {actual} bytes, expected {count} x {spec.size} x 16 "
+                         f"= {expected}")
+    return np.frombuffer(fh.read(expected), dtype="<c16").astype(complex)

@@ -16,7 +16,6 @@ them against frozen constants with 10% slack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -369,7 +368,7 @@ def equivalence_report(members, e, tg: TimeGrid, methods=EQUIVALENCE_METHODS,
                 ratios.append(va / vb)
             key = f"{ma}/{mb}"
             if not ratios:
-                pairs[key] = {"spread": math.nan, "min": math.nan, "max": math.nan,
+                pairs[key] = {"spread": None, "min": None, "max": None,
                               "frozen": None, "ok": False}
                 continue
             spread = max(ratios) / min(ratios)

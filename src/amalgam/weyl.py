@@ -16,6 +16,8 @@ The quadrature substitutes s = t + u^2:
 
 with g' from a cubic spline of the profile and, when the profile carries an
 exp_decay(lambda) tail tag, a closed erfc tail for u beyond sqrt(t_max - t).
+Spline, integral and tail are all linear in the profile values, so the
+quadrature is evaluated as a linear map: one matrix W, applied as W @ values.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
-from scipy.special import erfc
+from scipy.special import erfcx
 
 from .extension import ExtensionStack, TimeGrid
 from .grid import SpectralFunction, forward, inverse
@@ -68,35 +70,38 @@ class TimeProfile:
         return TimeProfile(stack.tgrid, stack.values[(slice(None),) + tuple(np.atleast_1d(index))], tail)
 
 
-def _prepare_quadrature(tgrid: TimeGrid, values: np.ndarray, tail, tail_tol):
-    """Derivative spline for a (nt, ...) block of profiles, decay-checked."""
-    ts = tgrid.values
+def _decay_end(ts: np.ndarray, values: np.ndarray, tail_tol: float) -> float:
+    """|g'(t_max)| of the data spline of a (nt, ...) block of untagged profiles;
+    the operator integrates g', so it must have died out by t_max."""
     dg = CubicSpline(ts, values, axis=0).derivative()
-    if tail is None:
-        # the operator integrates g'; require it to have died out by t_max
-        end = np.max(np.abs(dg(ts[-1])))
-        peak = max(np.max(np.abs(dg(ts))), 1e-300)
-        if end > tail_tol * peak:
-            raise ValueError(
-                "profile derivative has not decayed by t_max "
-                f"(|g'(t_max)| = {end:.3e} > {tail_tol:g} * {peak:.3e}); supply a tail tag"
-            )
-    return dg
+    end = np.max(np.abs(dg(ts[-1])))
+    peak = max(np.max(np.abs(dg(ts))), 1e-300)
+    if end > tail_tol * peak:
+        raise ValueError(
+            "profile derivative has not decayed by t_max "
+            f"(|g'(t_max)| = {end:.3e} > {tail_tol:g} * {peak:.3e}); supply a tail tag"
+        )
+    return float(end)
 
 
-def _quad_eval(dg, tgrid: TimeGrid, last_values, t: float, tail, n_quad):
-    ts = tgrid.values
-    if not ts[0] <= t < ts[-1]:
-        raise ValueError(f"evaluation point t={t} outside the grid interior [{ts[0]}, {ts[-1]})")
-    u_max = math.sqrt(ts[-1] - t)
-    u = np.linspace(0.0, u_max, n_quad)
-    integrand = dg(t + u**2)
-    val = (2j / math.sqrt(math.pi)) * simpson(integrand, x=u, axis=0)
-    if tail is not None:
-        _, lam = tail
-        amp = last_values * math.exp(lam * ts[-1])
-        val = val + (-1j) * math.sqrt(lam) * amp * np.exp(-lam * t) * erfc(math.sqrt(lam) * u_max)
-    return val
+def _tail(ts: np.ndarray, t: float, lam: float) -> complex:
+    """exp_decay(lam) tail beyond u_max = sqrt(t_max - t), per unit g(t_max)."""
+    return -1j * math.sqrt(lam) * erfcx(math.sqrt(lam * (ts[-1] - t)))
+
+
+def _weyl_matrix(ts: np.ndarray, times, tail, n_quad: int) -> np.ndarray:
+    """W (len(times) x nt): row k is the Simpson rule at t_k on the derivative
+    splines of the unit profiles, plus the tail weight on the last node."""
+    basis = CubicSpline(ts, np.eye(ts.size), axis=0).derivative()
+    rows = []
+    for t in times:
+        if not ts[0] <= t < ts[-1]:
+            raise ValueError(f"evaluation point t={t} outside the grid interior [{ts[0]}, {ts[-1]})")
+        u = np.linspace(0.0, math.sqrt(ts[-1] - t), n_quad)
+        rows.append((2j / math.sqrt(math.pi)) * simpson(basis(t + u**2), x=u, axis=0))
+        if tail is not None:
+            rows[-1][-1] += _tail(ts, t, tail[1])
+    return np.array(rows)
 
 
 def half_derivative_quadrature(prof: TimeProfile, t: float,
@@ -111,19 +116,14 @@ def half_derivative_quadrature(prof: TimeProfile, t: float,
     model order smaller), otherwise the neglected mass if g' held its
     boundary value for another grid span.
     """
-    dg = _prepare_quadrature(prof.tgrid, prof.values, prof.tail, tail_tol)
     ts = prof.tgrid.values
-    val = complex(_quad_eval(dg, prof.tgrid, prof.values[-1], float(t), prof.tail, n_quad))
+    end = _decay_end(ts, prof.values, tail_tol) if prof.tail is None else None
+    val = complex(_weyl_matrix(ts, [float(t)], prof.tail, n_quad)[0] @ prof.values)
     if not return_bound:
         return val
-    u_max = math.sqrt(ts[-1] - t)
     if prof.tail is not None:
-        _, lam = prof.tail
-        amp = prof.values[-1] * math.exp(lam * ts[-1])
-        bound = abs(-1j * math.sqrt(lam) * amp * np.exp(-lam * t) * erfc(math.sqrt(lam) * u_max))
-    else:
-        bound = (2.0 / math.sqrt(math.pi)) * abs(complex(np.max(np.abs(dg(ts[-1]))))) * u_max
-    return val, float(bound)
+        return val, float(abs(_tail(ts, t, prof.tail[1]) * prof.values[-1]))
+    return val, (2.0 / math.sqrt(math.pi)) * end * math.sqrt(ts[-1] - t)
 
 
 def half_derivative_stack_quadrature(stack: ExtensionStack, t,
@@ -133,16 +133,14 @@ def half_derivative_stack_quadrature(stack: ExtensionStack, t,
     """Quadrature half-derivative of every node profile of a stack.
 
     t may be a scalar (returns one slice) or a sequence of evaluation times
-    (returns a stacked array); the profile spline is built once either way.
+    (returns a stacked array); W is built once either way.
     """
     flat = stack.values.reshape(stack.tgrid.count, -1)
-    dg = _prepare_quadrature(stack.tgrid, flat, tail, tail_tol)
+    if tail is None:
+        _decay_end(stack.times, flat, tail_tol)
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.stack([
-        _quad_eval(dg, stack.tgrid, flat[-1], float(ti), tail, n_quad).reshape(stack.spec.shape)
-        for ti in times
-    ])
-    return out[0] if np.isscalar(t) or getattr(t, "ndim", 0) == 0 else out
+    out = (_weyl_matrix(stack.times, times, tail, n_quad) @ flat).reshape((times.size,) + stack.spec.shape)
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def half_derivative_spectral(stack: ExtensionStack) -> ExtensionStack:

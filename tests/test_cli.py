@@ -10,14 +10,19 @@ from pathlib import Path
 import pytest
 
 import amalgam
-from amalgam.cli import main, run
+from amalgam.cli import RunConfig, _emit, main, run
 
 BASE = ["--dim", "1", "--L", "8", "--n", "512", "--tmin", "0.01", "--tmax", "8", "--tcount", "12"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in a report")
+
+
 def read_report(path):
+    """Parse a report as strict JSON: NaN and Infinity are refused."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 class TestNormCommand:
@@ -53,6 +58,34 @@ class TestUsageErrors:
 
     def test_unknown_method(self):
         assert run(["report", "--methods", "sorcery"]) == 1
+
+    @pytest.mark.parametrize("bound", [["--tmin", "nan"], ["--tmax", "inf"]])
+    def test_nonfinite_time_bound(self, bound, capsys):
+        code = run(["norm", "--L", "8", "--n", "512", *bound, "--function", "gaussian:width=1"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and "finite" in err
+
+    @pytest.mark.parametrize("function", [
+        "gaussian:width=abc",
+        "sinc:width=1",
+        "from_file:path={missing}",
+        "from_file",
+        "gaussian:width=-1",
+    ])
+    def test_malformed_function_spec(self, function, tmp_path, capsys):
+        function = function.format(missing=tmp_path / "missing.grid")
+        assert run(["norm", *BASE, "--function", function]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:")
+
+
+class TestStrictJson:
+    def test_nonfinite_result_is_refused(self):
+        with pytest.raises(ValueError, match="JSON"):
+            _emit(RunConfig(n=512, L=8), "norm", {"lp": float("nan")})
 
 
 class TestConfigFile:

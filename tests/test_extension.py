@@ -33,6 +33,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.1, 1.0, 1)
 
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (0.1, math.nan), (0.1, math.inf)])
+    def test_nonfinite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(*bounds, 8)
+
     def test_log_spacing(self):
         tg = TimeGrid(0.001, 64.0, 48)
         t = tg.values
@@ -317,6 +322,17 @@ class TestStackDump:
         assert back.tgrid == stack.tgrid
         assert back.kernel == "heat"
         np.testing.assert_array_equal(back.values, stack.values)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_payload_length_checked(self, tmp_path, small1, tg16, delta):
+        path = tmp_path / "u.stack"
+        write_stack(extend(bandlimited_random(small1, 10, 0.5, 2.0), "heat", tg16), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\0" if delta > 0 else raw[:-1])
+        expected = tg16.count * small1.size * 16
+        with pytest.raises(ValueError, match=rf"{expected + delta} bytes, expected "
+                                             rf"{tg16.count} x {small1.size} x 16 = {expected}$"):
+            read_stack(path)
 
     def test_roundtrip_2d(self, tmp_path, small2, tg16):
         f = bandlimited_random(small2, 11, 0.5, 2.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgam.grid import (
+    FunctionSpec,
     GridFunction,
     bandlimited_random,
     forward,
@@ -76,6 +77,15 @@ class TestSample:
     def test_malformed_parameter(self, desk1):
         with pytest.raises(ValueError, match="malformed"):
             sample("gaussian:width", desk1)
+
+    @pytest.mark.parametrize("text, message", [
+        ("gaussian:width=abc", "not a number"),
+        ("bandlimited_random:seed=1.5", "not a number"),
+        ("from_file", "path"),
+    ])
+    def test_parse_rejects(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            FunctionSpec.parse(text)
 
 
 class TestFourier:
@@ -172,6 +182,16 @@ class TestFileFormat:
         path = tmp_path / "f2.csv"
         write_grid_function(f, path)
         np.testing.assert_allclose(read_grid_function(str(path)).values, f.values)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_payload_length_checked(self, tmp_path, small1, delta):
+        path = tmp_path / "f.grid"
+        write_grid_function(bandlimited_random(small1, 5, 0.5, 2.0), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\0" if delta > 0 else raw[:-1])
+        expected = small1.size * 16
+        with pytest.raises(ValueError, match=rf"{expected + delta} bytes, expected 1 x {small1.size} x 16 = {expected}$"):
+            read_grid_function(path)
 
     def test_from_file_family(self, tmp_path, small1):
         f = bandlimited_random(small1, 1, 0.5, 2.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,25 @@ class TestEquivalenceReport:
         assert np.isfinite(info["spread"])
         assert rep.excluded == []
         assert rep.values["maximal"]["zero"] == 0.0
+
+
+    def test_pair_without_ratios_is_null(self, small1, tg16):
+        # the multiplier quantity of a constant is 0, so the pair has no ratio
+        const = GridFunction(small1, np.ones(small1.shape))
+        rep = equivalence_report([("const", const)], (1, 1), tg16,
+                                 methods=("maximal", "multiplier"))
+        info = rep.pairs["maximal/multiplier"]
+        assert info["spread"] is None and info["min"] is None and info["max"] is None
+        assert info["ok"] is False and len(rep.excluded) == 1
+        doc = json.loads(json.dumps(rep.to_jsonable(), allow_nan=False))
+        assert doc["pairs"]["maximal/multiplier"]["spread"] is None
+
+
+class TestFrozenStorePut:
+    @pytest.mark.parametrize("value", [None, float("nan"), float("inf")])
+    def test_nonfinite_constant_refused(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            FrozenStore().put("reference-d1", "maximal/multiplier", 1.0, 1.0, "g", value)
 
 
 class TestHarmonicExtensionChain:

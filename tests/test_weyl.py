@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
+from scipy.special import erfc
 
-from amalgam.extension import TimeGrid, extend
+from amalgam import analytic
+from amalgam.extension import ExtensionStack, TimeGrid, extend
 from amalgam.frozen import FrozenStore
-from amalgam.grid import bandlimited_random, make_grid
+from amalgam.grid import GridFunction, bandlimited_random, make_grid
 from amalgam.hardy import grid_run_id
 from amalgam.kernels import decay_certificate
+from amalgam.oracle import weyl_direct
 from amalgam.weyl import (
     TimeProfile,
     half_derivative_quadrature,
@@ -74,6 +81,86 @@ class TestQuadrature:
     def test_bad_tail_tag(self):
         with pytest.raises(ValueError):
             TimeProfile(PROFILE_GRID, np.ones(PROFILE_GRID.count), ("power", 1.0))
+
+
+def per_node_reference(stack, times, n_quad, tail=None):
+    """Quadrature half-derivative node by node: a cubic spline of each node
+    profile, its derivative at t + u^2, Simpson in u, plus the erfc tail."""
+    ts = stack.times
+    flat = stack.values.reshape(ts.size, -1)
+    out = np.empty((len(times), flat.shape[1]), dtype=complex)
+    for j in range(flat.shape[1]):
+        dg = CubicSpline(ts, flat[:, j]).derivative()
+        for k, t in enumerate(times):
+            u_max = math.sqrt(ts[-1] - t)
+            u = np.linspace(0.0, u_max, n_quad)
+            val = (2j / math.sqrt(math.pi)) * simpson(dg(t + u**2), x=u)
+            if tail is not None:
+                lam = tail[1]
+                amp = flat[-1, j] * math.exp(lam * ts[-1])
+                val += -1j * math.sqrt(lam) * amp * math.exp(-lam * t) * erfc(math.sqrt(lam) * u_max)
+            out[k, j] = val
+    return out.reshape((len(times),) + stack.spec.shape)
+
+
+class TestStackQuadrature:
+    SPEC = make_grid(1, 8, 64)
+
+    @pytest.mark.parametrize("n_quad", [401, 801])
+    def test_matches_per_node_reference(self, n_quad):
+        tg = TimeGrid(1e-3, 64.0, 48)
+        stack = extend(bandlimited_random(self.SPEC, 11, 0.25, 2.0), "heat", tg)
+        times = tg.values[:-1]
+        got = half_derivative_stack_quadrature(stack, times, n_quad=n_quad)
+        want = per_node_reference(stack, times, n_quad)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_matches_per_node_reference_with_tail(self):
+        # short grid: the closed exp_decay tail carries a visible share
+        tg = TimeGrid(0.01, 2.0, 48)
+        stack = extend(bandlimited_random(self.SPEC, 12, 0.25, 2.0), "heat", tg)
+        tail = ("exp_decay", 4 * np.pi**2 * 0.25**2)
+        times = tg.values[::3]
+        got = half_derivative_stack_quadrature(stack, times, n_quad=401, tail=tail)
+        want = per_node_reference(stack, times, 401, tail)
+        untagged = per_node_reference(stack, times, 401)
+        assert np.max(np.abs(want - untagged)) >= 1e-6 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_scalar_time_is_one_slice_and_a_list_is_a_stack(self):
+        tg = TimeGrid(1e-3, 64.0, 48)
+        stack = extend(bandlimited_random(self.SPEC, 13, 0.25, 2.0), "heat", tg)
+        t = [float(tg.values[10]), float(tg.values[20])]
+        one = half_derivative_stack_quadrature(stack, t[0])
+        both = half_derivative_stack_quadrature(stack, t)
+        assert one.shape == self.SPEC.shape
+        assert both.shape == (2,) + self.SPEC.shape
+        assert np.max(np.abs(one - both[0])) <= 1e-14 * np.max(np.abs(one))
+
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_exp_decay_node_against_oracle(self, tail):
+        # heat stack of cos(2 pi xi x): every node profile is cos(2 pi xi x) e^{-lam t}
+        xi = 0.25
+        lam = 4 * np.pi**2 * xi**2
+        f = GridFunction(self.SPEC, np.cos(2 * np.pi * xi * self.SPEC.nodes()[0]))
+        stack = extend(f, "heat", PROFILE_GRID)
+        (i0,) = self.SPEC.index_of(0.0)
+        got = half_derivative_stack_quadrature(
+            stack, [0.5, 1.0], tail=("exp_decay", lam) if tail else None)[:, i0]
+        for t, g in zip((0.5, 1.0), got):
+            want = weyl_direct("exp_decay", t, lam=lam)
+            assert abs(g - want) <= 1e-4 * abs(want)
+
+    def test_heat_peak_node_against_oracle(self):
+        # slices W_t(x): the profile at node x0 is the oracle's heat_peak profile;
+        # t_max = 1e4 lets its t^{-3/2} derivative pass the decay check
+        tg = TimeGrid(1e-3, 1e4, 481)
+        x = self.SPEC.nodes()[0]
+        stack = ExtensionStack(self.SPEC, tg, np.array([analytic.heat([x], t) for t in tg.values]))
+        (i,) = self.SPEC.index_of(0.5)
+        got = half_derivative_stack_quadrature(stack, 0.8)[i]
+        want = weyl_direct("heat_peak", 0.8, x0=float(x[i]))
+        assert abs(got - want) <= 1e-4 * abs(want)
 
 
 class TestSpectralRoute:
