@@ -216,7 +216,11 @@ def _cmd_transform(cfg: RunConfig, op: str, axis: int, symbol_file: str | None) 
     elif op == "multiplier":
         if not symbol_file:
             raise UsageError("multiplier transform needs --symbol-file")
-        g = apply_multiplier(f, read_symbol(symbol_file))
+        try:
+            theta = read_symbol(symbol_file)
+        except (OSError, ValueError, KeyError, TypeError) as exc:  # unreadable or malformed
+            raise UsageError(f"--symbol-file {symbol_file!r}: {exc}") from exc
+        g = apply_multiplier(f, theta)
     else:
         raise UsageError(f"unknown transform {op!r}")
     results = {"op": op, "input_l2": lp_norm(f, 2), "output_l2": lp_norm(g, 2)}
@@ -326,6 +330,13 @@ def _parse_pq(text: str) -> Exponents:
         return Exponents(float(p_str), float(q_str))
     except (ValueError, TypeError) as exc:
         raise UsageError(f"--pq expects 'p,q', got {text!r}") from exc
+
+
+def _parse_list(flag: str, text: str, kind) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"{flag} expects a comma-separated list, got {text!r}") from exc
 
 
 def _method_list(text: str):
@@ -503,9 +514,8 @@ def run(argv=None) -> int:
         elif args.command == "hardy":
             _cmd_hardy(cfg, args.order)
         elif args.command == "atoms":
-            orders = [int(v) for v in args.orders.split(",")]
-            sides = [float(v) for v in args.sides.split(",")]
-            _cmd_atoms(cfg, orders, sides)
+            _cmd_atoms(cfg, _parse_list("--orders", args.orders, int),
+                       _parse_list("--sides", args.sides, float))
         elif args.command == "report":
             _cmd_report(cfg, _parse_pq(args.pq), _method_list(args.methods))
         elif args.command == "freeze":

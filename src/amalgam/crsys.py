@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import ExtensionStack
-from .grid import GridFunction, SpectralFunction, forward, inverse
+from .extension import ExtensionStack, _symbol_block, extension_symbol
+from .grid import GridFunction, apply_symbols
 from .norms import amalgam_norm
 from .weyl import half_derivative_spectral, half_derivative_stack_quadrature, time_derivative
 
@@ -82,12 +82,7 @@ class ConjugateField:
 
 def _spatial_derivative(stack: ExtensionStack, j: int) -> np.ndarray:
     """d/dx_j per slice, spectral."""
-    sym = 2j * np.pi * stack.spec.freqs()[j - 1]
-    out = np.empty_like(stack.values)
-    for i in range(stack.tgrid.count):
-        F = forward(stack.slice(i))
-        out[i] = inverse(SpectralFunction(stack.spec, sym * F.coeffs)).values
-    return out
+    return apply_symbols(stack.spec, stack.values, 2j * np.pi * stack.spec.freqs()[j - 1])
 
 
 def _slice_l2(values: np.ndarray, h: float, d: int) -> np.ndarray:
@@ -247,18 +242,11 @@ def majorization_report(F: ConjugateField) -> MajorizationReport:
     slice i >= 1; returns the largest positive defect and the field peak that
     calibrates the tolerance.
     """
-    from .extension import extension_symbol
-
     spec = F.spec
     ts = F.tgrid.values
-    g0 = F.magnitude_slice(0)
-    G0 = forward(g0)
-    peak = max(np.max(np.abs(F.magnitude_slice(i).values)) for i in range(F.tgrid.count))
-    worst = np.zeros(F.tgrid.count - 1)
-    for i in range(1, F.tgrid.count):
-        s = float(ts[i] - ts[0])
-        sym = extension_symbol("poisson", spec, s)
-        dominating = inverse(SpectralFunction(spec, sym * G0.coeffs)).values.real
-        defect = np.abs(F.magnitude_slice(i).values) - dominating
-        worst[i - 1] = float(np.max(defect))
-    return MajorizationReport(float(np.max(worst)), float(peak), worst)
+    mag = np.sqrt(sum(np.abs(c.values) ** 2 for c in F.components))
+    sym = _symbol_block(spec, ts[1:] - ts[0], lambda s: extension_symbol("poisson", spec, s))
+    dominating = apply_symbols(spec, mag[0], sym).real
+    defect = (mag[1:] - dominating).reshape(F.tgrid.count - 1, -1)
+    worst = np.max(defect, axis=1)
+    return MajorizationReport(float(np.max(worst)), float(np.max(mag)), worst)

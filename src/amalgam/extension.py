@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
-from .grid import GridFunction, GridSpec, SpectralFunction, _read_samples, forward, inverse
+from .grid import GridFunction, GridSpec, _read_samples, apply_symbols
 from .norms import Exponents, amalgam_norm
 from .spectral import convolve
 
@@ -128,13 +128,18 @@ def extension_symbol(kernel: str, spec: GridSpec, t: float) -> np.ndarray:
 
 def extend(f: GridFunction, kernel: str, tg: TimeGrid) -> ExtensionStack:
     """Extension stack with slice_t = f convolved with the t-kernel, one
-    spectral pass per t."""
-    F = forward(f)
-    out = np.empty((tg.count,) + f.spec.shape, dtype=complex)
-    for i, t in enumerate(tg.values):
-        sym = extension_symbol(kernel, f.spec, float(t))
-        out[i] = inverse(SpectralFunction(f.spec, sym * F.coeffs)).values
-    return ExtensionStack(f.spec, tg, out, kernel)
+    multiplier pass over the whole time grid."""
+    sym = _symbol_block(f.spec, tg.values, lambda t: extension_symbol(kernel, f.spec, t))
+    return ExtensionStack(f.spec, tg, apply_symbols(f.spec, f.values, sym), kernel)
+
+
+def _symbol_block(spec: GridSpec, ts, symbol) -> np.ndarray:
+    """Complex block of symbol(t) stacked over the times ts, filled slice by
+    slice so that no second full-size array is alive beside it."""
+    block = np.empty((len(ts),) + spec.shape, dtype=complex)
+    for i, t in enumerate(ts):
+        block[i] = symbol(float(t))
+    return block
 
 
 # -- radial maximal function --------------------------------------------------
@@ -177,16 +182,13 @@ def radial_maximal(f: GridFunction, family, tg: TimeGrid) -> GridFunction:
     family is a DilationFamily or a callable t -> GridFunction producing the
     dilated profile samples; zero-mean profiles are rejected.
     """
-    acc = None
     if isinstance(family, DilationFamily):
         if abs(family.mean) < 1e-12:
             raise ValueError("radial maximal function needs a profile with nonzero mean")
-        F = forward(f)
-        for t in tg.values:
-            sym = family.symbol(f.spec, float(t))
-            cand = np.abs(inverse(SpectralFunction(f.spec, sym * F.coeffs)).values)
-            acc = cand if acc is None else np.maximum(acc, cand)
+        sym = _symbol_block(f.spec, tg.values, lambda t: family.symbol(f.spec, t))
+        acc = np.abs(apply_symbols(f.spec, f.values, sym)).max(axis=0)
     else:
+        acc = None
         h = f.spec.h
         for i, t in enumerate(tg.values):
             phi_t = family(float(t))
@@ -262,6 +264,7 @@ def hl_maximal(f: GridFunction, r: float) -> GridFunction:
     spec = f.spec
     n = spec.n
     dens = np.abs(f.values) ** r
+    dens_hat = np.fft.fftn(dens) if spec.d == 2 else None
     acc = None
     m = 1
     while m <= n // 2:  # rho = m*h, up to rho = L
@@ -269,7 +272,8 @@ def hl_maximal(f: GridFunction, r: float) -> GridFunction:
             mean = uniform_filter1d(dens, size=2 * m - 1, mode="wrap")
         else:
             mask = _disc_mask(n, m)
-            conv = np.fft.ifftn(np.fft.fftn(dens) * np.fft.fftn(mask)).real
+            mask_hat = np.fft.fftn(mask)
+            conv = np.fft.ifftn(dens_hat * mask_hat).real
             mean = conv / mask.sum()
         acc = mean if acc is None else np.maximum(acc, mean)
         m *= 2
@@ -313,12 +317,9 @@ def area_integral(f: GridFunction, window: AnnularWindow | None, tg: TimeGrid) -
         window = annular_window()
     spec = f.spec
     n, h = spec.n, spec.h
-    F = forward(f)
-    weights = tg.trapezoid_weights()
+    sym = _symbol_block(spec, tg.values, lambda t: window.multiplier(spec, t))
     S2 = np.zeros(spec.shape)
-    for t, dt in zip(tg.values, weights):
-        sym = window.multiplier(spec, float(t))
-        g = inverse(SpectralFunction(spec, sym * F.coeffs)).values
+    for g, t, dt in zip(apply_symbols(spec, f.values, sym), tg.values, tg.trapezoid_weights()):
         sq = np.abs(g) ** 2
         w = _strict_halfwidth(float(t), h)
         if spec.d == 1:

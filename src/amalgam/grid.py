@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from . import analytic
 
@@ -32,9 +34,9 @@ __all__ = [
     "FunctionSpec",
     "make_grid",
     "sample",
-    "fourier_transform",
     "forward",
     "inverse",
+    "apply_symbols",
     "lp_norm",
     "sup_norm",
     "write_grid_function",
@@ -88,20 +90,16 @@ class GridSpec:
         return list(np.meshgrid(x, x, indexing="ij"))
 
     def axis_freqs(self) -> np.ndarray:
-        """Frequencies k/(2L) of one axis in FFT order."""
-        return np.fft.fftfreq(self.n, d=self.h)
+        """Frequencies k/(2L) of one axis in FFT order (cached, read-only)."""
+        return _lattice(self)[0]
 
-    def freqs(self) -> list:
-        """Per-axis frequency arrays broadcast to the full grid shape."""
-        xi = self.axis_freqs()
-        if self.d == 1:
-            return [xi]
-        return list(np.meshgrid(xi, xi, indexing="ij"))
+    def freqs(self) -> tuple:
+        """Per-axis frequency arrays broadcast to the full grid shape (cached, read-only)."""
+        return _lattice(self)[1]
 
     def freq_norm(self) -> np.ndarray:
-        """|xi| on the frequency lattice."""
-        fs = self.freqs()
-        return np.sqrt(sum(f**2 for f in fs))
+        """|xi| on the frequency lattice (cached, read-only)."""
+        return _lattice(self)[2]
 
     def index_of(self, point) -> tuple:
         """Grid index of a point that lies exactly on a node."""
@@ -187,38 +185,53 @@ def make_grid(d: int, L: int, n: int) -> GridSpec:
     return GridSpec(d, L, n)
 
 
-def _phase(spec: GridSpec) -> np.ndarray:
-    # (-1)^k per axis: carries the node offset -L into the standard DFT.
-    k = np.rint(np.fft.fftfreq(spec.n) * spec.n).astype(int)
-    p = np.where(k % 2 == 0, 1.0, -1.0)
-    if spec.d == 1:
-        return p
-    return np.multiply.outer(p, p)
+@lru_cache(maxsize=8)
+def _lattice(spec: GridSpec) -> tuple:
+    """(axis frequencies, per-axis frequencies, |xi|, (-1)^k phase) of one
+    grid, built once per spec and read-only."""
+    xi = np.fft.fftfreq(spec.n, d=spec.h)
+    fs = (xi,) if spec.d == 1 else tuple(np.meshgrid(xi, xi, indexing="ij"))
+    norm = np.sqrt(sum(f**2 for f in fs))
+    # (-1)^k per axis carries the node offset -L into the standard DFT (n is even)
+    p = np.where(np.arange(spec.n) % 2 == 0, 1.0, -1.0)
+    phase = p if spec.d == 1 else np.multiply.outer(p, p)
+    for a in (xi, *fs, norm, phase):
+        a.setflags(write=False)
+    return xi, fs, norm, phase
 
 
 def forward(f: GridFunction) -> SpectralFunction:
     """Forward transform: h^d-weighted Riemann sum of the Fourier integral."""
-    c = f.spec.h**f.spec.d * _phase(f.spec) * np.fft.fftn(f.values)
+    c = f.spec.h**f.spec.d * _lattice(f.spec)[3] * scipy.fft.fftn(f.values)
     return SpectralFunction(f.spec, c)
 
 
 def inverse(F: SpectralFunction) -> GridFunction:
     """Inverse transform; forward(inverse(F)) == F to rounding."""
-    v = np.fft.ifftn(_phase(F.spec) * F.coeffs) / F.spec.h**F.spec.d
+    v = scipy.fft.ifftn(_lattice(F.spec)[3] * F.coeffs) / F.spec.h**F.spec.d
     return GridFunction(F.spec, v)
 
 
-def fourier_transform(obj, direction: str = "forward"):
-    """Dispatching wrapper over forward/inverse."""
-    if direction == "forward":
-        if not isinstance(obj, GridFunction):
-            raise TypeError("forward transform expects a GridFunction")
-        return forward(obj)
-    if direction == "inverse":
-        if not isinstance(obj, SpectralFunction):
-            raise TypeError("inverse transform expects a SpectralFunction")
-        return inverse(obj)
-    raise ValueError(f"unknown direction {direction!r}")
+def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
+    """One multiplier pass inverse(symbols * forward(values)), as an array.
+
+    values or symbols may carry one leading batch axis (time slices).  The
+    (-1)^k phases and h^d factors cancel exactly (h is a power of two), so the
+    pass is fftn, product, ifftn, bit-identical to the forward/inverse route.
+    The product is formed in place: in the transform of values, or in a
+    batched symbol block (which must be complex and is consumed), and ifftn
+    overwrites it, so a pass holds one stack.  Non-finite output raises.
+    """
+    if any(np.shape(a)[-spec.d:] != spec.shape or np.ndim(a) > spec.d + 1 for a in (values, symbols)):
+        raise ValueError(f"shapes {np.shape(values)}, {np.shape(symbols)}: not the grid shape "
+                         f"{spec.shape} with at most one batch axis")
+    axes = tuple(range(-spec.d, 0))
+    spectrum = scipy.fft.fftn(np.asarray(values, dtype=complex), axes=axes)
+    block = symbols if np.ndim(symbols) > spectrum.ndim else spectrum
+    out = scipy.fft.ifftn(np.multiply(symbols, spectrum, out=block), axes=axes, overwrite_x=True)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("multiplier pass produced non-finite values")
+    return out
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

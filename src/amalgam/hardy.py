@@ -24,7 +24,7 @@ from . import kernels
 from .crsys import ConjugateField, sup_vector_amalgam_norm
 from .extension import DilationFamily, TimeGrid, extend, heat_profile, nontangential_max, radial_maximal
 from .frozen import FrozenStore
-from .grid import GridFunction, GridSpec, SpectralFunction, forward, inverse, sample, sup_norm
+from .grid import GridFunction, GridSpec, apply_symbols, sample, sup_norm
 from .norms import Exponents, amalgam_norm
 from .spectral import (
     MultiplierFamily,
@@ -178,16 +178,15 @@ def hardy_quantity_riesz(f: GridFunction, e, eps_grid: TimeGrid, order: int = 1,
     if profile is None:
         profile = heat_profile()
     spec = f.spec
-    F = forward(f)
+    moll = np.array([profile.symbol(spec, float(t)) for t in eps_grid.values])
     comps = [riesz_multiplier(spec, idx) for idx in _riesz_compositions(spec, order)]
-    per_scale = []
-    for t in eps_grid.values:
-        moll = profile.symbol(spec, float(t))
-        total = amalgam_norm(inverse(SpectralFunction(spec, moll * F.coeffs)), e)
-        for m in comps:
-            total += amalgam_norm(inverse(SpectralFunction(spec, moll * m * F.coeffs)), e)
-        per_scale.append(total)
-    per_scale = np.asarray(per_scale)
+    per_scale = np.zeros(eps_grid.count)
+    # one pass over the scale grid per composition, identity first; each block
+    # (complex, hence 1 + 0j) becomes the output of its pass and is dropped
+    # before the next is built, so one stack is alive at a time
+    for m in (1 + 0j, *comps):
+        per_scale += [amalgam_norm(GridFunction(spec, g), e)
+                      for g in apply_symbols(spec, f.values, moll * m)]
     return QuantityResult(float(per_scale.max()), e.riesz_threshold_ok(spec.d, order), per_scale)
 
 

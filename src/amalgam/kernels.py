@@ -33,6 +33,7 @@ from scipy.special import dawsn
 
 from . import analytic
 from .grid import GridFunction, GridSpec, SpectralFunction, inverse
+from .spectral import riesz_multiplier
 
 __all__ = [
     "KernelKind",
@@ -108,15 +109,6 @@ def _spectral_kernel(spec: GridSpec, symbol: np.ndarray) -> GridFunction:
     return inverse(SpectralFunction(spec, symbol.astype(complex)))
 
 
-def _riesz_symbol_times(spec: GridSpec, j: int, radial: np.ndarray) -> np.ndarray:
-    fs = spec.freqs()
-    norm = spec.freq_norm()
-    safe = np.where(norm > 0, norm, 1.0)
-    sym = -1j * fs[j - 1] / safe * radial
-    sym[(0,) * spec.d] = 0.0
-    return sym
-
-
 def poisson_kernel(spec: GridSpec, t) -> GridFunction:
     t = _require_t(t)
     if spec.d == 1:
@@ -130,7 +122,7 @@ def conjugate_poisson_kernel(spec: GridSpec, t, j: int = 1) -> GridFunction:
     if spec.d == 1:
         return GridFunction(spec, _conjugate_poisson_periodic_1d(spec.axis_nodes(), t, spec.L))
     radial = np.exp(-2.0 * np.pi * t * spec.freq_norm())
-    return _spectral_kernel(spec, _riesz_symbol_times(spec, j, radial))
+    return _spectral_kernel(spec, riesz_multiplier(spec, [j]) * radial)
 
 
 def heat_kernel(spec: GridSpec, t) -> GridFunction:
@@ -146,7 +138,7 @@ def caloric_conjugate_kernel(spec: GridSpec, t, j: int = 1) -> GridFunction:
     t = _require_t(t)
     _check_axis(spec, j)
     radial = np.exp(-4.0 * np.pi**2 * t * spec.freq_norm() ** 2)
-    return _spectral_kernel(spec, _riesz_symbol_times(spec, j, radial))
+    return _spectral_kernel(spec, riesz_multiplier(spec, [j]) * radial)
 
 
 def make_kernel(kind, spec: GridSpec, t=None) -> GridFunction:

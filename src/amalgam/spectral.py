@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grid import GridFunction, GridSpec, SpectralFunction, forward, inverse
+from .grid import GridFunction, GridSpec, SpectralFunction, apply_symbols, forward, inverse
 
 __all__ = [
     "SphereSymbol",
@@ -184,8 +184,7 @@ def apply_multiplier(f: GridFunction, theta: SphereSymbol) -> GridFunction:
 
 def inverse_with(f: GridFunction, multiplier: np.ndarray) -> GridFunction:
     """One multiplier pass: inverse(multiplier * forward(f))."""
-    F = forward(f)
-    return inverse(SpectralFunction(f.spec, multiplier * F.coeffs))
+    return GridFunction(f.spec, apply_symbols(f.spec, f.values, multiplier))
 
 
 def riesz_multiplier(spec: GridSpec, indices) -> np.ndarray:

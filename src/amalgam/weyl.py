@@ -31,7 +31,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import erfcx
 
 from .extension import ExtensionStack, TimeGrid
-from .grid import SpectralFunction, forward, inverse
+from .grid import apply_symbols
 
 __all__ = [
     "TimeProfile",
@@ -156,11 +156,7 @@ def half_derivative_spectral(stack: ExtensionStack) -> ExtensionStack:
 
 
 def _apply_symbol(stack: ExtensionStack, sym: np.ndarray) -> ExtensionStack:
-    out = np.empty_like(stack.values)
-    for i in range(stack.tgrid.count):
-        F = forward(stack.slice(i))
-        out[i] = inverse(SpectralFunction(stack.spec, sym * F.coeffs)).values
-    return ExtensionStack(stack.spec, stack.tgrid, out, stack.kernel)
+    return stack.map_values(lambda v: apply_symbols(stack.spec, v, sym))
 
 
 def _log_grid_derivative(values: np.ndarray, ts: np.ndarray) -> np.ndarray:

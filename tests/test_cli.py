@@ -81,6 +81,27 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("flag, value", [("--orders", "x"), ("--orders", "0,1.5"),
+                                             ("--sides", "1,y")])
+    def test_malformed_atom_list(self, flag, value, capsys):
+        assert run(["atoms", *BASE, flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and flag in err
+
+    @pytest.mark.parametrize("content", [None, "not json", '{"d": 1}'])
+    def test_unusable_symbol_file(self, content, tmp_path, capsys):
+        path = tmp_path / "symbol.json"
+        if content is not None:
+            path.write_text(content)
+        code = run(["transform", *BASE, "--op", "multiplier", "--symbol-file", str(path),
+                    "--out", str(tmp_path / "tr.json")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and "--symbol-file" in err
+        assert not (tmp_path / "tr.json").exists()
+
 
 class TestStrictJson:
     def test_nonfinite_result_is_refused(self):
@@ -203,6 +224,20 @@ class TestFreezeReportCycle:
         code = run(["atoms", *base, "--orders", "0,1", "--sides", "0.25,0.5,1,2,4",
                     "--frozen", str(store), "--assert", "--out", str(tmp_path / "at.json")])
         assert code == 0
+
+    def test_freeze_reproduces_committed_store(self, tmp_path):
+        # the reference run (d=1, L=32, n=4096, 48 times) against the committed constants
+        committed = json.loads((Path(amalgam.__file__).parent / "data" / "frozen_constants.json")
+                               .read_text())
+        store = tmp_path / "frozen.json"
+        assert run(["freeze", "--frozen", str(store), "--out", str(tmp_path / "fr.json")]) == 0
+        doc = read_report(store)
+        assert doc["version"] == committed["version"]
+        assert doc["entries"].keys() == committed["entries"].keys()
+        for key, want in committed["entries"].items():
+            got = doc["entries"][key]
+            assert got["grid_id"] == want["grid_id"], key
+            assert abs(got["value"] - want["value"]) <= 1e-12 * abs(want["value"]), key
 
 
 class TestDeskScaleReport:

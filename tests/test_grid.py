@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from amalgam.grid import (
     FunctionSpec,
     GridFunction,
+    SpectralFunction,
+    apply_symbols,
     bandlimited_random,
     forward,
-    fourier_transform,
     inverse,
     lp_norm,
     make_grid,
@@ -94,13 +95,10 @@ class TestFourier:
         back = inverse(forward(f))
         assert np.max(np.abs(back.values - f.values)) <= 1e-12
 
-    def test_dispatcher_directions(self, desk1):
+    def test_roundtrip_gaussian(self, desk1):
         f = sample("gaussian:width=1", desk1)
-        F = fourier_transform(f, "forward")
-        g = fourier_transform(F, "inverse")
+        g = inverse(forward(f))
         assert np.max(np.abs(g.values - f.values)) <= 1e-12
-        with pytest.raises(ValueError):
-            fourier_transform(f, "sideways")
 
     def test_heat_symbol_at_zero(self, desk1):
         W = sample("heat_kernel:t=0.5", desk1)
@@ -130,6 +128,91 @@ class TestFourier:
         f = bandlimited_random(desk2, 4, 0.5, 2.0)
         spatial = desk2.h**2 * np.sum(np.abs(f.values) ** 2)
         assert forward(f).energy() == pytest.approx(spatial, rel=1e-12)
+
+
+def _old_route(f, m):
+    """The multiplier pass written out through forward and inverse."""
+    return inverse(SpectralFunction(f.spec, m * forward(f).coeffs)).values
+
+
+class TestApplySymbols:
+    """apply_symbols against the forward/inverse route, bit for bit."""
+
+    @pytest.fixture(params=[(1, 32, 4096), (2, 8, 128)], ids=["d1", "d2"])
+    def case(self, request):
+        spec = make_grid(*request.param)
+        f = bandlimited_random(spec, 11, 0.25, 4.0)
+        ts = np.array([1e-3, 0.05, 0.7, 3.0])
+        xi = spec.freq_norm()
+        heat = np.exp(-4.0 * np.pi**2 * ts.reshape((-1,) + (1,) * spec.d) * xi**2).astype(complex)
+        # Riesz direction plus a constant: real and imaginary parts both nonzero
+        riesz = -1j * spec.freqs()[0] / np.where(xi > 0, xi, 1.0)
+        return spec, f, heat, (0.3 + riesz) * np.exp(-xi)
+
+    def test_one_slice(self, case):
+        spec, f, heat, mixed = case
+        for m in (heat[1].real, heat[1], mixed, heat[2] * mixed):
+            np.testing.assert_array_equal(apply_symbols(spec, f.values, m.copy()), _old_route(f, m))
+
+    def test_batched_symbols(self, case):
+        spec, f, heat, mixed = case
+        for block in (heat, heat * mixed):
+            want = np.array([_old_route(f, m) for m in block])
+            buffer = block.copy()
+            got = apply_symbols(spec, f.values, buffer)
+            assert got.shape == (len(block),) + spec.shape
+            np.testing.assert_array_equal(got, want)
+            # the symbol block is consumed as the output: a pass holds one stack
+            assert np.shares_memory(got, buffer)
+
+    def test_batched_values(self, case):
+        spec, f, heat, mixed = case
+        stack = apply_symbols(spec, f.values, heat.copy())
+        want = np.array([_old_route(GridFunction(spec, v), mixed) for v in stack])
+        np.testing.assert_array_equal(apply_symbols(spec, stack, mixed), want)
+
+    def test_unbatched_symbols_and_values_left_alone(self, case):
+        spec, f, heat, mixed = case
+        values, symbol, stack = f.values.copy(), mixed.copy(), heat.copy()
+        apply_symbols(spec, values, symbol)
+        apply_symbols(spec, stack, symbol)
+        np.testing.assert_array_equal(values, f.values)
+        np.testing.assert_array_equal(symbol, mixed)
+        np.testing.assert_array_equal(stack, heat)
+
+    def test_nonfinite_output_raises(self, small1):
+        f = bandlimited_random(small1, 2, 0.5, 4.0)
+        m = np.ones(small1.shape)
+        m[3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_symbols(small1, f.values, m)
+
+    def test_shape_mismatch_raises(self, small1, small2):
+        f = bandlimited_random(small1, 2, 0.5, 4.0)
+        with pytest.raises(ValueError, match="grid shape"):
+            apply_symbols(small1, f.values, np.ones(small1.n // 2))
+        with pytest.raises(ValueError, match="grid shape"):
+            apply_symbols(small2, np.ones(small2.shape), np.ones((2, 3) + small2.shape))
+
+
+class TestLatticeCache:
+    @pytest.mark.parametrize("d, L, n", [(1, 16, 1024), (2, 4, 64)])
+    def test_read_only_and_intact(self, d, L, n):
+        spec = make_grid(d, L, n)
+        xi = np.fft.fftfreq(n, d=spec.h)
+        fs = spec.freqs()
+        arrays = (spec.axis_freqs(), spec.freq_norm(), *fs)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 123.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+        assert spec.freqs() is fs and make_grid(d, L, n).freq_norm() is spec.freq_norm()
+        np.testing.assert_array_equal(spec.axis_freqs(), xi)
+        grids = (xi,) if d == 1 else np.meshgrid(xi, xi, indexing="ij")
+        for f, want in zip(spec.freqs(), grids):
+            np.testing.assert_array_equal(f, want)
+        np.testing.assert_array_equal(spec.freq_norm(), np.sqrt(sum(g**2 for g in grids)))
 
 
 class TestLpNorm:
