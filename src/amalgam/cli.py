@@ -20,28 +20,34 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, kernels
+from . import __version__
 from .crsys import caloric_cr_residual, harmonic_cr_residual
 from .extension import TimeGrid, extend, write_stack
 from .frozen import FrozenStore, default_store_path
 from .grid import FunctionSpec, GridFunction, GridSpec, lp_norm, sample, write_grid_function
 from .hardy import (
-    AtomSpec,
+    EQUIVALENCE_METHODS,
+    SLACK,
+    atom_probe,
     caloric_lift,
     default_multiplier_family,
     equivalence_report,
+    freeze_constants,
     grid_run_id,
     harmonic_lift,
     hardy_norm_maximal,
     hardy_quantity_multiplier,
     hardy_quantity_riesz,
-    make_atom,
     reference_family,
 )
 from .norms import Exponents, amalgam_norm
 from .spectral import apply_multiplier, read_symbol, riesz
 
 __all__ = ["main"]
+
+
+# largest accepted n**dim: 16 MiB per complex array, one array per stack slice
+MAX_GRID_POINTS = 2**20
 
 
 class UsageError(Exception):
@@ -134,7 +140,8 @@ def _build_config(args) -> RunConfig:
     if getattr(args, "do_assert", False):
         cfg.do_assert = True
     try:
-        cfg.grid()
+        if cfg.grid().size > MAX_GRID_POINTS:
+            raise UsageError(f"grid of {cfg.n}^{cfg.dim} points exceeds {MAX_GRID_POINTS}")
         cfg.timegrid()
         cfg.exponents()
         FunctionSpec.parse(cfg.function)
@@ -212,6 +219,8 @@ def _cmd_norm(cfg: RunConfig) -> dict:
 def _cmd_transform(cfg: RunConfig, op: str, axis: int, symbol_file: str | None) -> dict:
     f = cfg.sample()
     if op == "riesz":
+        if not 1 <= axis <= cfg.dim:
+            raise UsageError(f"--axis must lie in 1..{cfg.dim} for dim={cfg.dim}, got {axis}")
         g = riesz(f, axis)
     elif op == "multiplier":
         if not symbol_file:
@@ -220,6 +229,8 @@ def _cmd_transform(cfg: RunConfig, op: str, axis: int, symbol_file: str | None) 
             theta = read_symbol(symbol_file)
         except (OSError, ValueError, KeyError, TypeError) as exc:  # unreadable or malformed
             raise UsageError(f"--symbol-file {symbol_file!r}: {exc}") from exc
+        if theta.d != cfg.dim:
+            raise UsageError(f"symbol dimension {theta.d} does not match dim={cfg.dim}")
         g = apply_multiplier(f, theta)
     else:
         raise UsageError(f"unknown transform {op!r}")
@@ -275,6 +286,8 @@ def _cmd_cr_check(cfg: RunConfig, lift: str, mode: str, tol: float | None) -> di
 
 
 def _cmd_hardy(cfg: RunConfig, order: int) -> dict:
+    if order < 1:
+        raise UsageError(f"--order must be >= 1, got {order}")
     f = cfg.sample()
     e = cfg.exponents()
     tg = cfg.timegrid()
@@ -298,12 +311,8 @@ def _cmd_atoms(cfg: RunConfig, orders, sides) -> dict:
     spec = cfg.grid()
     e = cfg.exponents()
     tg = cfg.timegrid()
-    rows = []
-    for m in orders:
-        for side in sides:
-            atom = make_atom(AtomSpec((0.0,) * cfg.dim, side, m, e.p, e.q), spec)
-            value = hardy_norm_maximal(atom, e, tg)
-            rows.append({"m": m, "side": side, "value": value})
+    rows = [{"m": m, "side": side, "value": value}
+            for m, side, value in atom_probe(spec, e, tg, orders, sides)]
     values = [r["value"] for r in rows]
     results = {"atoms": rows, "band_low": min(values), "band_high": max(values)}
     status = "pass"
@@ -312,7 +321,7 @@ def _cmd_atoms(cfg: RunConfig, orders, sides) -> dict:
         gid = grid_run_id(spec, tg)
         lo = store.get("atoms-d1", "band_low", e.p, e.q, gid)
         hi = store.get("atoms-d1", "band_high", e.p, e.q, gid)
-        ok = min(values) >= lo / 1.1 and max(values) <= hi * 1.1
+        ok = min(values) >= lo / SLACK and max(values) <= hi * SLACK
         results["frozen_band"] = [lo, hi]
         status = "pass" if ok else "fail"
     if cfg.out:
@@ -340,16 +349,12 @@ def _parse_list(flag: str, text: str, kind) -> list:
 
 
 def _method_list(text: str):
-    mapping = {"riesz1": "riesz1", "riesz2": "riesz2", "maximal": "maximal",
-               "multiplier": "multiplier", "nontangential": "nontangential",
-               "caloric_sup": "caloric_sup"}
-    methods = []
-    for item in text.split(","):
-        item = item.strip()
-        if item not in mapping:
-            raise UsageError(f"unknown method {item!r}; choose from {sorted(mapping)}")
-        methods.append(mapping[item])
-    return tuple(methods)
+    methods = tuple(item.strip() for item in text.split(","))
+    for item in methods:
+        if item not in EQUIVALENCE_METHODS:
+            raise UsageError(f"unknown method {item!r}; "
+                             f"choose from {sorted(EQUIVALENCE_METHODS)}")
+    return methods
 
 
 def _cmd_report(cfg: RunConfig, pq: Exponents, methods) -> dict:
@@ -376,68 +381,6 @@ def _cmd_report(cfg: RunConfig, pq: Exponents, methods) -> dict:
         bad = {k: v for k, v in rep.pairs.items() if v["ok"] is not True}
         raise AssertionFailure(f"ratio spreads outside frozen bands: {sorted(bad)}")
     return payload
-
-
-ATOM_PROBE_SIDES = (0.25, 0.5, 1.0, 2.0, 4.0)
-
-
-def freeze_constants(spec: GridSpec, tg: TimeGrid, store: FrozenStore) -> dict:
-    """Measure every regression constant on the designated reference run."""
-    gid = grid_run_id(spec, tg)
-    members = reference_family(spec)
-    frozen = {}
-
-    for (p, q) in ((1.0, 1.0), (2.0, 3.0)):
-        rep = equivalence_report(members, (p, q), tg)
-        for pair, info in rep.pairs.items():
-            store.put("reference-d1", pair, p, q, gid, info["spread"])
-            frozen[f"reference-d1|{pair}|{p:g},{q:g}"] = info["spread"]
-
-    # nontangential leg alone for the p > q sample point
-    rep = equivalence_report(members, (1.2, 0.9), tg, methods=("maximal", "nontangential"))
-    info = rep.pairs["maximal/nontangential"]
-    store.put("reference-d1", "maximal/nontangential", 1.2, 0.9, gid, info["spread"])
-    frozen["reference-d1|maximal/nontangential|1.2,0.9"] = info["spread"]
-
-    # atom probe band
-    e_atom = Exponents(1.0, 1.0)
-    vals = []
-    for m in (0, 1):
-        for side in ATOM_PROBE_SIDES:
-            atom = make_atom(AtomSpec((0.0,), side, m, 1.0, 1.0), spec)
-            vals.append(hardy_norm_maximal(atom, e_atom, tg))
-    store.put("atoms-d1", "band_low", 1.0, 1.0, gid, min(vals))
-    store.put("atoms-d1", "band_high", 1.0, 1.0, gid, max(vals))
-    frozen["atoms-d1|band"] = [min(vals), max(vals)]
-
-    # heat-stack sup decay constants
-    from .extension import h1_certificate
-
-    for (p, q) in ((1.0, 1.0), (2.0, 3.0)):
-        cmax = 0.0
-        for _, f in members:
-            stack = extend(f, "heat", tg)
-            cmax = max(cmax, h1_certificate(stack, (p, q)).max_ratio)
-        store.put("reference-d1", "h1_ratio", p, q, gid, cmax)
-        frozen[f"reference-d1|h1_ratio|{p:g},{q:g}"] = cmax
-
-    # empirical Riesz-transform boundedness on the amalgam scale
-    for (p, q) in ((1.5, 1.5), (2.0, 3.0), (3.0, 1.5)):
-        rmax = 0.0
-        for _, f in members:
-            denom = amalgam_norm(f, (p, q))
-            if denom > 0:
-                rmax = max(rmax, amalgam_norm(riesz(f, 1), (p, q)) / denom)
-        store.put("riesz-bound-d1", "ratio_max", p, q, gid, rmax)
-        frozen[f"riesz-bound-d1|ratio_max|{p:g},{q:g}"] = rmax
-
-    # kernel decay lattice constants
-    cert_grid = np.geomspace(0.1, 10.0, 25)
-    for kind in ("heat_dt", "heat_half_dt"):
-        c = kernels.decay_certificate(kind, spec, cert_grid)
-        store.put("certificates-d1", kind, 1.0, 1.0, gid, c.max_ratio)
-        frozen[f"certificates-d1|{kind}"] = c.max_ratio
-    return frozen
 
 
 def _cmd_freeze(cfg: RunConfig) -> dict:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .grid import GridFunction, GridSpec, _read_samples, apply_symbols
-from .norms import Exponents, amalgam_norm
+from .norms import Exponents, slice_norms
 from .spectral import convolve
 
 __all__ = [
@@ -337,7 +337,7 @@ def area_integral(f: GridFunction, window: AnnularWindow | None, tg: TimeGrid) -
 
 def tpq_norm(stack: ExtensionStack, e) -> float:
     """max over slices of the (p, q) amalgam norm."""
-    return max(amalgam_norm(stack.slice(i), e) for i in range(stack.tgrid.count))
+    return float(slice_norms(stack.spec, stack.values, e).max())
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,11 @@ import numpy as np
 
 from . import kernels
 from .crsys import ConjugateField, sup_vector_amalgam_norm
-from .extension import DilationFamily, TimeGrid, extend, heat_profile, nontangential_max, radial_maximal
+from .extension import (DilationFamily, TimeGrid, extend, h1_certificate, heat_profile,
+                        nontangential_max, radial_maximal)
 from .frozen import FrozenStore
 from .grid import GridFunction, GridSpec, apply_symbols, sample, sup_norm
-from .norms import Exponents, amalgam_norm
+from .norms import Exponents, amalgam_norm, slice_norms
 from .spectral import (
     MultiplierFamily,
     SphereSymbol,
@@ -38,6 +39,7 @@ from .spectral import (
 __all__ = [
     "AtomSpec",
     "make_atom",
+    "atom_probe",
     "hardy_norm_maximal",
     "hardy_quantity_riesz",
     "hardy_quantity_multiplier",
@@ -47,11 +49,14 @@ __all__ = [
     "default_multiplier_family",
     "EquivalenceReport",
     "equivalence_report",
+    "equivalence_reports",
     "EQUIVALENCE_METHODS",
+    "freeze_constants",
     "grid_run_id",
 ]
 
 ATOM_SIDES = (0.25, 0.5, 1.0, 2.0, 4.0)
+SLACK = 1.1  # a measured spread or band passes within SLACK times its frozen value
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +138,14 @@ def make_atom(a: AtomSpec, spec: GridSpec) -> GridFunction:
     return GridFunction(spec, v)
 
 
+def atom_probe(spec: GridSpec, e, tg: TimeGrid, orders=(0, 1), sides=ATOM_SIDES) -> list:
+    """(m, side, maximal norm) of the cube atom at the origin per moment order m and side."""
+    e = e if isinstance(e, Exponents) else Exponents(*e)
+    return [(m, side, hardy_norm_maximal(make_atom(AtomSpec((0.0,) * spec.d, side, m, e.p, e.q),
+                                                   spec), e, tg))
+            for m in orders for side in sides]
+
+
 # ---------------------------------------------------------------------------
 # The three Hardy quantities
 # ---------------------------------------------------------------------------
@@ -149,8 +162,6 @@ def hardy_norm_maximal(f: GridFunction, e, tg: TimeGrid,
 
 def _riesz_compositions(spec: GridSpec, order: int):
     """All index lists (j_1..j_k), 1 <= k <= order."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     out = []
     level = [()]
     for _ in range(order):
@@ -166,6 +177,19 @@ class QuantityResult:
     per_scale: np.ndarray = field(repr=False)
 
 
+def _mollified_blocks(f: GridFunction, tg: TimeGrid, order: int, profile: DilationFamily):
+    """(level, block) pairs: f * phi_t over the time grid (level 0), then each
+    Riesz composition of it up to the given order, in the order of
+    _riesz_compositions.  Each block is built by one pass, and the caller
+    drops it before asking for the next, so one stack is alive at a time."""
+    spec = f.spec
+    moll = np.array([profile.symbol(spec, float(t)) for t in tg.values])
+    for idx in [(), *_riesz_compositions(spec, order)]:
+        # the identity symbol is complex (1 + 0j) too: its block becomes the output
+        m = riesz_multiplier(spec, idx) if idx else 1 + 0j
+        yield len(idx), apply_symbols(spec, f.values, moll * m)
+
+
 def hardy_quantity_riesz(f: GridFunction, e, eps_grid: TimeGrid, order: int = 1,
                          profile: DilationFamily | None = None) -> QuantityResult:
     """sup over mollification scales of ||f * phi_eps||_{p,q} plus the norms of
@@ -175,19 +199,15 @@ def hardy_quantity_riesz(f: GridFunction, e, eps_grid: TimeGrid, order: int = 1,
     still computed but the characterization does not back it.
     """
     e = e if isinstance(e, Exponents) else Exponents(*e)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     if profile is None:
         profile = heat_profile()
-    spec = f.spec
-    moll = np.array([profile.symbol(spec, float(t)) for t in eps_grid.values])
-    comps = [riesz_multiplier(spec, idx) for idx in _riesz_compositions(spec, order)]
     per_scale = np.zeros(eps_grid.count)
-    # one pass over the scale grid per composition, identity first; each block
-    # (complex, hence 1 + 0j) becomes the output of its pass and is dropped
-    # before the next is built, so one stack is alive at a time
-    for m in (1 + 0j, *comps):
-        per_scale += [amalgam_norm(GridFunction(spec, g), e)
-                      for g in apply_symbols(spec, f.values, moll * m)]
-    return QuantityResult(float(per_scale.max()), e.riesz_threshold_ok(spec.d, order), per_scale)
+    for _, block in _mollified_blocks(f, eps_grid, order, profile):
+        per_scale += slice_norms(f.spec, block, e)
+        del block
+    return QuantityResult(float(per_scale.max()), e.riesz_threshold_ok(f.spec.d, order), per_scale)
 
 
 def default_multiplier_family(d: int = 1) -> MultiplierFamily:
@@ -282,22 +302,6 @@ def grid_run_id(spec: GridSpec, tg: TimeGrid) -> str:
     return f"{spec.grid_id()}-{tg.grid_id()}"
 
 
-def _method_value(method: str, f: GridFunction, e: Exponents, tg: TimeGrid) -> float:
-    if method == "maximal":
-        return hardy_norm_maximal(f, e, tg)
-    if method == "riesz1":
-        return hardy_quantity_riesz(f, e, tg, order=1).value
-    if method == "riesz2":
-        return hardy_quantity_riesz(f, e, tg, order=2).value
-    if method == "multiplier":
-        return hardy_quantity_multiplier(f, default_multiplier_family(f.spec.d), e).value
-    if method == "nontangential":
-        return amalgam_norm(nontangential_max(extend(f, "poisson", tg)), e)
-    if method == "caloric_sup":
-        return sup_vector_amalgam_norm(caloric_lift(f, tg), e)
-    raise ValueError(f"unknown method {method!r}")
-
-
 EQUIVALENCE_METHODS = ("maximal", "riesz1", "riesz2", "multiplier", "nontangential", "caloric_sup")
 
 
@@ -332,50 +336,137 @@ class EquivalenceReport:
         }
 
 
-def equivalence_report(members, e, tg: TimeGrid, methods=EQUIVALENCE_METHODS,
-                       family_id: str = "reference-d1", store: FrozenStore | None = None,
-                       slack: float = 1.1) -> EquivalenceReport:
-    """Pairwise ratio spreads of the selected quantities over a family.
+def _member_values(f: GridFunction, es, tg: TimeGrid, methods) -> dict:
+    """The selected quantities of one member, one value per exponent pair.  Each
+    field is built once, reduced for every method and pair that reads it, and
+    dropped before the next is built; riesz1 and riesz2 read one running sum."""
+    spec = f.spec
+    out = {}
+    order = 2 if "riesz2" in methods else int("riesz1" in methods)
+    if order or "maximal" in methods:
+        per_scale = np.zeros((len(es), tg.count))
+        for level, block in _mollified_blocks(f, tg, order, heat_profile()):
+            if level == 0 and "maximal" in methods:
+                mx = GridFunction(spec, np.abs(block).max(axis=0))
+                out["maximal"] = [amalgam_norm(mx, e) for e in es]
+            if order:
+                per_scale += [slice_norms(spec, block, e) for e in es]
+            del block
+            if level:
+                out[f"riesz{level}"] = [float(v) for v in per_scale.max(axis=1)]
+    if "multiplier" in methods:
+        images = [apply_multiplier(f, s) for s in default_multiplier_family(spec.d).symbols]
+        out["multiplier"] = [float(sum(amalgam_norm(g, e) for g in images)) for e in es]
+    if "nontangential" in methods:
+        nt = nontangential_max(extend(f, "poisson", tg))
+        out["nontangential"] = [amalgam_norm(nt, e) for e in es]
+    if "caloric_sup" in methods:
+        lifted = caloric_lift(f, tg)
+        out["caloric_sup"] = [sup_vector_amalgam_norm(lifted, e) for e in es]
+    return out
+
+
+def equivalence_reports(members, exponents, tg: TimeGrid, methods=EQUIVALENCE_METHODS,
+                        family_id: str = "reference-d1", store: FrozenStore | None = None,
+                        slack: float = SLACK) -> list:
+    """Pairwise ratio spreads of the selected quantities over a family, one
+    EquivalenceReport per exponent pair, from one sweep of the family.
 
     Ratios are only formed where both quantities are positive; zero values on
     nonzero members are flagged and excluded.  When a store is given, each
     pair's spread is compared against its frozen constant times the slack;
     pairs without a frozen entry get ok = None.
     """
-    e = e if isinstance(e, Exponents) else Exponents(*e)
+    es = [e if isinstance(e, Exponents) else Exponents(*e) for e in exponents]
     if not members:
         raise ValueError("empty family")
     methods = tuple(methods)
-    spec = members[0][1].spec
-    gid = grid_run_id(spec, tg)
-    values = {m: {} for m in methods}
-    excluded = []
-    for name, f in members:
-        for m in methods:
-            values[m][name] = _method_value(m, f, e, tg)
-    pairs = {}
-    for i, ma in enumerate(methods):
-        for mb in methods[i + 1:]:
-            ratios = []
-            for name, f in members:
-                va, vb = values[ma][name], values[mb][name]
-                if va <= 0 or vb <= 0:
-                    if sup_norm(f) > 0:
-                        excluded.append({"member": name, "pair": f"{ma}/{mb}",
-                                         "reason": "zero quantity on nonzero member"})
+    if unknown := [m for m in methods if m not in EQUIVALENCE_METHODS]:
+        raise ValueError(f"unknown method {unknown[0]!r}")
+    gid = grid_run_id(members[0][1].spec, tg)
+    swept = {name: _member_values(f, es, tg, methods) for name, f in members}
+    reports = []
+    for k, e in enumerate(es):
+        vals = {m: {name: swept[name][m][k] for name, _ in members} for m in methods}
+        excluded = []
+        pairs = {}
+        for i, ma in enumerate(methods):
+            for mb in methods[i + 1:]:
+                ratios = []
+                for name, f in members:
+                    va, vb = vals[ma][name], vals[mb][name]
+                    if va <= 0 or vb <= 0:
+                        if sup_norm(f) > 0:
+                            excluded.append({"member": name, "pair": f"{ma}/{mb}",
+                                             "reason": "zero quantity on nonzero member"})
+                        continue
+                    ratios.append(va / vb)
+                key = f"{ma}/{mb}"
+                if not ratios:
+                    pairs[key] = {"spread": None, "min": None, "max": None,
+                                  "frozen": None, "ok": False}
                     continue
-                ratios.append(va / vb)
-            key = f"{ma}/{mb}"
-            if not ratios:
-                pairs[key] = {"spread": None, "min": None, "max": None,
-                              "frozen": None, "ok": False}
-                continue
-            spread = max(ratios) / min(ratios)
-            info = {"spread": spread, "min": min(ratios), "max": max(ratios),
-                    "frozen": None, "ok": None}
-            if store is not None and store.has(family_id, key, e.p, e.q):
-                frozen = store.get(family_id, key, e.p, e.q, gid)
-                info["frozen"] = frozen
-                info["ok"] = bool(spread <= frozen * slack)
-            pairs[key] = info
-    return EquivalenceReport(family_id, e.p, e.q, gid, methods, values, pairs, excluded, slack)
+                spread = max(ratios) / min(ratios)
+                info = {"spread": spread, "min": min(ratios), "max": max(ratios),
+                        "frozen": None, "ok": None}
+                if store is not None and store.has(family_id, key, e.p, e.q):
+                    frozen = store.get(family_id, key, e.p, e.q, gid)
+                    info["frozen"] = frozen
+                    info["ok"] = bool(spread <= frozen * slack)
+                pairs[key] = info
+        reports.append(EquivalenceReport(family_id, e.p, e.q, gid, methods, vals, pairs,
+                                         excluded, slack))
+    return reports
+
+
+def equivalence_report(members, e, tg: TimeGrid, methods=EQUIVALENCE_METHODS,
+                       family_id: str = "reference-d1", store: FrozenStore | None = None,
+                       slack: float = SLACK) -> EquivalenceReport:
+    """The equivalence report of one exponent pair (see equivalence_reports)."""
+    return equivalence_reports(members, [e], tg, methods, family_id, store, slack)[0]
+
+
+def freeze_constants(spec: GridSpec, tg: TimeGrid, store: FrozenStore) -> dict:
+    """Measure every regression constant on the designated reference run."""
+    gid = grid_run_id(spec, tg)
+    members = reference_family(spec)
+    frozen = {}
+
+    # one sweep; at the p > q sample point (1.2, 0.9) only the nontangential leg is frozen
+    reps = equivalence_reports(members, ((1.0, 1.0), (2.0, 3.0), (1.2, 0.9)), tg)
+    legs = [(rep, pair) for rep in reps[:2] for pair in rep.pairs]
+    for rep, pair in legs + [(reps[2], "maximal/nontangential")]:
+        spread = rep.pairs[pair]["spread"]
+        store.put("reference-d1", pair, rep.p, rep.q, gid, spread)
+        frozen[f"reference-d1|{pair}|{rep.p:g},{rep.q:g}"] = spread
+
+    # atom probe band
+    vals = [v for _, _, v in atom_probe(spec, (1.0, 1.0), tg)]
+    store.put("atoms-d1", "band_low", 1.0, 1.0, gid, min(vals))
+    store.put("atoms-d1", "band_high", 1.0, 1.0, gid, max(vals))
+    frozen["atoms-d1|band"] = [min(vals), max(vals)]
+
+    # heat-stack sup decay constants and the empirical Riesz-transform bound on
+    # the amalgam scale, from one heat stack and one R_1 f per member
+    h1 = dict.fromkeys(((1.0, 1.0), (2.0, 3.0)), 0.0)
+    rb = dict.fromkeys(((1.5, 1.5), (2.0, 3.0), (3.0, 1.5)), 0.0)
+    for _, f in members:
+        stack, rf = extend(f, "heat", tg), riesz(f, 1)
+        for pq in h1:
+            h1[pq] = max(h1[pq], h1_certificate(stack, pq).max_ratio)
+        for pq in rb:
+            if (denom := amalgam_norm(f, pq)) > 0:
+                rb[pq] = max(rb[pq], amalgam_norm(rf, pq) / denom)
+    for family, key, consts in (("reference-d1", "h1_ratio", h1),
+                                ("riesz-bound-d1", "ratio_max", rb)):
+        for (p, q), c in consts.items():
+            store.put(family, key, p, q, gid, c)
+            frozen[f"{family}|{key}|{p:g},{q:g}"] = c
+
+    # kernel decay lattice constants
+    cert_grid = np.geomspace(0.1, 10.0, 25)
+    for kind in ("heat_dt", "heat_half_dt"):
+        c = kernels.decay_certificate(kind, spec, cert_grid)
+        store.put("certificates-d1", kind, 1.0, 1.0, gid, c.max_ratio)
+        frozen[f"certificates-d1|{kind}"] = c.max_ratio
+    return frozen

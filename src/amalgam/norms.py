@@ -30,6 +30,7 @@ __all__ = [
     "Exponents",
     "GapReport",
     "amalgam_norm",
+    "slice_norms",
     "holder_gap",
     "interpolation_gap",
     "ball_window_weights",
@@ -92,18 +93,6 @@ def _as_exponents(e) -> Exponents:
         return e
     p, q = e
     return Exponents(float(p), float(q))
-
-
-def _cube_masses(f: GridFunction, p: float) -> np.ndarray:
-    """Integral of |f|^p over each unit cube k + [0,1)^d."""
-    spec = f.spec
-    m = spec.n // (2 * spec.L)
-    dens = np.abs(f.values) ** p
-    if spec.d == 1:
-        cubes = dens.reshape(2 * spec.L, m).sum(axis=1)
-    else:
-        cubes = dens.reshape(2 * spec.L, m, 2 * spec.L, m).sum(axis=(1, 3))
-    return cubes * spec.h**spec.d
 
 
 def _disk_segment(x0: float, x1: float, c: float) -> float:
@@ -188,8 +177,7 @@ def amalgam_norm(f: GridFunction, e, window: str = "discrete") -> float:
     e = _as_exponents(e)
     spec = f.spec
     if window == "discrete":
-        cubes = _cube_masses(f, e.p)
-        return float(np.sum(cubes ** (e.q / e.p)) ** (1.0 / e.q))
+        return float(slice_norms(spec, f.values[None], e)[0])
     if window == "ball":
         dens = GridFunction(spec, np.abs(f.values) ** e.p)
         local = convolve(dens, ball_window_weights(spec))
@@ -197,6 +185,24 @@ def amalgam_norm(f: GridFunction, e, window: str = "discrete") -> float:
         outer = spec.h**spec.d * np.sum(local_mass ** (e.q / e.p))
         return float(outer ** (1.0 / e.q))
     raise ValueError(f"unknown window {window!r}")
+
+
+def slice_norms(spec: GridSpec, block: np.ndarray, e) -> np.ndarray:
+    """Discrete-window (p, q) amalgam norm of every slice of a (k,) + grid
+    block, without a GridFunction per slice: the integrals of |block|^p over
+    the unit cubes k + [0,1)^d, summed per slice in the outer l^q sense."""
+    e = _as_exponents(e)
+    m = spec.n // (2 * spec.L)
+    dens = np.abs(block)
+    dens **= e.p
+    if spec.d == 1:
+        cubes = dens.reshape(len(block), 2 * spec.L, m).sum(axis=-1)
+    else:
+        cubes = dens.reshape(len(block), 2 * spec.L, m, 2 * spec.L, m).sum(axis=(-3, -1))
+    cubes = cubes * spec.h**spec.d
+    sums = np.sum(cubes.reshape(len(block), -1) ** (e.q / e.p), axis=1)
+    # a scalar root per slice: numpy's SIMD array power may round differently
+    return np.array([s ** (1.0 / e.q) for s in sums])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import amalgam
@@ -88,6 +90,43 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage error:") and flag in err
+
+    def test_hardy_order_below_one(self, capsys):
+        assert run(["hardy", *BASE, "--order", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and "--order" in err
+
+    def test_riesz_axis_beyond_dim(self, capsys):
+        assert run(["transform", *BASE, "--op", "riesz", "--axis", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and "--axis" in err
+
+    def test_symbol_dimension_mismatch(self, tmp_path, capsys):
+        from amalgam.spectral import SphereSymbol, write_symbol
+
+        path = tmp_path / "d2.json"
+        write_symbol(SphereSymbol.from_samples(np.cos(2 * np.pi * np.arange(64) / 64)), path)
+        assert run(["transform", *BASE, "--op", "multiplier", "--symbol-file", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and "symbol dimension 2" in err
+
+    def test_grid_over_the_size_limit(self, monkeypatch, capsys):
+        # refused while parsing the configuration: nothing is sampled or allocated
+        monkeypatch.setattr(RunConfig, "sample", lambda self: pytest.fail("over-limit grid sampled"))
+        tracemalloc.start()
+        try:
+            code = run(["norm", "--dim", "2", "--n", "65536"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 2**20
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and "65536^2" in err
 
     @pytest.mark.parametrize("content", [None, "not json", '{"d": 1}'])
     def test_unusable_symbol_file(self, content, tmp_path, capsys):

@@ -325,6 +325,14 @@ class TestH1Certificate:
             assert cmax <= frozen * 1.1
 
 
+class TestTpqNorm:
+    def test_max_of_slice_norms(self, small1, tg16):
+        u = extend(bandlimited_random(small1, 3, 0.25, 4.0), "heat", tg16)
+        for pq in [(1.0, 1.0), (0.7, 2.0), (2.0, 0.8)]:
+            want = max(amalgam_norm(u.slice(i), pq) for i in range(tg16.count))
+            assert tpq_norm(u, pq) == want
+
+
 class TestStackDump:
     def test_roundtrip(self, tmp_path, small1, tg16):
         f = bandlimited_random(small1, 10, 0.5, 2.0)

@@ -1,9 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from amalgam.extension import TimeGrid, extend
+from amalgam import grid
+from amalgam.crsys import sup_vector_amalgam_norm
+from amalgam.extension import TimeGrid, extend, nontangential_max
 from amalgam.frozen import FrozenStore, GridMismatchError
 from amalgam.grid import GridFunction, bandlimited_random, sample
 from amalgam.hardy import (
@@ -11,6 +14,8 @@ from amalgam.hardy import (
     caloric_lift,
     default_multiplier_family,
     equivalence_report,
+    equivalence_reports,
+    freeze_constants,
     hardy_norm_maximal,
     hardy_quantity_multiplier,
     hardy_quantity_riesz,
@@ -244,6 +249,67 @@ class TestEquivalenceReport:
         assert info["ok"] is False and len(rep.excluded) == 1
         doc = json.loads(json.dumps(rep.to_jsonable(), allow_nan=False))
         assert doc["pairs"]["maximal/multiplier"]["spread"] is None
+
+
+class TestEquivalenceSweep:
+    PQS = ((1.0, 1.0), (0.8, 2.5))
+
+    @pytest.fixture(scope="class")
+    def family(self, small1):
+        # a gaussian, an atom, a band-limited draw and a conjugate-kernel difference
+        members = reference_family(small1)
+        return [members[i] for i in (1, 9, 13, 18)]
+
+    def test_sweep_equals_one_report_per_pair(self, family, tg16):
+        reps = equivalence_reports(family, self.PQS, tg16)
+        assert len(reps) == len(self.PQS)
+        for rep, pq in zip(reps, self.PQS):
+            assert (rep.p, rep.q) == pq
+            assert rep == equivalence_report(family, pq, tg16)
+
+    def test_swept_values_equal_the_per_method_functions(self, family, tg16):
+        theta = default_multiplier_family(1)
+        for rep, pq in zip(equivalence_reports(family, self.PQS, tg16), self.PQS):
+            for name, f in family:
+                want = {
+                    "maximal": hardy_norm_maximal(f, pq, tg16),
+                    "riesz1": hardy_quantity_riesz(f, pq, tg16, order=1).value,
+                    "riesz2": hardy_quantity_riesz(f, pq, tg16, order=2).value,
+                    "multiplier": hardy_quantity_multiplier(f, theta, pq).value,
+                    "nontangential": amalgam_norm(nontangential_max(extend(f, "poisson", tg16)), pq),
+                    "caloric_sup": sup_vector_amalgam_norm(caloric_lift(f, tg16), pq),
+                }
+                assert {m: rep.values[m][name] for m in want} == want
+
+    @pytest.mark.parametrize("methods", [("riesz2", "maximal"), ("maximal",), ("caloric_sup", "riesz1")])
+    def test_method_subsets_read_the_same_values(self, family, tg16, methods):
+        full = equivalence_reports(family, self.PQS, tg16)
+        for rep, whole in zip(equivalence_reports(family, self.PQS, tg16, methods=methods), full):
+            assert rep.values == {m: whole.values[m] for m in methods}
+
+    def test_unknown_method_rejected(self, family, tg16):
+        with pytest.raises(ValueError, match="unknown method 'sorcery'"):
+            equivalence_reports(family, self.PQS, tg16, methods=("maximal", "sorcery"))
+
+
+class TestFreezePasses:
+    def test_reference_freeze_batched_pass_count(self, desk1, tg48, monkeypatch):
+        real = grid.apply_symbols
+        batched = []
+
+        def counting(spec, values, symbols):
+            batched.append(max(np.ndim(values), np.ndim(symbols)) > spec.d)
+            return real(spec, values, symbols)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("amalgam") and \
+                    getattr(mod, "apply_symbols", None) is real:
+                monkeypatch.setattr(mod, "apply_symbols", counting)
+        freeze_constants(desk1, tg48, FrozenStore())
+        # per member of the 20: the mollified block and its two Riesz
+        # compositions, the Poisson stack, the two caloric heat stacks and the
+        # heat stack of the sup decay constants; one more per probe atom
+        assert sum(batched) <= 20 * 7 + 10
 
 
 class TestFrozenStorePut:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from amalgam.grid import bandlimited_random, lp_norm, make_grid, sample
+from amalgam.grid import GridFunction, bandlimited_random, lp_norm, make_grid, sample
 from amalgam.norms import (
     Exponents,
     amalgam_norm,
     ball_window_weights,
     holder_gap,
     interpolation_gap,
+    slice_norms,
 )
 
 PQ_SAMPLES = [(1.5, 1.5), (2.0, 3.0), (3.0, 1.5)]
@@ -76,6 +77,32 @@ class TestDiscreteWindow:
         # the GridSpec invariant guards the discrete window's precondition
         with pytest.raises(ValueError):
             make_grid(1, 3, 32)
+
+
+class TestSliceNorms:
+    @staticmethod
+    def cube_sum_norm(spec, values, p, q):
+        """The discrete-window definition, summed the way a single slice is."""
+        m = spec.n // (2 * spec.L)
+        dens = np.abs(values) ** p
+        if spec.d == 1:
+            cubes = dens.reshape(2 * spec.L, m).sum(axis=1)
+        else:
+            cubes = dens.reshape(2 * spec.L, m, 2 * spec.L, m).sum(axis=(1, 3))
+        return float(np.sum((cubes * spec.h**spec.d) ** (q / p)) ** (1.0 / q))
+
+    @pytest.mark.parametrize("grid", [(1, 4, 128), (1, 32, 4096), (2, 2, 32), (2, 8, 128)])
+    @pytest.mark.parametrize("pq", [(1.0, 1.0), (2.0, 3.0), (1.2, 0.9), (0.5, 0.7), (0.8, 2.5)])
+    def test_bit_identical_to_amalgam_norm_per_slice(self, grid, pq):
+        spec = make_grid(*grid)
+        rng = np.random.default_rng(7)
+        shape = (5,) + spec.shape
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        block *= np.exp(rng.uniform(-12.0, 3.0, size=shape))  # many magnitudes per cube
+        got = slice_norms(spec, block, pq)
+        assert got.shape == (5,)
+        assert got.tolist() == [amalgam_norm(GridFunction(spec, g), pq) for g in block]
+        assert got.tolist() == [self.cube_sum_norm(spec, g, *pq) for g in block]
 
 
 class TestBallWindow:
