@@ -15,7 +15,8 @@ Weyl half-derivative in t,
 
 Residuals are relative: each slice's defect norm is divided by the sum of the
 component L^2 norms of that slice, so values are grid- and amplitude-
-comparable.
+comparable.  Defects are built from the components' DFT coefficients and
+normed there (Plancherel); the grid-space formulas are in amalgam.oracle.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
-from .extension import ExtensionStack, _symbol_block, extension_symbol
+from .extension import _symbol_block, extension_symbol
 from .grid import GridFunction, apply_symbols
 from .norms import amalgam_norm
-from .weyl import half_derivative_spectral, half_derivative_stack_quadrature, time_derivative
+from .weyl import _log_grid_derivative, half_derivative_stack_quadrature
 
 __all__ = [
     "ConjugateField",
@@ -38,6 +40,8 @@ __all__ = [
     "majorization_report",
     "MajorizationReport",
 ]
+
+CHUNK = 2  # time slices per transform: a residual call never holds a whole stack
 
 
 @dataclass(frozen=True)
@@ -80,15 +84,6 @@ class ConjugateField:
         return ConjugateField(tuple(comps), self.flavor)
 
 
-def _spatial_derivative(stack: ExtensionStack, j: int) -> np.ndarray:
-    """d/dx_j per slice, spectral."""
-    return apply_symbols(stack.spec, stack.values, 2j * np.pi * stack.spec.freqs()[j - 1])
-
-
-def _slice_l2(values: np.ndarray, h: float, d: int) -> np.ndarray:
-    return np.sqrt(h**d * np.sum(np.abs(values.reshape(values.shape[0], -1)) ** 2, axis=1))
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     flavor: str
@@ -114,46 +109,94 @@ class ResidualReport:
         }
 
 
-def _field_scale(F: ConjugateField) -> np.ndarray:
-    # floor at 1e-8 of the peak slice scale: once a slice has decayed that
-    # far, defect/scale only measures rounding noise, not the system
-    h, d = F.spec.h, F.spec.d
-    scale = sum(_slice_l2(c.values, h, d) for c in F.components)
+def _parseval_norms(coeffs: np.ndarray, spec) -> np.ndarray:
+    """Grid L^2 norm of each slice from its DFT over the space axes,
+    sqrt(h^d/N sum |g^|^2) by Plancherel, with no |g|^2 temporary."""
+    flat = coeffs.reshape(coeffs.shape[0], -1).view(float)
+    return np.sqrt(spec.h**spec.d / spec.size * np.einsum("ij,ij->i", flat, flat))
+
+
+def _sweep(F: ConjugateField, rows: range, keys: tuple, defects) -> dict:
+    """Per-slice relative defect norms of F on the time slices in rows.
+
+    Each chunk of CHUNK slices of every component is transformed once (fftn
+    over the space axes); defects(U, lo, hi) gets the coefficients on the
+    slices lo:hi and yields (key, defect coefficients); a key keeps its
+    largest defect.  The scale of a slice is the sum of its component norms.
+    """
+    spec, nt = F.spec, F.tgrid.count
+    axes = tuple(range(1, spec.d + 1))
+    scale, worst = np.zeros(nt), {key: np.zeros(len(rows)) for key in keys}
+    for i0 in range(0, nt, CHUNK):
+        i1 = min(i0 + CHUNK, nt)
+        U = [scipy.fft.fftn(c.values[i0:i1], axes=axes) for c in F.components]
+        scale[i0:i1] = sum(_parseval_norms(u, spec) for u in U)
+        lo, hi = max(i0, rows.start), min(i1, rows.stop)
+        for key, g in defects([u[lo - i0:hi - i0] for u in U], lo, hi) if lo < hi else ():
+            out = worst[key][lo - rows.start:hi - rows.start]
+            np.maximum(out, _parseval_norms(g, spec), out=out)
+    if not all(np.all(np.isfinite(v)) for v in (scale, *worst.values())):
+        raise ValueError("residual norms are not finite")
     if np.max(scale) == 0:
         raise ValueError("all-zero field has no relative residual")
-    return np.maximum(scale, np.max(scale) * 1e-8)
+    # floor at 1e-8 of the peak slice scale: once a slice has decayed that
+    # far, defect/scale only measures rounding noise, not the system
+    scale = np.maximum(scale, np.max(scale) * 1e-8)[rows.start:rows.stop]
+    return {key: v / scale for key, v in worst.items()}
 
 
 def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
     """Jacobian-symmetry and divergence defects of a harmonic candidate field."""
     if F.flavor != "harmonic":
         raise ValueError("harmonic residual of a non-harmonic field")
-    spec, d, h = F.spec, F.spec.d, F.spec.h
-    scale = _field_scale(F)
+    spec, d, nt = F.spec, F.spec.d, F.tgrid.count
+    grad = [2j * np.pi * xi for xi in spec.freqs()]
+    xi = spec.freq_norm()
+    dt_symbol = {"heat": -4.0 * np.pi**2 * xi**2, "poisson": -2.0 * np.pi * xi}
 
-    # derivative matrix: D[a][j] = d u_a / d x_j with x_{d+1} = t
-    D = []
-    td_mode = None
-    for c in F.components:
-        row = [_spatial_derivative(c, j) for j in range(1, d + 1)]
-        td = time_derivative(c)
-        td_mode = "exact-symbol" if c.kernel in ("heat", "poisson") else "log-grid-differences"
-        row.append(td.values)
-        D.append(row)
+    def dt(c, u, lo, hi):
+        if c.kernel in dt_symbol:
+            return dt_symbol[c.kernel] * u
+        # centered differences in t act on the coefficients of the slices
+        # lo:hi and of one neighbour slice on each side
+        s, e = max(lo - 1, 0), min(hi + 1, nt)
+        coeffs = scipy.fft.fftn(c.values[s:e], axes=tuple(range(1, d + 1)))
+        return _log_grid_derivative(coeffs, c.times[s:e])[lo - s:hi - s]
 
-    nt = F.tgrid.count
-    sym = np.zeros(nt)
-    for a in range(d + 1):
-        for b in range(a + 1, d + 1):
-            defect = _slice_l2(D[a][b] - D[b][a], h, d)
-            sym = np.maximum(sym, defect / scale)
-    div = _slice_l2(sum(D[a][a] for a in range(d + 1)), h, d) / scale
+    def defects(U, lo, hi):
+        # D(a, j) = d u_a / d x_j with x_{d+1} = t
+        D = lambda a, j: dt(F.components[a], U[a], lo, hi) if j == d else grad[j] * U[a]
+        yield from (("sym_res", D(a, b) - D(b, a)) for a in range(d + 1) for b in range(a + 1, d + 1))
+        yield "div_res", sum(D(a, a) for a in range(d + 1))
+
+    exact = all(c.kernel in dt_symbol for c in F.components)
     return ResidualReport(
-        "harmonic", "spectral",
-        {"sym_res": sym, "div_res": div},
-        F.tgrid.values, td_mode,
+        "harmonic", "spectral", _sweep(F, range(nt), ("sym_res", "div_res"), defects),
+        F.tgrid.values, "exact-symbol" if exact else "log-grid-differences",
         grid_id=f"{spec.grid_id()}-{F.tgrid.grid_id()}",
     )
+
+
+def _quadrature_half(F: ConjugateField, window: tuple) -> tuple:
+    """The slices whose t lies in the fraction window of [t_min, t_max], as a
+    range, and the quadrature half-derivative of every component on them."""
+    ts = F.tgrid.values
+    lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in window)
+    idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
+    if not idx:
+        raise ValueError("quadrature window selects no slices")
+    rows = range(idx[0], idx[-1] + 1)
+    # profiles settle exponentially no slower than the box fundamental
+    # mode; strip the exact t-constant part (spatial mean) and hand the
+    # rest to the quadrature with that decay rate as its tail model
+    lam_min = (np.pi / F.spec.L) ** 2
+    half = []
+    for c in F.components:
+        dc = complex(np.mean(c.values[0]))
+        shifted = c.map_values(lambda v: v - dc)
+        half.append(half_derivative_stack_quadrature(
+            shifted, ts[rows.start:rows.stop], tail=("exp_decay", lam_min), n_quad=401))
+    return rows, half
 
 
 def caloric_cr_residual(F: ConjugateField, mode: str = "spectral",
@@ -169,54 +212,29 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral",
         raise ValueError("caloric residual of a non-caloric field")
     if mode not in ("spectral", "quadrature"):
         raise ValueError(f"unknown mode {mode!r}")
-    spec, d, h = F.spec, F.spec.d, F.spec.h
-    ts = F.tgrid.values
-    scale = _field_scale(F)
-
+    spec, d = F.spec, F.spec.d
+    grad = [2j * np.pi * xi for xi in spec.freqs()]
+    # half(a, U, lo, hi): d_t^(1/2) u_a on the slices lo:hi, as coefficients
     if mode == "spectral":
         if any(c.kernel != "heat" for c in F.components):
             raise ValueError("spectral mode needs heat-built stacks")
-        half = [half_derivative_spectral(c).values for c in F.components]
-        idx = np.arange(F.tgrid.count)
+        rows, half_symbol = range(F.tgrid.count), -2j * np.pi * spec.freq_norm()
+        half = lambda a, U, lo, hi: half_symbol * U[a]
     else:
-        lo = ts[0] + quadrature_time_window[0] * (ts[-1] - ts[0])
-        hi = ts[0] + quadrature_time_window[1] * (ts[-1] - ts[0])
-        idx = np.array([i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]])
-        if idx.size == 0:
-            raise ValueError("quadrature window selects no slices")
-        # profiles settle exponentially no slower than the box fundamental
-        # mode; strip the exact t-constant part (spatial mean) and hand the
-        # rest to the quadrature with that decay rate as its tail model
-        lam_min = (np.pi / spec.L) ** 2
-        half = []
-        for c in F.components:
-            dc = complex(np.mean(c.values[0]))
-            shifted = c.map_values(lambda v: v - dc)
-            half.append(half_derivative_stack_quadrature(
-                shifted, ts[idx], tail=("exp_decay", lam_min), n_quad=401))
+        rows, stacks = _quadrature_half(F, quadrature_time_window)
+        half = lambda a, U, lo, hi: scipy.fft.fftn(
+            stacks[a][lo - rows.start:hi - rows.start], axes=tuple(range(1, d + 1)))
 
-    grad = [[_spatial_derivative(c, j)[idx] for j in range(1, d + 1)] for c in F.components]
-    scale_w = scale[idx]
+    def defects(U, lo, hi):
+        yield "a_res", sum(grad[j] * U[j] for j in range(d)) - 1j * half(d, U, lo, hi)
+        if d == 2:
+            yield "b_res", grad[1] * U[0] - grad[0] * U[1]
+        for j in range(d):
+            yield "c_res", grad[j] * U[d] + 1j * half(j, U, lo, hi)
 
-    div = sum(grad[j - 1][j - 1] for j in range(1, d + 1))
-    a_res = _slice_l2(div - 1j * half[d], h, d) / scale_w
-
-    if d == 1:
-        b_res = np.zeros(idx.size)
-    else:
-        b_res = _slice_l2(grad[0][1] - grad[1][0], h, d) / scale_w
-
-    c_res = np.zeros(idx.size)
-    for j in range(1, d + 1):
-        defect = grad[d][j - 1] + 1j * half[j - 1]
-        c_res = np.maximum(c_res, _slice_l2(defect, h, d) / scale_w)
-
-    times = ts[idx]
     return ResidualReport(
-        "caloric", mode,
-        {"a_res": a_res, "b_res": b_res, "c_res": c_res},
-        times,
-        time_derivative_mode=f"half-derivative-{mode}",
+        "caloric", mode, _sweep(F, rows, ("a_res", "b_res", "c_res"), defects),
+        F.tgrid.values[rows.start:rows.stop], f"half-derivative-{mode}",
         grid_id=f"{spec.grid_id()}-{F.tgrid.grid_id()}",
     )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
-from .grid import GridFunction, GridSpec, _read_samples, apply_symbols
+from .grid import GridFunction, GridSpec, _read_binary, _write_binary, apply_symbols
 from .norms import Exponents, slice_norms
 from .spectral import convolve
 
@@ -160,20 +160,12 @@ class DilationFamily:
 
 def heat_profile() -> DilationFamily:
     """phi = W_1 (smooth, unit mass); dilation by t is the heat kernel at t^2."""
-    return DilationFamily(
-        "heat",
-        lambda spec, t: np.exp(-4.0 * np.pi**2 * t**2 * spec.freq_norm() ** 2),
-        1.0,
-    )
+    return DilationFamily("heat", lambda spec, t: extension_symbol("heat", spec, t**2), 1.0)
 
 
 def poisson_profile() -> DilationFamily:
     """phi = P_1 (unit mass); dilation by t is the Poisson kernel at t."""
-    return DilationFamily(
-        "poisson",
-        lambda spec, t: np.exp(-2.0 * np.pi * t * spec.freq_norm()),
-        1.0,
-    )
+    return DilationFamily("poisson", lambda spec, t: extension_symbol("poisson", spec, t), 1.0)
 
 
 def radial_maximal(f: GridFunction, family, tg: TimeGrid) -> GridFunction:
@@ -363,33 +355,16 @@ def h1_certificate(stack: ExtensionStack, e) -> H1Certificate:
 
 # -- stack dump -------------------------------------------------------------------
 
-_STACK_DTYPE = "complex-float64-little-endian"
-
 
 def write_stack(stack: ExtensionStack, path) -> None:
     """Header + concatenated slice binaries, slices in ascending t."""
-    header = (
-        f"dim={stack.spec.d}\nL={stack.spec.L}\nn={stack.spec.n}\n"
-        f"tmin={stack.tgrid.t_min!r}\ntmax={stack.tgrid.t_max!r}\ntcount={stack.tgrid.count}\n"
-        f"kernel={stack.kernel}\nlayout=row-major\ndtype={_STACK_DTYPE}\n\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(stack.values, dtype="<c16").tobytes())
+    tg = stack.tgrid
+    _write_binary(path, stack.spec, stack.values, tmin=tg.t_min, tmax=tg.t_max, tcount=tg.count,
+                  kernel=stack.kernel)
 
 
 def read_stack(path) -> ExtensionStack:
-    with open(path, "rb") as fh:
-        header = {}
-        while True:
-            line = fh.readline().decode("ascii")
-            if line in ("\n", ""):
-                break
-            key, _, val = line.strip().partition("=")
-            header[key] = val
-        if header.get("dtype") != _STACK_DTYPE:
-            raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
-        spec = GridSpec(int(header["dim"]), int(header["L"]), int(header["n"]))
-        tg = TimeGrid(float(header["tmin"]), float(header["tmax"]), int(header["tcount"]))
-        values = _read_samples(fh, tg.count, spec, path).reshape((tg.count,) + spec.shape)
-    return ExtensionStack(spec, tg, values, header.get("kernel", "custom"))
+    header, spec, values = _read_binary(path, "tcount")
+    tg = TimeGrid(float(header["tmin"]), float(header["tmax"]), int(header["tcount"]))
+    return ExtensionStack(spec, tg, values.reshape((tg.count,) + spec.shape),
+                          header.get("kernel", "custom"))

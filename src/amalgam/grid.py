@@ -395,21 +395,11 @@ def write_grid_function(f: GridFunction, path) -> None:
             fh.write(f"# dim={f.spec.d},L={f.spec.L},n={f.spec.n}\n")
             idx_cols = ["i"] if f.spec.d == 1 else ["i", "j"]
             fh.write(",".join(idx_cols + ["re", "im"]) + "\n")
-            flat = f.values.reshape(-1)
-            for k, z in enumerate(flat):
-                if f.spec.d == 1:
-                    fh.write(f"{k},{float(z.real)!r},{float(z.imag)!r}\n")
-                else:
-                    i, j = divmod(k, f.spec.n)
-                    fh.write(f"{i},{j},{float(z.real)!r},{float(z.imag)!r}\n")
+            for k, z in enumerate(f.values.reshape(-1)):
+                idx = (k,) if f.spec.d == 1 else divmod(k, f.spec.n)
+                fh.write(",".join(map(str, idx)) + f",{float(z.real)!r},{float(z.imag)!r}\n")
         return
-    header = (
-        f"dim={f.spec.d}\nL={f.spec.L}\nn={f.spec.n}\n"
-        f"layout=row-major\ndtype={_HEADER_DTYPE}\n\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
+    _write_binary(path, f.spec, f.values)
 
 
 def read_grid_function(path) -> GridFunction:
@@ -424,28 +414,38 @@ def read_grid_function(path) -> GridFunction:
         rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
         values = rows[:, -2] + 1j * rows[:, -1]
         return GridFunction(spec, values)
-    with open(path, "rb") as fh:
-        header = {}
-        while True:
-            line = fh.readline().decode("ascii")
-            if line in ("\n", ""):
-                break
-            key, _, val = line.strip().partition("=")
-            header[key] = val
-        if header.get("dtype") != _HEADER_DTYPE:
-            raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
-        if header.get("layout") != "row-major":
-            raise ValueError(f"unsupported layout {header.get('layout')!r}")
-        spec = GridSpec(int(header["dim"]), int(header["L"]), int(header["n"]))
-        values = _read_samples(fh, 1, spec, path)
+    _, spec, values = _read_binary(path)
     return GridFunction(spec, values)
 
 
-def _read_samples(fh, count: int, spec: GridSpec, path) -> np.ndarray:
-    """The rest of a binary file after its header: exactly count * n^d complex128 samples."""
-    expected = count * spec.size * 16
-    actual = os.fstat(fh.fileno()).st_size - fh.tell()
-    if actual != expected:
-        raise ValueError(f"{path}: payload is {actual} bytes, expected {count} x {spec.size} x 16 "
-                         f"= {expected}")
-    return np.frombuffer(fh.read(expected), dtype="<c16").astype(complex)
+def _write_binary(path, spec: GridSpec, values: np.ndarray, **meta) -> None:
+    """Header of key=value lines (grid, meta, layout, dtype), a blank line,
+    then the raw little-endian complex128 samples; shared by stack files."""
+    header = {"dim": spec.d, "L": spec.L, "n": spec.n, **meta,
+              "layout": "row-major", "dtype": _HEADER_DTYPE}
+    with open(path, "wb") as fh:
+        fh.write("".join(f"{k}={v}\n" for k, v in header.items()).encode("ascii") + b"\n")
+        fh.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
+
+
+def _read_binary(path, count_key: str | None = None) -> tuple:
+    """(header, spec, samples) of a file written by _write_binary; the payload
+    must be exactly count * n^d complex128 samples, count read from the
+    header field count_key (1 without one)."""
+    with open(path, "rb") as fh:
+        header = {}
+        while (line := fh.readline().decode("ascii")) not in ("\n", ""):
+            key, _, val = line.strip().partition("=")
+            header[key] = val
+        for key, want in (("dtype", _HEADER_DTYPE), ("layout", "row-major")):
+            if header.get(key) != want:
+                raise ValueError(f"unsupported {key} {header.get(key)!r}")
+        spec = GridSpec(int(header["dim"]), int(header["L"]), int(header["n"]))
+        count = int(header[count_key]) if count_key else 1
+        expected = count * spec.size * 16
+        actual = os.fstat(fh.fileno()).st_size - fh.tell()
+        if actual != expected:
+            raise ValueError(f"{path}: payload is {actual} bytes, expected {count} x {spec.size} "
+                             f"x 16 = {expected}")
+        values = np.frombuffer(fh.read(expected), dtype="<c16").astype(complex)
+    return header, spec, values

@@ -1,8 +1,9 @@
 """Box-consistent kernel bank.
 
-`make_kernel` returns the periodic counterpart of each classical kernel on
-the grid's box, i.e. the lattice sum K_per(x) = sum_m K(x + 2Lm), computed
-by the most exact route available per kernel:
+`poisson_kernel`, `heat_kernel`, `conjugate_poisson_kernel` and
+`caloric_conjugate_kernel` return the periodic counterpart of each classical
+kernel on the grid's box, i.e. the lattice sum K_per(x) = sum_m K(x + 2Lm),
+computed by the most exact route available per kernel:
 
 * Poisson / conjugate Poisson, d=1: closed cotangent forms of the lattice
   sums (exact periodization).
@@ -36,8 +37,6 @@ from .grid import GridFunction, GridSpec, SpectralFunction, inverse
 from .spectral import riesz_multiplier
 
 __all__ = [
-    "KernelKind",
-    "make_kernel",
     "poisson_kernel",
     "heat_kernel",
     "conjugate_poisson_kernel",
@@ -47,25 +46,6 @@ __all__ = [
     "CertificateReport",
     "half_derivative_heat_pointwise",
 ]
-
-
-@dataclass(frozen=True)
-class KernelKind:
-    """Kernel tag plus component axis j (1-based) where one applies."""
-
-    name: str
-    j: int = 1
-
-    _AXIS_FREE = ("poisson", "heat")
-    _AXIS = ("conjugate_poisson", "caloric_conjugate", "riesz_near", "riesz_far")
-
-    def __post_init__(self):
-        if self.name not in self._AXIS_FREE + self._AXIS:
-            raise ValueError(f"unknown kernel kind {self.name!r}")
-
-    @property
-    def needs_t(self) -> bool:
-        return self.name not in ("riesz_near", "riesz_far")
 
 
 def _require_t(t) -> float:
@@ -139,25 +119,6 @@ def caloric_conjugate_kernel(spec: GridSpec, t, j: int = 1) -> GridFunction:
     _check_axis(spec, j)
     radial = np.exp(-4.0 * np.pi**2 * t * spec.freq_norm() ** 2)
     return _spectral_kernel(spec, riesz_multiplier(spec, [j]) * radial)
-
-
-def make_kernel(kind, spec: GridSpec, t=None) -> GridFunction:
-    """Dispatch over the kernel bank; kind is a KernelKind or its name."""
-    if isinstance(kind, str):
-        kind = KernelKind(kind)
-    if kind.needs_t:
-        _require_t(t)
-    if kind.name == "poisson":
-        return poisson_kernel(spec, t)
-    if kind.name == "heat":
-        return heat_kernel(spec, t)
-    if kind.name == "conjugate_poisson":
-        return conjugate_poisson_kernel(spec, t, kind.j)
-    if kind.name == "caloric_conjugate":
-        return caloric_conjugate_kernel(spec, t, kind.j)
-    if kind.name == "riesz_near":
-        return riesz_kernel_split(kind.j, spec)["near"]
-    return riesz_kernel_split(kind.j, spec)["far"]
 
 
 def riesz_kernel_split(j: int, spec: GridSpec) -> dict:

@@ -4,7 +4,9 @@ These never call the spectral code path: convolution is a direct double sum
 with periodic wrap, the Riesz transform is a truncated principal value built
 from the near/far kernel split, and the half-derivative is adaptive
 quadrature on the original (s - t)^(-1/2) form.  Size caps keep the direct
-sums inside the acceptance-suite time budget.
+sums inside the acceptance-suite time budget.  The Cauchy-Riemann residuals
+are the grid-space formulas: every derivative stack built in full by its own
+multiplier pass, slice norms as Riemann sums.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import analytic
-from .grid import GridFunction
+from .crsys import _quadrature_half
+from .grid import GridFunction, apply_symbols
 from .kernels import riesz_kernel_split
+from .weyl import half_derivative_spectral, time_derivative
 
-__all__ = ["convolve_direct", "riesz_direct_pv", "weyl_direct"]
+__all__ = ["convolve_direct", "riesz_direct_pv", "weyl_direct",
+           "harmonic_cr_residual_direct", "caloric_cr_residual_direct"]
 
 SIZE_CAP = 2**14
 
@@ -118,3 +123,45 @@ def weyl_direct(profile: str, t: float, lam: float = 1.0, x0: float = 0.0) -> co
     far, _ = quad(lambda s: gprime(s) / math.sqrt(s - t), t + 1.0, np.inf,
                   epsabs=1e-12, epsrel=1e-12, limit=200)
     return 1j / math.sqrt(math.pi) * (near + far)
+
+
+def _slice_l2(values: np.ndarray, spec) -> np.ndarray:
+    return np.sqrt(spec.h**spec.d * np.sum(np.abs(values.reshape(len(values), -1)) ** 2, axis=1))
+
+
+def _field_scale(F) -> np.ndarray:
+    scale = sum(_slice_l2(c.values, F.spec) for c in F.components)
+    if np.max(scale) == 0:
+        raise ValueError("all-zero field has no relative residual")
+    return np.maximum(scale, np.max(scale) * 1e-8)
+
+
+def _gradient(stack) -> list:
+    """d/dx_j of every slice, j = 1..d, as full stacks."""
+    return [apply_symbols(stack.spec, stack.values, 2j * np.pi * xi) for xi in stack.spec.freqs()]
+
+
+def harmonic_cr_residual_direct(F) -> dict:
+    """Per-slice sym_res and div_res of a harmonic field from its whole
+    derivative matrix D[a][j] = d u_a / d x_j, x_{d+1} = t."""
+    d, scale = F.spec.d, _field_scale(F)
+    D = [_gradient(c) + [time_derivative(c).values] for c in F.components]
+    sym = [_slice_l2(D[a][b] - D[b][a], F.spec) for a in range(d + 1) for b in range(a + 1, d + 1)]
+    div = _slice_l2(sum(D[a][a] for a in range(d + 1)), F.spec)
+    return {"sym_res": np.max(sym, axis=0) / scale, "div_res": div / scale}
+
+
+def caloric_cr_residual_direct(F, mode: str = "spectral", quadrature_time_window=(0.0, 0.5)) -> dict:
+    """Per-slice a_res, b_res and c_res of a caloric field from its
+    half-derivative and gradient stacks."""
+    d, scale = F.spec.d, _field_scale(F)
+    if mode == "spectral":
+        rows, half = range(F.tgrid.count), [half_derivative_spectral(c).values for c in F.components]
+    else:
+        rows, half = _quadrature_half(F, quadrature_time_window)
+    grad = [[g[rows.start:rows.stop] for g in _gradient(c)] for c in F.components]
+    scale = scale[rows.start:rows.stop]
+    a = _slice_l2(sum(grad[j][j] for j in range(d)) - 1j * half[d], F.spec)
+    b = np.zeros(len(rows)) if d == 1 else _slice_l2(grad[0][1] - grad[1][0], F.spec)
+    c = np.max([_slice_l2(grad[d][j] + 1j * half[j], F.spec) for j in range(d)], axis=0)
+    return {"a_res": a / scale, "b_res": b / scale, "c_res": c / scale}

@@ -65,10 +65,6 @@ class TimeProfile:
             if kind != "exp_decay" or lam <= 0:
                 raise ValueError(f"unsupported tail tag {self.tail!r}")
 
-    @staticmethod
-    def from_stack(stack: ExtensionStack, index, tail=None) -> "TimeProfile":
-        return TimeProfile(stack.tgrid, stack.values[(slice(None),) + tuple(np.atleast_1d(index))], tail)
-
 
 def _decay_end(ts: np.ndarray, values: np.ndarray, tail_tol: float) -> float:
     """|g'(t_max)| of the data spline of a (nt, ...) block of untagged profiles;

@@ -170,6 +170,16 @@ class TestCrCheck:
         assert max(doc["results"]["max"].values()) <= 1e-6
         assert (tmp_path / "cr_residuals.csv").exists()
 
+    def test_caloric_quadrature_2d_passes(self, tmp_path):
+        out = tmp_path / "cr.json"
+        code = run(["cr-check", "--dim", "2", "--L", "8", "--n", "64", "--lift", "caloric",
+                    "--mode", "quadrature", "--function", "gaussian:width=1", "--assert",
+                    "--out", str(out)])
+        assert code == 0
+        doc = read_report(out)
+        assert doc["results"]["tol"] == 1e-2
+        assert max(doc["results"]["max"].values()) <= 1e-2
+
     def test_assert_failure_exits_2(self, tmp_path):
         # an impossible tolerance forces the assertion branch
         code = run(["cr-check", *BASE, "--lift", "caloric", "--mode", "spectral",

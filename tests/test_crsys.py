@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,22 @@ class TestHarmonicResidual:
             worst[tg.count] = max(rep.max_of("sym_res"), rep.max_of("div_res"))
         assert worst[47] <= 0.5 * worst[24]
 
+    def test_mode_names_any_log_grid_component(self, small1, tg16):
+        # first component differenced in t, last one with its exact symbol
+        F = harmonic_lift(sample("gaussian:width=1", small1), tg16)
+        mixed = ConjugateField(
+            (F.components[0].map_values(lambda v: v, kernel="custom"), F.components[1]),
+            "harmonic",
+        )
+        assert harmonic_cr_residual(mixed).time_derivative_mode == "log-grid-differences"
+
+    def test_nonfinite_norms_rejected(self, small1, tg16):
+        F = harmonic_lift(sample("gaussian:width=1", small1), tg16)
+        huge = ConjugateField(tuple(c.map_values(lambda v: 1e200 * v) for c in F.components),
+                              "harmonic")
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            harmonic_cr_residual(huge)
+
 
 class TestCaloricResidual:
     def test_lift_spectral(self, desk1, tg48):
@@ -135,11 +153,55 @@ class TestCaloricResidual:
             worst[count] = max(rep.max_of("a_res"), rep.max_of("c_res"))
         assert worst[31] <= 0.5 * worst[16]
 
+    def test_2d_quadrature(self):
+        # documented gate of the quadrature mode; measured a_res 3.0e-5,
+        # b_res ~1e-15, c_res 2.1e-5
+        spec = make_grid(2, 8, 64)
+        G = caloric_lift(sample("gaussian:width=1", spec), TimeGrid(1e-3, 64.0, 48))
+        rep = caloric_cr_residual(G, "quadrature")
+        for key in ("a_res", "b_res", "c_res"):
+            assert rep.max_of(key) <= 1e-2
+
+    def test_nonfinite_norms_rejected(self, small1, tg16):
+        G = caloric_lift(sample("gaussian:width=1", small1), tg16)
+        huge = ConjugateField(tuple(c.map_values(lambda v: 1e200 * v) for c in G.components),
+                              "caloric")
+        for mode in ("spectral", "quadrature"):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+                caloric_cr_residual(huge, mode)
+
     def test_report_serializes(self, desk1, tg48):
         G = caloric_lift(sample("gaussian", desk1), tg48)
         doc = caloric_cr_residual(G, "spectral").to_jsonable()
         assert doc["flavor"] == "caloric"
         assert set(doc["max"]) == {"a_res", "b_res", "c_res"}
+
+
+class TestResidualMemory:
+    """A residual call works through chunks of time slices in frequency
+    space: its peak allocation stays below the size of one component stack."""
+
+    @pytest.fixture(scope="class")
+    def f(self):
+        return sample("gaussian:width=1", make_grid(2, 8, 64))
+
+    @staticmethod
+    def peak_bytes(fn, F):
+        tracemalloc.start()
+        try:
+            fn(F)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_harmonic(self, f, tg48):
+        F = harmonic_lift(f, tg48)
+        assert self.peak_bytes(harmonic_cr_residual, F) < F.components[0].values.nbytes
+
+    def test_caloric_spectral(self, f, tg48):
+        G = caloric_lift(f, tg48)
+        peak = self.peak_bytes(lambda F: caloric_cr_residual(F, "spectral"), G)
+        assert peak < G.components[0].values.nbytes
 
 
 class TestSupVectorNorm:

@@ -356,6 +356,14 @@ class TestStackDump:
                                              rf"{tg16.count} x {small1.size} x 16 = {expected}$"):
             read_stack(path)
 
+    def test_numpy_float_time_bounds(self, tmp_path, small1):
+        # bounds taken from an array are numpy floats; the header must hold
+        # plain numbers that read_stack can parse back
+        tg = TimeGrid(*np.array([0.05, 8.0]), 4)
+        path = tmp_path / "u.stack"
+        write_stack(extend(bandlimited_random(small1, 10, 0.5, 2.0), "heat", tg), path)
+        assert read_stack(path).tgrid == tg
+
     def test_roundtrip_2d(self, tmp_path, small2, tg16):
         f = bandlimited_random(small2, 11, 0.5, 2.0)
         stack = extend(f, "poisson", tg16)

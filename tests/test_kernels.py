@@ -6,13 +6,11 @@ from scipy.integrate import quad
 
 from amalgam.grid import lp_norm, make_grid, sample
 from amalgam.kernels import (
-    KernelKind,
     caloric_conjugate_kernel,
     conjugate_poisson_kernel,
     decay_certificate,
     half_derivative_heat_pointwise,
     heat_kernel,
-    make_kernel,
     poisson_kernel,
     riesz_kernel_split,
 )
@@ -27,30 +25,27 @@ PERIODIZATION_TOL = 1e-3
 
 class TestKernelValues:
     def test_poisson_origin(self, desk1):
-        P = make_kernel("poisson", desk1, t=1.0)
+        P = poisson_kernel(desk1, 1.0)
         assert P.at(0.0).real == pytest.approx(1 / math.pi, abs=PERIODIZATION_TOL)
 
     def test_conjugate_poisson_at_one(self, desk1):
-        Q = make_kernel(KernelKind("conjugate_poisson", 1), desk1, t=1.0)
+        Q = conjugate_poisson_kernel(desk1, 1.0, 1)
         assert Q.at(1.0).real == pytest.approx(1 / (2 * math.pi), abs=PERIODIZATION_TOL)
 
     def test_heat_2d_origin(self, desk2):
-        W = make_kernel("heat", desk2, t=1.0)
+        W = heat_kernel(desk2, 1.0)
         assert W.at((0.0, 0.0)).real == pytest.approx(1 / (4 * math.pi), abs=1e-9)
 
     def test_time_required(self, desk1):
-        with pytest.raises(ValueError):
-            make_kernel("poisson", desk1, t=0.0)
-        with pytest.raises(ValueError):
-            make_kernel("heat", desk1)
+        for kernel in (poisson_kernel, heat_kernel, conjugate_poisson_kernel,
+                       caloric_conjugate_kernel):
+            for t in (0.0, None):
+                with pytest.raises(ValueError, match="time parameter"):
+                    kernel(desk1, t)
 
     def test_axis_range(self, desk1):
         with pytest.raises(ValueError):
             conjugate_poisson_kernel(desk1, 1.0, j=2)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kernel kind"):
-            KernelKind("biharmonic")
 
     def test_pointwise_vs_periodized_gap(self, desk1):
         # the kernel bank and the analytic sampler differ exactly by the
@@ -74,8 +69,7 @@ class TestUnitMass:
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 4.0])
     def test_mass_2d(self, desk2, t):
-        for kind in ("poisson", "heat"):
-            K = make_kernel(kind, desk2, t=t)
+        for K in (poisson_kernel(desk2, t), heat_kernel(desk2, t)):
             assert desk2.h**2 * np.sum(K.values.real) == pytest.approx(1.0, abs=1e-6)
 
 

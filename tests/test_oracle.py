@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from amalgam.crsys import ConjugateField, caloric_cr_residual, harmonic_cr_residual
+from amalgam.extension import TimeGrid
 from amalgam.grid import GridFunction, bandlimited_random, make_grid, sample
-from amalgam.oracle import convolve_direct, riesz_direct_pv, weyl_direct
+from amalgam.hardy import caloric_lift, harmonic_lift
+from amalgam.oracle import (
+    caloric_cr_residual_direct,
+    convolve_direct,
+    harmonic_cr_residual_direct,
+    riesz_direct_pv,
+    weyl_direct,
+)
 from amalgam.spectral import convolve, riesz
 
 from conftest import rel_l2
@@ -113,3 +122,44 @@ class TestWeylDirect:
     def test_unsupported_profile(self):
         with pytest.raises(ValueError, match="profile"):
             weyl_direct("polynomial", 1.0)
+
+
+def _log_grid(F):
+    """The same field with every t-derivative taken by log-grid differences."""
+    return ConjugateField(tuple(c.map_values(lambda v: v, kernel="custom") for c in F.components),
+                          F.flavor)
+
+
+# field name -> (field builder, frequency-space residual, grid-space reference)
+CR_FIELDS = {
+    "harmonic-poisson": (harmonic_lift, harmonic_cr_residual, harmonic_cr_residual_direct),
+    "harmonic-custom": (lambda f, tg: _log_grid(harmonic_lift(f, tg)),
+                        harmonic_cr_residual, harmonic_cr_residual_direct),
+    "caloric-spectral": (caloric_lift, caloric_cr_residual, caloric_cr_residual_direct),
+    "caloric-quadrature": (caloric_lift, lambda F: caloric_cr_residual(F, "quadrature"),
+                           lambda F: caloric_cr_residual_direct(F, "quadrature")),
+}
+
+
+class TestCrResidualDirect:
+    """The Parseval route agrees with the grid-space derivative stacks per
+    slice, on exact fields and on fields broken on purpose."""
+
+    @pytest.mark.parametrize("grid", [(1, 16, 1024), (2, 4, 64)], ids=["d1", "d2"])
+    @pytest.mark.parametrize("name", list(CR_FIELDS))
+    @pytest.mark.parametrize("brk", [None, ("first", 2.0), ("last", -1.0), ("first", 1.01)],
+                             ids=["exact", "first-x2", "last-flip", "first-x1.01"])
+    def test_matches_grid_space(self, grid, name, brk):
+        spec = make_grid(*grid)
+        build, fast, direct = CR_FIELDS[name]
+        F = build(bandlimited_random(spec, 5, 0.4, 2.0), TimeGrid(0.05, 8.0, 16))
+        if brk is not None:
+            F = F.scaled_component(0 if brk[0] == "first" else spec.d, brk[1])
+        new, old = fast(F), direct(F)
+        assert set(new.per_slice) == set(old)
+        for key, ref in old.items():
+            got = new.per_slice[key]
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-13 + 1e-12 * np.abs(ref)), key
+        if brk is not None:
+            assert max(np.max(v) for v in old.values()) > 1e-3
