@@ -27,9 +27,9 @@ import numpy as np
 import scipy.fft
 
 from .extension import _symbol_block, extension_symbol
-from .grid import GridFunction, apply_symbols
-from .norms import amalgam_norm
-from .weyl import _log_grid_derivative, half_derivative_stack_quadrature
+from .grid import apply_symbols
+from .norms import slice_norms
+from .weyl import _log_grid_derivative, _weyl_matrix
 
 __all__ = [
     "ConjugateField",
@@ -37,11 +37,13 @@ __all__ = [
     "harmonic_cr_residual",
     "caloric_cr_residual",
     "sup_vector_amalgam_norm",
+    "sup_vector_amalgam_norms",
     "majorization_report",
     "MajorizationReport",
 ]
 
 CHUNK = 2  # time slices per transform: a residual call never holds a whole stack
+QUAD_ROWS = 4 * CHUNK  # quadrature half-derivative slices formed per matrix product
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,6 @@ class ConjugateField:
     @property
     def tgrid(self):
         return self.components[0].tgrid
-
-    def magnitude_slice(self, i: int) -> GridFunction:
-        """Euclidean magnitude |F(., t_i)| over components."""
-        sq = sum(np.abs(c.values[i]) ** 2 for c in self.components)
-        return GridFunction(self.spec, np.sqrt(sq))
 
     def scaled_component(self, index: int, factor: complex) -> "ConjugateField":
         comps = list(self.components)
@@ -179,7 +176,8 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
 
 def _quadrature_half(F: ConjugateField, window: tuple) -> tuple:
     """The slices whose t lies in the fraction window of [t_min, t_max], as a
-    range, and the quadrature half-derivative of every component on them."""
+    range, and half(a, lo, hi): the quadrature half-derivative of component a
+    on the slices lo:hi of that range, formed on demand as rows of W @ values."""
     ts = F.tgrid.values
     lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in window)
     idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
@@ -188,14 +186,27 @@ def _quadrature_half(F: ConjugateField, window: tuple) -> tuple:
     rows = range(idx[0], idx[-1] + 1)
     # profiles settle exponentially no slower than the box fundamental
     # mode; strip the exact t-constant part (spatial mean) and hand the
-    # rest to the quadrature with that decay rate as its tail model
+    # rest to the quadrature with that decay rate as its tail model.  W is
+    # linear, so W @ (v - dc) = W @ v - dc (W @ 1) needs no shifted copy.
     lam_min = (np.pi / F.spec.L) ** 2
-    half = []
-    for c in F.components:
-        dc = complex(np.mean(c.values[0]))
-        shifted = c.map_values(lambda v: v - dc)
-        half.append(half_derivative_stack_quadrature(
-            shifted, ts[rows.start:rows.stop], tail=("exp_decay", lam_min), n_quad=401))
+    W = _weyl_matrix(ts, ts[rows.start:rows.stop], ("exp_decay", lam_min), 401)
+    W1 = W.sum(axis=1)
+    flat = [c.values.reshape(len(ts), -1) for c in F.components]
+    dc = [complex(np.mean(c.values[0])) for c in F.components]
+    formed = {}  # component -> (first slice, its rows of W @ values from there)
+
+    def half(a, lo, hi):
+        # a product reads the whole component stack, so its rows are formed
+        # QUAD_ROWS slices at a time, aligned like the sweep's chunks
+        start = lo - lo % QUAD_ROWS
+        b, e = max(start, rows.start), min(start + QUAD_ROWS, rows.stop)
+        if formed.get(a, (None,))[0] != b:
+            k = slice(b - rows.start, e - rows.start)
+            block = W[k] @ flat[a]
+            block -= dc[a] * W1[k, None]
+            formed[a] = b, block
+        return formed[a][1][lo - b:hi - b].reshape((hi - lo,) + F.spec.shape)
+
     return rows, half
 
 
@@ -221,9 +232,8 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral",
         rows, half_symbol = range(F.tgrid.count), -2j * np.pi * spec.freq_norm()
         half = lambda a, U, lo, hi: half_symbol * U[a]
     else:
-        rows, stacks = _quadrature_half(F, quadrature_time_window)
-        half = lambda a, U, lo, hi: scipy.fft.fftn(
-            stacks[a][lo - rows.start:hi - rows.start], axes=tuple(range(1, d + 1)))
+        rows, half_rows = _quadrature_half(F, quadrature_time_window)
+        half = lambda a, U, lo, hi: scipy.fft.fftn(half_rows(a, lo, hi), axes=tuple(range(1, d + 1)))
 
     def defects(U, lo, hi):
         yield "a_res", sum(grad[j] * U[j] for j in range(d)) - 1j * half(d, U, lo, hi)
@@ -241,9 +251,19 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral",
 
 def sup_vector_amalgam_norm(F: ConjugateField, e) -> float:
     """max over t of the (p, q) amalgam norm of the pointwise magnitude |F(., t)|."""
-    return max(
-        amalgam_norm(F.magnitude_slice(i), e) for i in range(F.tgrid.count)
-    )
+    return float(sup_vector_amalgam_norms(F, [e])[0])
+
+
+def sup_vector_amalgam_norms(F: ConjugateField, exponents) -> np.ndarray:
+    """sup_vector_amalgam_norm for every exponent pair, from one walk over the
+    time slices: the magnitude of CHUNK slices at a time, normed per pair."""
+    spec, nt = F.spec, F.tgrid.count
+    out = np.zeros(len(exponents))
+    for i0 in range(0, nt, CHUNK):
+        mag = np.sqrt(sum(np.abs(c.values[i0:i0 + CHUNK]) ** 2 for c in F.components))
+        for k, e in enumerate(exponents):
+            out[k] = max(out[k], slice_norms(spec, mag, e).max())
+    return out
 
 
 @dataclass(frozen=True)

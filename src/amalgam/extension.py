@@ -8,7 +8,9 @@ windows wrap periodically at the box boundary.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
@@ -25,6 +27,7 @@ __all__ = [
     "poisson_profile",
     "extend",
     "extension_symbol",
+    "kernel_block",
     "radial_maximal",
     "nontangential_max",
     "hl_maximal",
@@ -118,18 +121,61 @@ class ExtensionStack:
 
 def extension_symbol(kernel: str, spec: GridSpec, t: float) -> np.ndarray:
     """Per-slice multiplier: exp(-2 pi t |xi|) or exp(-4 pi^2 t |xi|^2)."""
+    rate, base = _extension_rate(kernel, spec)
+    return np.exp(rate * t * base)
+
+
+def _extension_rate(kernel: str, spec: GridSpec) -> tuple:
+    """(c, b) with extension_symbol(kernel, spec, t) = exp(c t b)."""
     xi = spec.freq_norm()
     if kernel == "poisson":
-        return np.exp(-2.0 * np.pi * t * xi)
+        return -2.0 * np.pi, xi
     if kernel == "heat":
-        return np.exp(-4.0 * np.pi**2 * t * xi**2)
+        return -4.0 * np.pi**2, xi**2
     raise ValueError(f"no extension symbol for kernel {kernel!r}")
+
+
+# Heat and Poisson blocks of at most BLOCK_BYTES are cached, the
+# CACHED_BLOCKS most recently used, so the cache holds at most 8 MiB.  One
+# freeze run asks for the same three d=1 blocks (48 x 4096 x 8 B = 1.5 MiB
+# each) once per member; a desk-scale d=2 block (48 x 256^2 x 8 B = 24 MiB)
+# is never kept.
+BLOCK_BYTES = 2 * 2**20
+CACHED_BLOCKS = 4
+
+
+def kernel_block(kernel: str, spec: GridSpec, ts) -> np.ndarray:
+    """extension_symbol(kernel, spec, t) stacked over the times ts.
+
+    A block of at most BLOCK_BYTES is real, read-only and cached: a repeat
+    request returns the same object.  A larger block is the per-slice
+    complex block of _symbol_block, fresh on every call, which apply_symbols
+    consumes as its output buffer.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.size * spec.size * 8 > BLOCK_BYTES:
+        return _symbol_block(spec, ts, lambda t: extension_symbol(kernel, spec, t))
+    return _cached_block(kernel, spec, ts.tobytes())
+
+
+@lru_cache(maxsize=CACHED_BLOCKS)
+def _cached_block(kernel: str, spec: GridSpec, ts_bytes: bytes) -> np.ndarray:
+    ts = np.frombuffer(ts_bytes)
+    rate, base = _extension_rate(kernel, spec)
+    # the block gets an anonymous mapping of its own: a long-lived block on
+    # the malloc heap would keep the freed stacks below it resident
+    block = np.frombuffer(mmap.mmap(-1, ts.size * base.nbytes), dtype=float)
+    block = block.reshape((ts.size,) + base.shape)
+    np.multiply.outer(rate * ts, base, out=block)
+    np.exp(block, out=block)
+    block.setflags(write=False)
+    return block
 
 
 def extend(f: GridFunction, kernel: str, tg: TimeGrid) -> ExtensionStack:
     """Extension stack with slice_t = f convolved with the t-kernel, one
     multiplier pass over the whole time grid."""
-    sym = _symbol_block(f.spec, tg.values, lambda t: extension_symbol(kernel, f.spec, t))
+    sym = kernel_block(kernel, f.spec, tg.values)
     return ExtensionStack(f.spec, tg, apply_symbols(f.spec, f.values, sym), kernel)
 
 
@@ -147,37 +193,43 @@ def _symbol_block(spec: GridSpec, ts, symbol) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DilationFamily:
-    """Dilation family phi_t(x) = t^-d phi(x/t), given through the exact
-    transform relation phi_t^(xi) = phi^(t xi)."""
+    """Dilation family phi_t(x) = t^-d phi(x/t) of phi = K_1, the heat or
+    Poisson kernel at time 1, given through the exact transform relation
+    phi_t^(xi) = phi^(t xi): the kernel's symbol at time t^2 (heat) or t
+    (Poisson)."""
 
-    name: str
-    profile_hat: object  # callable: (spec, t) -> multiplier array
-    mean: float  # integral of phi = phi^(0)
+    name: str  # "heat" or "poisson"
+
+    def kernel_times(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        return ts**2 if self.name == "heat" else ts
+
+    def block(self, spec: GridSpec, ts) -> np.ndarray:
+        """phi_t^ over the times ts (see kernel_block)."""
+        return kernel_block(self.name, spec, self.kernel_times(ts))
 
     def symbol(self, spec: GridSpec, t: float) -> np.ndarray:
-        return self.profile_hat(spec, t)
+        return extension_symbol(self.name, spec, float(self.kernel_times(t)))
 
 
 def heat_profile() -> DilationFamily:
     """phi = W_1 (smooth, unit mass); dilation by t is the heat kernel at t^2."""
-    return DilationFamily("heat", lambda spec, t: extension_symbol("heat", spec, t**2), 1.0)
+    return DilationFamily("heat")
 
 
 def poisson_profile() -> DilationFamily:
     """phi = P_1 (unit mass); dilation by t is the Poisson kernel at t."""
-    return DilationFamily("poisson", lambda spec, t: extension_symbol("poisson", spec, t), 1.0)
+    return DilationFamily("poisson")
 
 
 def radial_maximal(f: GridFunction, family, tg: TimeGrid) -> GridFunction:
     """Pointwise max over the time grid of |f * phi_t|.
 
-    family is a DilationFamily or a callable t -> GridFunction producing the
-    dilated profile samples; zero-mean profiles are rejected.
+    family is a DilationFamily (unit mass) or a callable t -> GridFunction
+    producing the dilated profile samples; zero-mean profiles are rejected.
     """
     if isinstance(family, DilationFamily):
-        if abs(family.mean) < 1e-12:
-            raise ValueError("radial maximal function needs a profile with nonzero mean")
-        sym = _symbol_block(f.spec, tg.values, lambda t: family.symbol(f.spec, t))
+        sym = family.block(f.spec, tg.values)
         acc = np.abs(apply_symbols(f.spec, f.values, sym)).max(axis=0)
     else:
         acc = None
@@ -348,7 +400,7 @@ def h1_certificate(stack: ExtensionStack, e) -> H1Certificate:
     if tpq == 0:
         raise ValueError("zero stack has no certificate")
     ts = stack.times
-    sups = np.array([np.max(np.abs(stack.values[i])) for i in range(len(ts))])
+    sups = np.abs(stack.values).reshape(len(ts), -1).max(axis=1)
     per_t = ts ** (d / (2.0 * e.max_exp)) * sups / tpq
     return H1Certificate(float(per_t.max()), per_t, tpq)
 

@@ -218,16 +218,21 @@ def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
     values or symbols may carry one leading batch axis (time slices).  The
     (-1)^k phases and h^d factors cancel exactly (h is a power of two), so the
     pass is fftn, product, ifftn, bit-identical to the forward/inverse route.
-    The product is formed in place: in the transform of values, or in a
-    batched symbol block (which must be complex and is consumed), and ifftn
-    overwrites it, so a pass holds one stack.  Non-finite output raises.
+    The product is formed in place, and ifftn overwrites it, so a pass holds
+    one stack.  It goes into the transform of values, unless only the symbols
+    carry the batch axis: then a writable complex symbol block is consumed as
+    the output buffer, while a real or read-only block (such as a cached
+    extension.kernel_block) is left intact and the output is allocated.
+    Non-finite output raises.
     """
     if any(np.shape(a)[-spec.d:] != spec.shape or np.ndim(a) > spec.d + 1 for a in (values, symbols)):
         raise ValueError(f"shapes {np.shape(values)}, {np.shape(symbols)}: not the grid shape "
                          f"{spec.shape} with at most one batch axis")
     axes = tuple(range(-spec.d, 0))
     spectrum = scipy.fft.fftn(np.asarray(values, dtype=complex), axes=axes)
-    block = symbols if np.ndim(symbols) > spectrum.ndim else spectrum
+    block = spectrum
+    if np.ndim(symbols) > spectrum.ndim:
+        block = symbols if np.iscomplexobj(symbols) and symbols.flags.writeable else None
     out = scipy.fft.ifftn(np.multiply(symbols, spectrum, out=block), axes=axes, overwrite_x=True)
     if not np.all(np.isfinite(out)):
         raise ValueError("multiplier pass produced non-finite values")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .crsys import ConjugateField, sup_vector_amalgam_norm
+from .crsys import ConjugateField, sup_vector_amalgam_norms
 from .extension import (DilationFamily, TimeGrid, extend, h1_certificate, heat_profile,
                         nontangential_max, radial_maximal)
 from .frozen import FrozenStore
@@ -183,7 +183,7 @@ def _mollified_blocks(f: GridFunction, tg: TimeGrid, order: int, profile: Dilati
     _riesz_compositions.  Each block is built by one pass, and the caller
     drops it before asking for the next, so one stack is alive at a time."""
     spec = f.spec
-    moll = np.array([profile.symbol(spec, float(t)) for t in tg.values])
+    moll = profile.block(spec, tg.values)
     for idx in [(), *_riesz_compositions(spec, order)]:
         # the identity symbol is complex (1 + 0j) too: its block becomes the output
         m = riesz_multiplier(spec, idx) if idx else 1 + 0j
@@ -234,18 +234,25 @@ def hardy_quantity_multiplier(f: GridFunction, theta: MultiplierFamily, e) -> Qu
 # ---------------------------------------------------------------------------
 
 
+def _lift(f: GridFunction, rs, tg: TimeGrid, flavor: str) -> ConjugateField:
+    """The field (R_1 f, ..., R_d f, f) * K_t of the flavor's kernel, given
+    the Riesz transforms rs = [R_1 f, ..., R_d f]."""
+    kernel = "poisson" if flavor == "harmonic" else "heat"
+    return ConjugateField(tuple(extend(g, kernel, tg) for g in (*rs, f)), flavor)
+
+
+def _riesz_all(f: GridFunction) -> list:
+    return [riesz(f, j) for j in range(1, f.spec.d + 1)]
+
+
 def harmonic_lift(f: GridFunction, tg: TimeGrid) -> ConjugateField:
     """(R_1 f * P_t, ..., R_d f * P_t, f * P_t) as a harmonic candidate field."""
-    comps = [extend(riesz(f, j), "poisson", tg) for j in range(1, f.spec.d + 1)]
-    comps.append(extend(f, "poisson", tg))
-    return ConjugateField(tuple(comps), "harmonic")
+    return _lift(f, _riesz_all(f), tg, "harmonic")
 
 
 def caloric_lift(f: GridFunction, tg: TimeGrid) -> ConjugateField:
     """(R_1 f * W_t, ..., R_d f * W_t, f * W_t) as a caloric candidate field."""
-    comps = [extend(riesz(f, j), "heat", tg) for j in range(1, f.spec.d + 1)]
-    comps.append(extend(f, "heat", tg))
-    return ConjugateField(tuple(comps), "caloric")
+    return _lift(f, _riesz_all(f), tg, "caloric")
 
 
 # ---------------------------------------------------------------------------
@@ -336,33 +343,44 @@ class EquivalenceReport:
         }
 
 
-def _member_values(f: GridFunction, es, tg: TimeGrid, methods) -> dict:
+def _member_values(f: GridFunction, es, tg: TimeGrid, methods, on_caloric=None) -> dict:
     """The selected quantities of one member, one value per exponent pair.  Each
     field is built once, reduced for every method and pair that reads it, and
-    dropped before the next is built; riesz1 and riesz2 read one running sum."""
+    dropped before the next is built; riesz1 and riesz2 read one running sum.
+    on_caloric(f, rs, stack), if given, sees the member's Riesz transforms and
+    the heat stack of f from its caloric field before they are dropped."""
     spec = f.spec
     out = {}
     order = 2 if "riesz2" in methods else int("riesz1" in methods)
     if order or "maximal" in methods:
         per_scale = np.zeros((len(es), tg.count))
         for level, block in _mollified_blocks(f, tg, order, heat_profile()):
+            # every reduction reads |block| only: take it once, drop the block
+            mag = np.abs(block)
+            del block
             if level == 0 and "maximal" in methods:
-                mx = GridFunction(spec, np.abs(block).max(axis=0))
+                mx = GridFunction(spec, mag.max(axis=0))
                 out["maximal"] = [amalgam_norm(mx, e) for e in es]
             if order:
-                per_scale += [slice_norms(spec, block, e) for e in es]
-            del block
+                per_scale += [slice_norms(spec, mag, e) for e in es]
+            del mag
             if level:
                 out[f"riesz{level}"] = [float(v) for v in per_scale.max(axis=1)]
     if "multiplier" in methods:
         images = [apply_multiplier(f, s) for s in default_multiplier_family(spec.d).symbols]
         out["multiplier"] = [float(sum(amalgam_norm(g, e) for g in images)) for e in es]
+    if "caloric_sup" in methods:
+        rs = _riesz_all(f)
+        lifted = _lift(f, rs, tg, "caloric")
+        out["caloric_sup"] = [float(v) for v in sup_vector_amalgam_norms(lifted, es)]
+        stack = lifted.components[-1]
+        del lifted  # the R_j f stacks go before on_caloric reduces f's
+        if on_caloric is not None:
+            on_caloric(f, rs, stack)
+        del stack
     if "nontangential" in methods:
         nt = nontangential_max(extend(f, "poisson", tg))
         out["nontangential"] = [amalgam_norm(nt, e) for e in es]
-    if "caloric_sup" in methods:
-        lifted = caloric_lift(f, tg)
-        out["caloric_sup"] = [sup_vector_amalgam_norm(lifted, e) for e in es]
     return out
 
 
@@ -377,6 +395,12 @@ def equivalence_reports(members, exponents, tg: TimeGrid, methods=EQUIVALENCE_ME
     pair's spread is compared against its frozen constant times the slack;
     pairs without a frozen entry get ok = None.
     """
+    return _equivalence_reports(members, exponents, tg, methods, family_id, store, slack)
+
+
+def _equivalence_reports(members, exponents, tg, methods, family_id, store, slack,
+                         on_caloric=None) -> list:
+    """equivalence_reports, with on_caloric handed to every member's step."""
     es = [e if isinstance(e, Exponents) else Exponents(*e) for e in exponents]
     if not members:
         raise ValueError("empty family")
@@ -384,7 +408,7 @@ def equivalence_reports(members, exponents, tg: TimeGrid, methods=EQUIVALENCE_ME
     if unknown := [m for m in methods if m not in EQUIVALENCE_METHODS]:
         raise ValueError(f"unknown method {unknown[0]!r}")
     gid = grid_run_id(members[0][1].spec, tg)
-    swept = {name: _member_values(f, es, tg, methods) for name, f in members}
+    swept = {name: _member_values(f, es, tg, methods, on_caloric) for name, f in members}
     reports = []
     for k, e in enumerate(es):
         vals = {m: {name: swept[name][m][k] for name, _ in members} for m in methods}
@@ -432,8 +456,23 @@ def freeze_constants(spec: GridSpec, tg: TimeGrid, store: FrozenStore) -> dict:
     members = reference_family(spec)
     frozen = {}
 
+    # heat-stack sup decay constants and the empirical Riesz-transform bound on
+    # the amalgam scale, reduced from each member's caloric field (its f heat
+    # stack) and R_1 f while the sweep holds them
+    h1 = dict.fromkeys(((1.0, 1.0), (2.0, 3.0)), 0.0)
+    rb = dict.fromkeys(((1.5, 1.5), (2.0, 3.0), (3.0, 1.5)), 0.0)
+
+    def reduce_member(f, rs, stack):
+        for pq in h1:
+            h1[pq] = max(h1[pq], h1_certificate(stack, pq).max_ratio)
+        for pq in rb:
+            if (denom := amalgam_norm(f, pq)) > 0:
+                rb[pq] = max(rb[pq], amalgam_norm(rs[0], pq) / denom)
+
     # one sweep; at the p > q sample point (1.2, 0.9) only the nontangential leg is frozen
-    reps = equivalence_reports(members, ((1.0, 1.0), (2.0, 3.0), (1.2, 0.9)), tg)
+    reps = _equivalence_reports(members, ((1.0, 1.0), (2.0, 3.0), (1.2, 0.9)), tg,
+                                EQUIVALENCE_METHODS, "reference-d1", None, SLACK,
+                                on_caloric=reduce_member)
     legs = [(rep, pair) for rep in reps[:2] for pair in rep.pairs]
     for rep, pair in legs + [(reps[2], "maximal/nontangential")]:
         spread = rep.pairs[pair]["spread"]
@@ -446,17 +485,6 @@ def freeze_constants(spec: GridSpec, tg: TimeGrid, store: FrozenStore) -> dict:
     store.put("atoms-d1", "band_high", 1.0, 1.0, gid, max(vals))
     frozen["atoms-d1|band"] = [min(vals), max(vals)]
 
-    # heat-stack sup decay constants and the empirical Riesz-transform bound on
-    # the amalgam scale, from one heat stack and one R_1 f per member
-    h1 = dict.fromkeys(((1.0, 1.0), (2.0, 3.0)), 0.0)
-    rb = dict.fromkeys(((1.5, 1.5), (2.0, 3.0), (3.0, 1.5)), 0.0)
-    for _, f in members:
-        stack, rf = extend(f, "heat", tg), riesz(f, 1)
-        for pq in h1:
-            h1[pq] = max(h1[pq], h1_certificate(stack, pq).max_ratio)
-        for pq in rb:
-            if (denom := amalgam_norm(f, pq)) > 0:
-                rb[pq] = max(rb[pq], amalgam_norm(rf, pq) / denom)
     for family, key, consts in (("reference-d1", "h1_ratio", h1),
                                 ("riesz-bound-d1", "ratio_max", rb)):
         for (p, q), c in consts.items():

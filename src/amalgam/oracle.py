@@ -6,7 +6,8 @@ from the near/far kernel split, and the half-derivative is adaptive
 quadrature on the original (s - t)^(-1/2) form.  Size caps keep the direct
 sums inside the acceptance-suite time budget.  The Cauchy-Riemann residuals
 are the grid-space formulas: every derivative stack built in full by its own
-multiplier pass, slice norms as Riemann sums.
+multiplier pass, the quadrature half-derivative stacks built in full from
+mean-shifted copies of the components, slice norms as Riemann sums.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import analytic
-from .crsys import _quadrature_half
 from .grid import GridFunction, apply_symbols
 from .kernels import riesz_kernel_split
-from .weyl import half_derivative_spectral, time_derivative
+from .weyl import half_derivative_spectral, half_derivative_stack_quadrature, time_derivative
 
 __all__ = ["convolve_direct", "riesz_direct_pv", "weyl_direct",
            "harmonic_cr_residual_direct", "caloric_cr_residual_direct"]
@@ -139,6 +139,27 @@ def _field_scale(F) -> np.ndarray:
 def _gradient(stack) -> list:
     """d/dx_j of every slice, j = 1..d, as full stacks."""
     return [apply_symbols(stack.spec, stack.values, 2j * np.pi * xi) for xi in stack.spec.freqs()]
+
+
+def _quadrature_half(F, window: tuple) -> tuple:
+    """The slices whose t lies in the fraction window of [t_min, t_max], as a
+    range, and the quadrature half-derivative stack of every component on
+    them, each taken of the component minus its spatial mean at t_min, with
+    the box fundamental mode's decay rate as the tail model."""
+    ts = F.tgrid.values
+    lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in window)
+    idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
+    if not idx:
+        raise ValueError("quadrature window selects no slices")
+    rows = range(idx[0], idx[-1] + 1)
+    lam_min = (np.pi / F.spec.L) ** 2
+    half = []
+    for c in F.components:
+        dc = complex(np.mean(c.values[0]))
+        shifted = c.map_values(lambda v: v - dc)
+        half.append(half_derivative_stack_quadrature(
+            shifted, ts[rows.start:rows.stop], tail=("exp_decay", lam_min), n_quad=401))
+    return rows, half
 
 
 def harmonic_cr_residual_direct(F) -> dict:

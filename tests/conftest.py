@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from amalgam.extension import TimeGrid
 from amalgam.grid import make_grid
+
+# Tier-1 draws the same examples on every run and keeps no example database
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from amalgam.crsys import (
     harmonic_cr_residual,
     majorization_report,
     sup_vector_amalgam_norm,
+    sup_vector_amalgam_norms,
 )
 from amalgam.extension import TimeGrid, extend
 from amalgam.grid import GridFunction, bandlimited_random, make_grid, sample
@@ -203,8 +204,27 @@ class TestResidualMemory:
         peak = self.peak_bytes(lambda F: caloric_cr_residual(F, "spectral"), G)
         assert peak < G.components[0].values.nbytes
 
+    def test_caloric_quadrature(self, f, tg48):
+        G = caloric_lift(f, tg48)
+        peak = self.peak_bytes(lambda F: caloric_cr_residual(F, "quadrature"), G)
+        assert peak < G.components[0].values.nbytes
+
 
 class TestSupVectorNorm:
+    @pytest.mark.parametrize("grid", [(1, 16, 1024), (2, 4, 64)], ids=["d1", "d2"])
+    def test_batched_equals_per_slice_definition(self, grid):
+        spec = make_grid(*grid)
+        tg = TimeGrid(0.05, 8.0, 15)  # odd count: the last chunk holds one slice
+        G = caloric_lift(bandlimited_random(spec, 3, 0.5, 2.0), tg)
+        pairs = [(1.0, 1.0), (2.0, 3.0), (1.2, 0.9)]
+
+        def magnitude(i):
+            return GridFunction(spec, np.sqrt(sum(np.abs(c.values[i]) ** 2 for c in G.components)))
+
+        want = [max(amalgam_norm(magnitude(i), e) for i in range(tg.count)) for e in pairs]
+        assert list(sup_vector_amalgam_norms(G, pairs)) == want
+        assert [sup_vector_amalgam_norm(G, e) for e in pairs] == want
+
     def test_single_component_reduces(self, small1, tg16):
         f = bandlimited_random(small1, 4, 0.5, 2.0)
         u = extend(f, "heat", tg16)

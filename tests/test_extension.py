@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from amalgam.extension import (
+    BLOCK_BYTES,
+    CACHED_BLOCKS,
     TimeGrid,
+    _cached_block,
     _disc_mask,
     annular_window,
     area_integral,
     extend,
+    extension_symbol,
     h1_certificate,
     heat_profile,
     hl_maximal,
+    kernel_block,
     nontangential_max,
+    poisson_profile,
     radial_maximal,
     read_stack,
     tpq_norm,
@@ -84,6 +90,57 @@ class TestExtend:
     def test_unknown_kernel(self, desk1, tg48):
         with pytest.raises(ValueError):
             extend(sample("gaussian", desk1), "biharmonic", tg48)
+
+
+class TestKernelBlock:
+    """Heat and Poisson symbol blocks: d=1 blocks are built once, kept
+    read-only and shared; desk-scale d=2 blocks are never kept."""
+
+    @staticmethod
+    def per_slice(kernel, spec, ts):
+        return np.array([extension_symbol(kernel, spec, float(t)) for t in ts])
+
+    @pytest.mark.parametrize("kernel", ["heat", "poisson"])
+    def test_cached_d1_block(self, desk1, tg48, kernel):
+        block = kernel_block(kernel, desk1, tg48.values)
+        assert block.dtype == float and not block.flags.writeable
+        assert kernel_block(kernel, desk1, tg48.values) is block
+        np.testing.assert_array_equal(block, self.per_slice(kernel, desk1, tg48.values))
+
+    def test_dilation_family_blocks(self, desk1, tg48):
+        ts = tg48.values
+        np.testing.assert_array_equal(heat_profile().block(desk1, ts),
+                                      self.per_slice("heat", desk1, [t**2 for t in ts]))
+        np.testing.assert_array_equal(poisson_profile().block(desk1, ts),
+                                      self.per_slice("poisson", desk1, ts))
+        assert heat_profile().block(desk1, ts) is kernel_block("heat", desk1, ts**2)
+
+    def test_desk_d2_block_not_retained(self, desk2, tg48):
+        hits = _cached_block.cache_info().hits
+        block = kernel_block("heat", desk2, tg48.values)
+        assert block.nbytes > BLOCK_BYTES
+        assert block.dtype == complex and block.flags.writeable
+        assert kernel_block("heat", desk2, tg48.values) is not block
+        assert _cached_block.cache_info().hits == hits
+        np.testing.assert_array_equal(block[[0, 47]],
+                                      self.per_slice("heat", desk2, tg48.values[[0, 47]]))
+
+    def test_apply_symbols_leaves_cached_block_unchanged(self, desk1, tg48):
+        block = kernel_block("heat", desk1, tg48.values)
+        before = block.copy()
+        stack = extend(sample("gaussian:width=1", desk1), "heat", tg48)
+        assert not np.shares_memory(stack.values, block)
+        assert kernel_block("heat", desk1, tg48.values) is block
+        np.testing.assert_array_equal(block, before)
+
+    def test_cache_bounded(self, small1):
+        assert CACHED_BLOCKS * BLOCK_BYTES <= 8 * 2**20
+        grids = [TimeGrid(0.01, 1.0 + k, 64) for k in range(2 * CACHED_BLOCKS)]
+        blocks = [kernel_block("poisson", small1, tg.values) for tg in grids]
+        assert _cached_block.cache_info().currsize == CACHED_BLOCKS
+        # least recently used first out: the last grid is kept, the first is not
+        assert kernel_block("poisson", small1, grids[-1].values) is blocks[-1]
+        assert kernel_block("poisson", small1, grids[0].values) is not blocks[0]
 
 
 class TestRadialMaximal:
@@ -376,7 +433,6 @@ class TestStackDump:
 
 class TestPoissonProfile:
     def test_radial_maximal_with_poisson_dilations(self, desk1, tg48):
-        from amalgam.extension import poisson_profile
         from amalgam.kernels import poisson_kernel
 
         f = sample("gaussian:width=1", desk1)

@@ -165,6 +165,18 @@ class TestApplySymbols:
             # the symbol block is consumed as the output: a pass holds one stack
             assert np.shares_memory(got, buffer)
 
+    def test_real_or_read_only_block_left_intact(self, case):
+        spec, f, heat, mixed = case
+        want = np.array([_old_route(f, m) for m in heat])
+        frozen = heat.copy()
+        frozen.setflags(write=False)
+        for block in (heat.real.copy(), frozen):
+            before = block.copy()
+            got = apply_symbols(spec, f.values, block)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(block, before)
+            assert not np.shares_memory(got, block)
+
     def test_batched_values(self, case):
         spec, f, heat, mixed = case
         stack = apply_symbols(spec, f.values, heat.copy())

@@ -307,9 +307,10 @@ class TestFreezePasses:
                 monkeypatch.setattr(mod, "apply_symbols", counting)
         freeze_constants(desk1, tg48, FrozenStore())
         # per member of the 20: the mollified block and its two Riesz
-        # compositions, the Poisson stack, the two caloric heat stacks and the
-        # heat stack of the sup decay constants; one more per probe atom
-        assert sum(batched) <= 20 * 7 + 10
+        # compositions, the Poisson stack and the two caloric heat stacks,
+        # which also feed the sup decay and Riesz-bound constants; one more
+        # per probe atom
+        assert sum(batched) <= 20 * 6 + 10
 
 
 class TestFrozenStorePut:

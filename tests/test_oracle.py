@@ -163,3 +163,15 @@ class TestCrResidualDirect:
             assert np.all(np.abs(got - ref) <= 1e-13 + 1e-12 * np.abs(ref)), key
         if brk is not None:
             assert max(np.max(v) for v in old.values()) > 1e-3
+
+    @pytest.mark.parametrize("grid", [(1, 16, 1024), (2, 4, 64)], ids=["d1", "d2"])
+    def test_quadrature_mean_shift(self, grid):
+        # a field with nonzero spatial mean: the quadrature strips it before
+        # the tail model, on the fast path as W @ v - dc (W @ 1)
+        spec = make_grid(*grid)
+        f = sample("gaussian:width=1", spec) + GridFunction(spec, np.full(spec.shape, 0.5))
+        F = caloric_lift(f, TimeGrid(0.05, 8.0, 16))
+        assert abs(np.mean(F.components[-1].values[0])) > 0.4
+        new = caloric_cr_residual(F, "quadrature").per_slice
+        for key, ref in caloric_cr_residual_direct(F, "quadrature").items():
+            assert np.all(np.abs(new[key] - ref) <= 1e-13 + 1e-12 * np.abs(ref)), key
