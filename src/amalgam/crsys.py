@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .extension import _symbol_block, extension_symbol
+from .extension import kernel_block
 from .grid import apply_symbols
 from .norms import slice_norms
 from .weyl import _log_grid_derivative, _weyl_matrix
@@ -283,7 +283,7 @@ def majorization_report(F: ConjugateField) -> MajorizationReport:
     spec = F.spec
     ts = F.tgrid.values
     mag = np.sqrt(sum(np.abs(c.values) ** 2 for c in F.components))
-    sym = _symbol_block(spec, ts[1:] - ts[0], lambda s: extension_symbol("poisson", spec, s))
+    sym = kernel_block("poisson", spec, ts[1:] - ts[0])
     dominating = apply_symbols(spec, mag[0], sym).real
     defect = (mag[1:] - dominating).reshape(F.tgrid.count - 1, -1)
     worst = np.max(defect, axis=1)

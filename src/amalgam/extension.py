@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .grid import GridFunction, GridSpec, _read_binary, _write_binary, apply_symbols
@@ -148,14 +149,23 @@ def kernel_block(kernel: str, spec: GridSpec, ts) -> np.ndarray:
     """extension_symbol(kernel, spec, t) stacked over the times ts.
 
     A block of at most BLOCK_BYTES is real, read-only and cached: a repeat
-    request returns the same object.  A larger block is the per-slice
-    complex block of _symbol_block, fresh on every call, which apply_symbols
-    consumes as its output buffer.
+    request returns the same object.  A larger block is complex, writable
+    and fresh on every call, for apply_symbols to consume as its output
+    buffer.  It is filled eight rows at a time, so no second full-size array
+    is alive beside it, and exp is taken only where its argument exceeds
+    -746: below that exp is exactly 0, which the zeroed block already holds,
+    and numpy reaches that 0 several times slower than a normal result.  The
+    block is the same bits as the per-slice extension_symbol.
     """
     ts = np.asarray(ts, dtype=float)
-    if ts.size * spec.size * 8 > BLOCK_BYTES:
-        return _symbol_block(spec, ts, lambda t: extension_symbol(kernel, spec, t))
-    return _cached_block(kernel, spec, ts.tobytes())
+    if ts.size * spec.size * 8 <= BLOCK_BYTES:
+        return _cached_block(kernel, spec, ts.tobytes())
+    rate, base = _extension_rate(kernel, spec)
+    block = np.zeros((ts.size,) + spec.shape, dtype=complex)
+    for i in range(0, ts.size, 8):
+        arg = np.multiply.outer(rate * ts[i:i + 8], base)
+        np.exp(arg, out=block[i:i + 8].real, where=arg > -746.0)
+    return block
 
 
 @lru_cache(maxsize=CACHED_BLOCKS)
@@ -177,15 +187,6 @@ def extend(f: GridFunction, kernel: str, tg: TimeGrid) -> ExtensionStack:
     multiplier pass over the whole time grid."""
     sym = kernel_block(kernel, f.spec, tg.values)
     return ExtensionStack(f.spec, tg, apply_symbols(f.spec, f.values, sym), kernel)
-
-
-def _symbol_block(spec: GridSpec, ts, symbol) -> np.ndarray:
-    """Complex block of symbol(t) stacked over the times ts, filled slice by
-    slice so that no second full-size array is alive beside it."""
-    block = np.empty((len(ts),) + spec.shape, dtype=complex)
-    for i, t in enumerate(ts):
-        block[i] = symbol(float(t))
-    return block
 
 
 # -- radial maximal function --------------------------------------------------
@@ -253,25 +254,70 @@ def _strict_halfwidth(radius: float, h: float) -> int:
     return max(int(math.ceil(radius / h)) - 1, 0)
 
 
+def _shift_max(a: np.ndarray, s1: int, s2: int, r: np.ndarray) -> np.ndarray:
+    """r[:, x] = max(a[:, x + s1], a[:, x + s2]), column indices wrapped,
+    filled from three pairs of slices; returns r."""
+    n = a.shape[1]
+    s1, s2 = sorted((s1 % n, s2 % n))
+    np.maximum(a[:, s1:s1 + n - s2], a[:, s2:], out=r[:, :n - s2])
+    np.maximum(a[:, s1 + n - s2:], a[:, :s2 - s1], out=r[:, n - s2:n - s1])
+    np.maximum(a[:, :s1], a[:, s2 - s1:s2], out=r[:, n - s1:])
+    return r
+
+
 def _disc_offsets_maxfilter(absu: np.ndarray, rho_cells: float, n: int) -> np.ndarray:
-    """Max over lattice offsets |delta| < rho_cells (Euclidean, strict) with wrap."""
-    w = _strict_halfwidth(rho_cells, 1.0)
-    cache = {}
-    out = np.copy(absu)
-    for d2 in range(-w, w + 1):
+    """Max over lattice offsets |delta| < rho_cells (Euclidean, strict) with wrap.
+
+    The disc is a stack of row chords: row offsets +-d2 admit the column
+    offsets |d1| <= w1(d2).  Level j of a doubling table holds the max over
+    the 2^j wrapped cells x, ..., x + 2^j - 1 of each row; each level is the
+    max of two wrapped shifts of the level below.  A chord of length
+    2 w1 + 1 < n is the max of two runs of the largest level 2^k that fits,
+    starting at x - w1 and at x + w1 - 2^k + 1 (a chord of n cells or more is
+    the whole row).  Along d2 = 0, 1, ... the width w1 only shrinks, so each
+    chord is built once, just before its rows, and folded into the result in
+    place at +d2 and -d2, from two slices per row offset.  Maxima are exact,
+    so the result is bit-identical to any other order of taking them, such
+    as a brute-force max over every offset.
+    """
+    table = [absu]
+    buf = np.empty_like(absu)  # the current chord
+    out = chord = None
+    chord_w1 = -1
+    for d2 in range(_strict_halfwidth(rho_cells, 1.0) + 1):
         rem = rho_cells * rho_cells - d2 * d2  # admissible delta1^2 < rem
         if rem <= 0:
-            continue
+            break
         w1 = _strict_halfwidth(math.sqrt(rem), 1.0)
-        if w1 not in cache:
-            cache[w1] = maximum_filter1d(absu, size=min(2 * w1 + 1, n), axis=1, mode="wrap")
-        shifted = np.roll(cache[w1], -d2, axis=0)
-        out = np.maximum(out, shifted)
-    return out
+        if w1 != chord_w1:
+            chord_w1 = w1
+            if 2 * w1 + 1 >= n:
+                chord = np.broadcast_to(absu.max(axis=1, keepdims=True), absu.shape)
+            else:
+                k = (2 * w1 + 1).bit_length() - 1
+                while len(table) <= k:
+                    table.append(_shift_max(table[-1], 0, 2 ** (len(table) - 1), np.empty_like(absu)))
+                chord = _shift_max(table[k], -w1, w1 - 2**k + 1, buf)
+        if out is None:
+            out = np.array(chord)
+            continue
+        for s in {d2 % n, -d2 % n}:  # out[y] = max(out[y], chord[y + s]), rows wrapped
+            np.maximum(out[:n - s], chord[s:], out=out[:n - s])
+            np.maximum(out[n - s:], chord[:s], out=out[n - s:])
+    # no row at all only when rho_cells^2 underflows to 0: the centre alone
+    return np.copy(absu) if out is None else out
 
 
 def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunction:
-    """u*(x) = max over slices t and nodes y with |x - y| < aperture * t of |u(y,t)|."""
+    """u*(x) = max over slices t and nodes y with |x - y| < aperture * t of |u(y,t)|.
+
+    Each slice's window max is taken on the lattice: at d=1 a wrapped moving
+    max over the 2w + 1 cells |x - y| < aperture * t; at d=2 the disc max of
+    _disc_offsets_maxfilter (a doubling table of row runs, two runs per row
+    chord, one in-place fold per row offset), or the slice's global max once
+    the disc covers the whole wrapped box.  Only maxima are taken, so the
+    result is exact: the same bits in any order of evaluation.
+    """
     if aperture <= 0:
         raise ValueError(f"aperture must be positive, got {aperture}")
     spec = stack.spec
@@ -288,7 +334,7 @@ def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunct
                 cand = np.full(spec.shape, absu.max())
             else:
                 cand = _disc_offsets_maxfilter(absu, rho_cells, n)
-        acc = cand if acc is None else np.maximum(acc, cand)
+        acc = cand if acc is None else np.maximum(acc, cand, out=acc)
     return GridFunction(spec, acc)
 
 
@@ -343,7 +389,15 @@ class AnnularWindow:
         return _smoothstep(rho - 1.0) * _smoothstep((8.0 - rho) / 4.0)
 
     def multiplier(self, spec: GridSpec, t: float) -> np.ndarray:
-        return self.profile(t * spec.freq_norm())
+        """profile(t |xi|) on the frequency lattice.  The profile is exactly 0
+        for rho <= 1 and rho >= 8 and exactly 1 on [2, 4], so it is evaluated
+        only on the bands 1 < rho < 2 and 4 < rho < 8; the result is the same
+        bits as evaluating it everywhere."""
+        rho = t * spec.freq_norm()
+        out = ((rho >= 2.0) & (rho <= 4.0)).astype(float)
+        band = ((rho > 1.0) & (rho < 2.0)) | ((rho > 4.0) & (rho < 8.0))
+        out[band] = self.profile(rho[band])
+        return out
 
 
 def annular_window() -> AnnularWindow:
@@ -356,23 +410,48 @@ def area_integral(f: GridFunction, window: AnnularWindow | None, tg: TimeGrid) -
         S(f)(x) = ( sum_t sum_{|y-x|<t} |(phi(.t) f^)^v(y)|^2 h^d dt / t^(d+1) )^(1/2)
 
     with trapezoidal dt weights on the log grid.
+
+    A slice whose window vanishes on the whole frequency lattice adds exactly
+    0 and is left out of the multiplier pass (with the annular window this is
+    every t <= h, where t |xi| <= sqrt(2)/2 < 1).  At d=1 the ball sum is a
+    wrapped moving sum.  At d=2 it is taken by case: when the open disc of
+    radius t covers the whole wrapped box, (t/h)^2 > 2 (n/2)^2, it is the plain
+    sum of |g|^2; otherwise it is the cyclic convolution of |g|^2 with the 0/1
+    disc mask, whose transform is real because the mask is symmetric.  The
+    weighted products of transforms are summed over the slices and inverted
+    once, which agrees with inverting each slice's product to rounding
+    (1e-12 relative).
     """
     if window is None:
         window = annular_window()
     spec = f.spec
     n, h = spec.n, spec.h
-    sym = _symbol_block(spec, tg.values, lambda t: window.multiplier(spec, t))
-    S2 = np.zeros(spec.shape)
-    for g, t, dt in zip(apply_symbols(spec, f.values, sym), tg.values, tg.trapezoid_weights()):
-        sq = np.abs(g) ** 2
-        w = _strict_halfwidth(float(t), h)
-        if spec.d == 1:
-            size = min(2 * w + 1, n)
-            ball = uniform_filter1d(sq, size=size, mode="wrap") * size
-        else:
-            mask = _disc_mask(n, float(t) / h)
-            ball = np.fft.ifftn(np.fft.fftn(sq) * np.fft.fftn(mask)).real
-        S2 += ball * (h**spec.d) * dt / float(t) ** (spec.d + 1)
+    ts, dts = [], []
+    sym = np.empty((tg.count,) + spec.shape, dtype=complex)
+    for t, dt in zip(tg.values, tg.trapezoid_weights()):
+        mult = window.multiplier(spec, float(t))
+        if mult.any():
+            sym[len(ts)] = mult
+            ts.append(float(t))
+            dts.append(dt)
+    slices = apply_symbols(spec, f.values, sym[:len(ts)])
+    if spec.d == 1:
+        S2 = np.zeros(spec.shape)
+        for g, t, dt in zip(slices, ts, dts):
+            size = min(2 * _strict_halfwidth(t, h) + 1, n)
+            ball = uniform_filter1d(np.abs(g) ** 2, size=size, mode="wrap") * size
+            S2 += ball * (h**spec.d) * dt / t ** (spec.d + 1)
+    else:
+        acc = np.zeros((n, n // 2 + 1), dtype=complex)
+        total = 0.0
+        for g, t, dt in zip(slices, ts, dts):
+            sq = np.abs(g) ** 2
+            c = h * h * dt / t**3
+            if (t / h) ** 2 > 2 * (n // 2) ** 2:
+                total += c * sq.sum()
+            else:
+                acc += c * scipy.fft.rfft2(sq) * scipy.fft.rfft2(_disc_mask(n, t / h)).real
+        S2 = scipy.fft.irfft2(acc, s=spec.shape) + total
     return GridFunction(spec, np.sqrt(np.maximum(S2, 0.0)))
 
 
@@ -393,15 +472,20 @@ class H1Certificate:
 
 def h1_certificate(stack: ExtensionStack, e) -> H1Certificate:
     """Observed constant in sup_x |u(x,t)| <= C t^(-d/(2 max{p,q})) ||u||_T^{p,q}."""
+    return _h1_certificate(stack.spec, stack.times, np.abs(stack.values), e)
+
+
+def _h1_certificate(spec: GridSpec, ts: np.ndarray, mag: np.ndarray, e) -> H1Certificate:
+    """h1_certificate of a stack over the times ts from its magnitude mag =
+    |u|, so that several exponent pairs can share one magnitude (slice_norms
+    of a nonnegative real block is the same bits as of the complex one)."""
     if not isinstance(e, Exponents):
         e = Exponents(*e)
-    d = stack.spec.d
-    tpq = tpq_norm(stack, e)
+    tpq = float(slice_norms(spec, mag, e).max())
     if tpq == 0:
         raise ValueError("zero stack has no certificate")
-    ts = stack.times
-    sups = np.abs(stack.values).reshape(len(ts), -1).max(axis=1)
-    per_t = ts ** (d / (2.0 * e.max_exp)) * sups / tpq
+    sups = mag.reshape(len(ts), -1).max(axis=1)
+    per_t = ts ** (spec.d / (2.0 * e.max_exp)) * sups / tpq
     return H1Certificate(float(per_t.max()), per_t, tpq)
 
 

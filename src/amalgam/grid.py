@@ -430,13 +430,14 @@ def _write_binary(path, spec: GridSpec, values: np.ndarray, **meta) -> None:
               "layout": "row-major", "dtype": _HEADER_DTYPE}
     with open(path, "wb") as fh:
         fh.write("".join(f"{k}={v}\n" for k, v in header.items()).encode("ascii") + b"\n")
-        fh.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(values, dtype="<c16")).cast("B"))
 
 
 def _read_binary(path, count_key: str | None = None) -> tuple:
     """(header, spec, samples) of a file written by _write_binary; the payload
     must be exactly count * n^d complex128 samples, count read from the
-    header field count_key (1 without one)."""
+    header field count_key (1 without one).  The samples are read straight
+    into the returned array, with no intermediate bytes object."""
     with open(path, "rb") as fh:
         header = {}
         while (line := fh.readline().decode("ascii")) not in ("\n", ""):
@@ -452,5 +453,8 @@ def _read_binary(path, count_key: str | None = None) -> tuple:
         if actual != expected:
             raise ValueError(f"{path}: payload is {actual} bytes, expected {count} x {spec.size} "
                              f"x 16 = {expected}")
-        values = np.frombuffer(fh.read(expected), dtype="<c16").astype(complex)
+        values = np.empty(count * spec.size, dtype="<c16")
+        got = fh.readinto(memoryview(values).cast("B"))
+        if got != expected:
+            raise ValueError(f"{path}: short read, {got} of {expected} payload bytes")
     return header, spec, values

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import kernels
 from .crsys import ConjugateField, sup_vector_amalgam_norms
-from .extension import (DilationFamily, TimeGrid, extend, h1_certificate, heat_profile,
-                        nontangential_max, radial_maximal)
+from .extension import (DilationFamily, ExtensionStack, TimeGrid, _h1_certificate, extend,
+                        heat_profile, kernel_block, nontangential_max, radial_maximal)
 from .frozen import FrozenStore
 from .grid import GridFunction, GridSpec, apply_symbols, sample, sup_norm
 from .norms import Exponents, amalgam_norm, slice_norms
@@ -238,7 +238,16 @@ def _lift(f: GridFunction, rs, tg: TimeGrid, flavor: str) -> ConjugateField:
     """The field (R_1 f, ..., R_d f, f) * K_t of the flavor's kernel, given
     the Riesz transforms rs = [R_1 f, ..., R_d f]."""
     kernel = "poisson" if flavor == "harmonic" else "heat"
-    return ConjugateField(tuple(extend(g, kernel, tg) for g in (*rs, f)), flavor)
+    spec = f.spec
+    # one kernel block for all d+1 passes: the R_j f passes read a read-only
+    # view of it, and the last pass consumes it as f's output buffer when it
+    # is writable, so the lift holds d+1 stacks and no separate block
+    block = kernel_block(kernel, spec, tg.values)
+    shared = block.view()
+    shared.setflags(write=False)
+    values = [apply_symbols(spec, g.values, shared) for g in rs]
+    values.append(apply_symbols(spec, f.values, block))
+    return ConjugateField(tuple(ExtensionStack(spec, tg, v, kernel) for v in values), flavor)
 
 
 def _riesz_all(f: GridFunction) -> list:
@@ -463,8 +472,9 @@ def freeze_constants(spec: GridSpec, tg: TimeGrid, store: FrozenStore) -> dict:
     rb = dict.fromkeys(((1.5, 1.5), (2.0, 3.0), (3.0, 1.5)), 0.0)
 
     def reduce_member(f, rs, stack):
+        mag = np.abs(stack.values)  # one magnitude for every exponent pair
         for pq in h1:
-            h1[pq] = max(h1[pq], h1_certificate(stack, pq).max_ratio)
+            h1[pq] = max(h1[pq], _h1_certificate(stack.spec, stack.times, mag, pq).max_ratio)
         for pq in rb:
             if (denom := amalgam_norm(f, pq)) > 0:
                 rb[pq] = max(rb[pq], amalgam_norm(rs[0], pq) / denom)

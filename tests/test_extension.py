@@ -1,7 +1,11 @@
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalgam.extension import (
     BLOCK_BYTES,
@@ -9,6 +13,7 @@ from amalgam.extension import (
     TimeGrid,
     _cached_block,
     _disc_mask,
+    _disc_offsets_maxfilter,
     annular_window,
     area_integral,
     extend,
@@ -24,7 +29,7 @@ from amalgam.extension import (
     tpq_norm,
     write_stack,
 )
-from amalgam.grid import GridFunction, bandlimited_random, lp_norm, make_grid, sample
+from amalgam.grid import GridFunction, apply_symbols, bandlimited_random, lp_norm, make_grid, sample
 from amalgam.kernels import heat_kernel
 from amalgam.norms import amalgam_norm
 
@@ -124,6 +129,14 @@ class TestKernelBlock:
         assert _cached_block.cache_info().hits == hits
         np.testing.assert_array_equal(block[[0, 47]],
                                       self.per_slice("heat", desk2, tg48.values[[0, 47]]))
+
+    @pytest.mark.parametrize("kernel", ["heat", "poisson"])
+    def test_desk_d2_block_matches_per_slice(self, desk2, tg48, kernel):
+        # every row, including the underflowing and subnormal entries
+        block = kernel_block(kernel, desk2, tg48.values)
+        want = self.per_slice(kernel, desk2, tg48.values)
+        assert np.any((want > 0) & (want < np.finfo(float).tiny)) and np.any(want == 0)
+        np.testing.assert_array_equal(block, want)
 
     def test_apply_symbols_leaves_cached_block_unchanged(self, desk1, tg48):
         block = kernel_block("heat", desk1, tg48.values)
@@ -228,6 +241,23 @@ class TestNontangential:
                         cand = np.maximum(cand, np.roll(np.roll(absu, -a, 0), -b, 1))
             brute = np.maximum(brute, cand)
         np.testing.assert_allclose(star.values.real, brute, atol=1e-14)
+
+    @given(n=st.sampled_from([8, 16, 32]),
+           frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_disc_maxfilter_matches_every_offset(self, n, frac, seed):
+        # rho in (0, n]: chords run from one cell (a power of two) to the full row
+        rho = frac * n
+        rng = np.random.default_rng(seed)
+        absu = rng.integers(0, 4, size=(n, n)).astype(float) + rng.random((n, n))
+        want = np.copy(absu)
+        reach = math.ceil(rho)
+        for a in range(-reach, reach + 1):
+            for b in range(-reach, reach + 1):
+                if a * a + b * b < rho * rho:
+                    want = np.maximum(want, np.roll(absu, (-a, -b), axis=(0, 1)))
+        assert np.array_equal(_disc_offsets_maxfilter(absu, rho, n), want)
 
     def test_tpq_dominated_by_nontangential_norm(self, desk1, tg48):
         f = bandlimited_random(desk1, 6, 0.25, 2.0)
@@ -353,6 +383,52 @@ class TestAreaIntegral:
                     S2[i1, i2] += acc * h * h * dt / float(t) ** 3
         np.testing.assert_allclose(S.values.real, np.sqrt(S2), atol=1e-10)
 
+    def test_multiplier_is_profile_on_lattice(self, desk1, desk2, tg48):
+        # the profile is evaluated only off its exact 0 and 1 plateaus
+        win = annular_window()
+        for spec in (desk1, desk2, make_grid(2, 2, 16)):
+            for t in list(tg48.values) + [0.25, 0.5, 1.0, 2.0, 4.0]:
+                np.testing.assert_array_equal(win.multiplier(spec, float(t)),
+                                              win.profile(float(t) * spec.freq_norm()))
+
+    def test_matches_direct_cone_sum_2d_shortcuts(self):
+        # h = 0.25 and sqrt(2) n/2 h = 2.83: the grid has slices with t < h
+        # (window zero on the lattice) and with a disc that covers the box
+        spec = make_grid(2, 2, 16)
+        tg = TimeGrid(0.05, 6.0, 9)
+        ts = tg.values
+        assert ts[0] < spec.h and ts[-1] / spec.h > math.sqrt(2.0) * spec.n / 2
+        f = bandlimited_random(spec, 4, 0.5, 3.5)
+        S = area_integral(f, None, tg)
+        win = annular_window()
+        n, h, L = spec.n, spec.h, spec.L
+        x = spec.axis_nodes()
+        dx = np.abs(x[:, None] - x[None, :])
+        dx = np.minimum(dx, 2 * L - dx)
+        dist2 = (dx[:, None, :, None] ** 2 + dx[None, :, None, :] ** 2).reshape(n * n, n * n)
+        S2 = np.zeros(n * n)
+        for t, dt in zip(ts, tg.trapezoid_weights()):
+            g = apply_symbols(spec, f.values, win.multiplier(spec, float(t)))
+            inside = dist2 < float(t) ** 2 - 1e-15
+            S2 += inside @ (np.abs(g) ** 2).reshape(-1) * h * h * dt / float(t) ** 3
+        np.testing.assert_allclose(S.values.real, np.sqrt(S2).reshape(spec.shape), atol=1e-10)
+
+    def test_2d_matches_per_slice_transforms(self, desk2, tg48):
+        # each slice's ball sum inverted on its own, with three complex
+        # transforms, against one real inverse of the summed products
+        f = bandlimited_random(desk2, 12, 0.25, 2.0)
+        win = annular_window()
+        n, h = desk2.n, desk2.h
+        S2 = np.zeros(desk2.shape)
+        for t, dt in zip(tg48.values, tg48.trapezoid_weights()):
+            g = apply_symbols(desk2, f.values, win.profile(float(t) * desk2.freq_norm()))
+            mask = _disc_mask(n, float(t) / h)
+            ball = np.fft.ifftn(np.fft.fftn(np.abs(g) ** 2) * np.fft.fftn(mask)).real
+            S2 += ball * h**2 * dt / float(t) ** 3
+        want = np.sqrt(np.maximum(S2, 0.0))
+        np.testing.assert_allclose(area_integral(f, None, tg48).values.real, want,
+                                   rtol=1e-12, atol=0)
+
     def test_in_band_content_passes_at_unit_time(self):
         spec = make_grid(1, 4, 128)
         f = bandlimited_random(spec, 6, 2.5, 3.5)
@@ -411,6 +487,17 @@ class TestStackDump:
         expected = tg16.count * small1.size * 16
         with pytest.raises(ValueError, match=rf"{expected + delta} bytes, expected "
                                              rf"{tg16.count} x {small1.size} x 16 = {expected}$"):
+            read_stack(path)
+
+    def test_short_read_checked(self, tmp_path, monkeypatch, small1, tg16):
+        # a payload that shrinks after its length was checked
+        path = tmp_path / "u.stack"
+        write_stack(extend(bandlimited_random(small1, 10, 0.5, 2.0), "heat", tg16), path)
+        path.write_bytes(path.read_bytes()[:-16])
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 16))
+        expected = tg16.count * small1.size * 16
+        with pytest.raises(ValueError, match=rf"short read, {expected - 16} of {expected} "):
             read_stack(path)
 
     def test_numpy_float_time_bounds(self, tmp_path, small1):

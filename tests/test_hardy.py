@@ -1,12 +1,13 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from amalgam import grid
 from amalgam.crsys import sup_vector_amalgam_norm
-from amalgam.extension import TimeGrid, extend, nontangential_max
+from amalgam.extension import BLOCK_BYTES, TimeGrid, extend, nontangential_max
 from amalgam.frozen import FrozenStore, GridMismatchError
 from amalgam.grid import GridFunction, bandlimited_random, sample
 from amalgam.hardy import (
@@ -169,6 +170,37 @@ class TestLifts:
         f = bandlimited_random(desk1, 4, 1 / 16, 1 / 8)
         G = caloric_lift(f, tg48)
         assert rel_l2(G.components[-1].slice(0).values, f.values) <= 1e-3
+
+    @pytest.mark.parametrize("lift,kernel", [(harmonic_lift, "poisson"), (caloric_lift, "heat")],
+                             ids=["harmonic", "caloric"])
+    def test_d2_components_are_extensions(self, desk2, tg16, lift, kernel):
+        # one shared complex block for all d+1 passes, the same bits as
+        # extending each component on its own
+        assert tg16.count * desk2.size * 8 > BLOCK_BYTES
+        f = bandlimited_random(desk2, 5, 0.25, 2.0)
+        F = lift(f, tg16)
+        for g, comp in zip((riesz(f, 1), riesz(f, 2), f), F.components):
+            np.testing.assert_array_equal(comp.values, extend(g, kernel, tg16).values)
+
+
+class TestLiftMemory:
+    """A lift builds its kernel block once and the last pass consumes it: the
+    peak allocation stays below d+1 component stacks plus one."""
+
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("lift", [harmonic_lift, caloric_lift], ids=["harmonic", "caloric"])
+    def test_desk2_peak(self, desk2, tg48, lift):
+        f = sample("gaussian:width=1", desk2)
+        peak, F = self.peak_bytes(lift, f, tg48)
+        assert peak < (desk2.d + 2) * F.components[0].values.nbytes
 
 
 class TestReferenceFamily:
