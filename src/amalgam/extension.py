@@ -96,11 +96,24 @@ class ExtensionStack:
     kernel: str = "custom"
 
     def __post_init__(self):
+        self._validate(scan_finite=True)
+
+    @classmethod
+    def _from_pass(cls, spec: GridSpec, tgrid: TimeGrid, values: np.ndarray,
+                   kernel: str) -> "ExtensionStack":
+        """A stack over the output of apply_symbols, which has already raised
+        on any non-finite entry, so the values are not scanned again."""
+        stack = object.__new__(cls)
+        stack.__dict__.update(spec=spec, tgrid=tgrid, values=values, kernel=kernel)
+        stack._validate(scan_finite=False)
+        return stack
+
+    def _validate(self, scan_finite: bool) -> None:
         v = np.asarray(self.values, dtype=complex)
         want = (self.tgrid.count,) + self.spec.shape
         if v.shape != want:
             raise ValueError(f"stack shape {v.shape} does not match {want}")
-        if not np.all(np.isfinite(v)):
+        if scan_finite and not np.all(np.isfinite(v)):
             raise ValueError("stack contains non-finite entries")
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
@@ -186,7 +199,7 @@ def extend(f: GridFunction, kernel: str, tg: TimeGrid) -> ExtensionStack:
     """Extension stack with slice_t = f convolved with the t-kernel, one
     multiplier pass over the whole time grid."""
     sym = kernel_block(kernel, f.spec, tg.values)
-    return ExtensionStack(f.spec, tg, apply_symbols(f.spec, f.values, sym), kernel)
+    return ExtensionStack._from_pass(f.spec, tg, apply_symbols(f.spec, f.values, sym), kernel)
 
 
 # -- radial maximal function --------------------------------------------------

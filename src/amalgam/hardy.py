@@ -247,7 +247,7 @@ def _lift(f: GridFunction, rs, tg: TimeGrid, flavor: str) -> ConjugateField:
     shared.setflags(write=False)
     values = [apply_symbols(spec, g.values, shared) for g in rs]
     values.append(apply_symbols(spec, f.values, block))
-    return ConjugateField(tuple(ExtensionStack(spec, tg, v, kernel) for v in values), flavor)
+    return ConjugateField(tuple(ExtensionStack._from_pass(spec, tg, v, kernel) for v in values), flavor)
 
 
 def _riesz_all(f: GridFunction) -> list:

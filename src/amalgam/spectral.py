@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grid import GridFunction, GridSpec, SpectralFunction, apply_symbols, forward, inverse
 
@@ -115,6 +114,11 @@ class SphereSymbol:
     # -- evaluation ---------------------------------------------------------
 
     def _interpolant(self):
+        # imported here, off the CLI's import path, where scipy.interpolate
+        # would add about 0.3 s to every command; only d=2 sample symbols
+        # reach this
+        from scipy.interpolate import CubicSpline
+
         v = self.angle_samples
         M = v.size
         phi = 2.0 * np.pi * np.arange(M + 1) / M

@@ -14,10 +14,15 @@ The quadrature substitutes s = t + u^2:
 
     (d_t^(1/2) g)(t) = (2i / sqrt(pi)) * integral_0^inf g'(t + u^2) du,
 
-with g' from a cubic spline of the profile and, when the profile carries an
+with g' from the not-a-knot cubic spline of the profile (scipy's CubicSpline
+default), composite Simpson in u and, when the profile carries an
 exp_decay(lambda) tail tag, a closed erfc tail for u beyond sqrt(t_max - t).
 Spline, integral and tail are all linear in the profile values, so the
 quadrature is evaluated as a linear map: one matrix W, applied as W @ values.
+The spline is built as that map too (de Boor, A Practical Guide to Splines,
+ch. IV): its knot slopes are M @ (D @ values), D taking divided
+differences, and on each interval g' is a fixed combination of the two end
+slopes and the interval's divided difference.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 from scipy.special import erfcx
 
 from .extension import ExtensionStack, TimeGrid
@@ -66,12 +69,77 @@ class TimeProfile:
                 raise ValueError(f"unsupported tail tag {self.tail!r}")
 
 
+def _spline_slopes(ts: np.ndarray) -> tuple:
+    """(M, D): D @ y are the divided differences of (ts, y) and M @ (D @ y)
+    the knot slopes of their not-a-knot cubic spline, from the system scipy's
+    CubicSpline solves, with the same end rows.  Two knots give the line and
+    three the parabola through them, as CubicSpline does.  Constant data has
+    D @ y = 0 exactly, so its slopes are exactly 0."""
+    n = ts.size
+    dx = np.diff(ts)
+    k = np.arange(n - 1)
+    D = np.zeros((n - 1, n))
+    D[k, k], D[k, k + 1] = -1.0 / dx, 1.0 / dx
+    # A s = B (D y): the slope equations, right-hand sides as maps of D y
+    A = np.zeros((n, n))
+    B = np.zeros((n, n - 1))
+    if n == 2:
+        A[:] = np.eye(2)
+        B[:] = 1.0
+    elif n == 3:
+        A[0, :2], B[0, 0] = 1.0, 2.0
+        A[1], B[1] = (dx[1], 2.0 * (dx[0] + dx[1]), dx[0]), (3.0 * dx[1], 3.0 * dx[0])
+        A[2, 1:], B[2, 1] = 1.0, 2.0
+    else:
+        k = k[1:]
+        A[k, k - 1], A[k, k], A[k, k + 1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+        B[k, k - 1], B[k, k] = 3.0 * dx[1:], 3.0 * dx[:-1]
+        d = ts[2] - ts[0]
+        A[0, :2] = dx[1], d
+        B[0, :2] = (dx[0] + 2.0 * d) * dx[1] / d, dx[0] ** 2 / d
+        d = ts[-1] - ts[-3]
+        A[-1, -2:] = d, dx[-2]
+        B[-1, -2:] = dx[-1] ** 2 / d, (2.0 * d + dx[-1]) * dx[-2] / d
+    return np.linalg.solve(A, B), D
+
+
+def _derivative_rows(ts: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(m, nt) map of the knot values to the sums over j of w[k, j] g'(x[k, j]),
+    g the spline of _spline_slopes; x and w are (m, q).
+
+    On the interval [ts[i], ts[i+1]] with r = (x - ts[i]) / (ts[i+1] - ts[i])
+    the spline's derivative is the Hermite combination
+    (1-r)(1-3r) s_i + r(3r-2) s_(i+1) + 6r(1-r) d_i of the end slopes s and
+    the divided difference d.  Points outside the grid use the end interval.
+    """
+    n = ts.size
+    i = np.clip(np.searchsorted(ts, x, side="right") - 1, 0, n - 2)
+    r = (x - ts[i]) / (ts[i + 1] - ts[i])
+    m = x.shape[0]
+    row = np.arange(m)[:, None]
+    cs = np.bincount((row * n + i).ravel(), (w * (1.0 - r) * (1.0 - 3.0 * r)).ravel(), m * n)
+    cs += np.bincount((row * n + i + 1).ravel(), (w * r * (3.0 * r - 2.0)).ravel(), m * n)
+    cd = np.bincount((row * (n - 1) + i).ravel(), (w * 6.0 * r * (1.0 - r)).ravel(), m * (n - 1))
+    M, D = _spline_slopes(ts)
+    return (cs.reshape(m, n) @ M + cd.reshape(m, n - 1)) @ D
+
+
+def _simpson_weights(n: int) -> np.ndarray:
+    """Composite Simpson weights on n equally spaced nodes of unit spacing."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"composite Simpson needs an odd n_quad >= 3, got {n}")
+    w = np.ones(n)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    return w / 3.0
+
+
 def _decay_end(ts: np.ndarray, values: np.ndarray, tail_tol: float) -> float:
     """|g'(t_max)| of the data spline of a (nt, ...) block of untagged profiles;
     the operator integrates g', so it must have died out by t_max."""
-    dg = CubicSpline(ts, values, axis=0).derivative()
-    end = np.max(np.abs(dg(ts[-1])))
-    peak = max(np.max(np.abs(dg(ts))), 1e-300)
+    M, D = _spline_slopes(ts)
+    dg = M @ (D @ values)
+    end = np.max(np.abs(dg[-1]))
+    peak = max(np.max(np.abs(dg)), 1e-300)
     if end > tail_tol * peak:
         raise ValueError(
             "profile derivative has not decayed by t_max "
@@ -80,24 +148,25 @@ def _decay_end(ts: np.ndarray, values: np.ndarray, tail_tol: float) -> float:
     return float(end)
 
 
-def _tail(ts: np.ndarray, t: float, lam: float) -> complex:
+def _tail(ts: np.ndarray, t, lam: float):
     """exp_decay(lam) tail beyond u_max = sqrt(t_max - t), per unit g(t_max)."""
-    return -1j * math.sqrt(lam) * erfcx(math.sqrt(lam * (ts[-1] - t)))
+    return -1j * math.sqrt(lam) * erfcx(np.sqrt(lam * (ts[-1] - t)))
 
 
 def _weyl_matrix(ts: np.ndarray, times, tail, n_quad: int) -> np.ndarray:
     """W (len(times) x nt): row k is the Simpson rule at t_k on the derivative
     splines of the unit profiles, plus the tail weight on the last node."""
-    basis = CubicSpline(ts, np.eye(ts.size), axis=0).derivative()
-    rows = []
-    for t in times:
-        if not ts[0] <= t < ts[-1]:
-            raise ValueError(f"evaluation point t={t} outside the grid interior [{ts[0]}, {ts[-1]})")
-        u = np.linspace(0.0, math.sqrt(ts[-1] - t), n_quad)
-        rows.append((2j / math.sqrt(math.pi)) * simpson(basis(t + u**2), x=u, axis=0))
-        if tail is not None:
-            rows[-1][-1] += _tail(ts, t, tail[1])
-    return np.array(rows)
+    times = np.asarray(times, dtype=float)
+    outside = ~((times >= ts[0]) & (times < ts[-1]))  # NaN is outside too
+    if outside.any():
+        raise ValueError(f"evaluation point t={times[outside][0]} outside the grid interior [{ts[0]}, {ts[-1]})")
+    u_max = np.sqrt(ts[-1] - times)
+    u = np.linspace(0.0, u_max, n_quad, axis=1)
+    w = _simpson_weights(n_quad) * (u_max / (n_quad - 1))[:, None]
+    W = (2j / math.sqrt(math.pi)) * _derivative_rows(ts, times[:, None] + u**2, w)
+    if tail is not None:
+        W[:, -1] += _tail(ts, times, tail[1])
+    return W
 
 
 def half_derivative_quadrature(prof: TimeProfile, t: float,

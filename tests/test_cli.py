@@ -334,17 +334,43 @@ def assert_help_lists_commands(proc):
     assert set(listed) == COMMANDS
 
 
+def uninstalled_env():
+    """Environment for a subprocess that imports amalgam from this checkout:
+    the absolute src path keeps it independent of its working directory and
+    of a relative PYTHONPATH."""
+    src = str(Path(amalgam.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestConsoleEntry:
     def test_installed_script(self, tmp_path):
         # `python -m amalgam` reaches the callable the console script names
-        # without an install; the absolute src path keeps the subprocess
-        # independent of its working directory and of a relative PYTHONPATH.
-        src = str(Path(amalgam.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        # without an install
         proc = subprocess.run([sys.executable, "-m", "amalgam", "--help"],
-                              capture_output=True, text=True, cwd=tmp_path, env=env)
+                              capture_output=True, text=True, cwd=tmp_path, env=uninstalled_env())
         assert_help_lists_commands(proc)
+
+    def test_import_loads_no_spline_or_quadrature_package(self, tmp_path):
+        # every CLI command pays for what `import amalgam.cli` loads; of scipy
+        # it needs only fft, special and ndimage.  The subprocess imports
+        # those first, so the check covers only what amalgam itself adds
+        # and holds whatever those subpackages load in a given scipy release.
+        script = (
+            "import json, sys\n"
+            "import scipy.fft, scipy.ndimage, scipy.special\n"
+            "before = set(sys.modules)\n"
+            "import amalgam.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, cwd=tmp_path, env=uninstalled_env())
+        assert proc.returncode == 0, proc.stderr
+        added = {".".join(m.split(".")[:2]) for m in json.loads(proc.stdout)
+                 if m.startswith("scipy.")}
+        assert not added & {"scipy.interpolate", "scipy.integrate"}
+        assert added <= {"scipy.fft", "scipy.ndimage", "scipy.special"}
 
     def test_script_entry_declared(self):
         tomllib = pytest.importorskip("tomllib")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from amalgam.extension import (
     BLOCK_BYTES,
     CACHED_BLOCKS,
+    ExtensionStack,
     TimeGrid,
     _cached_block,
     _disc_mask,
@@ -30,6 +31,7 @@ from amalgam.extension import (
     write_stack,
 )
 from amalgam.grid import GridFunction, apply_symbols, bandlimited_random, lp_norm, make_grid, sample
+from amalgam.hardy import caloric_lift
 from amalgam.kernels import heat_kernel
 from amalgam.norms import amalgam_norm
 
@@ -95,6 +97,48 @@ class TestExtend:
     def test_unknown_kernel(self, desk1, tg48):
         with pytest.raises(ValueError):
             extend(sample("gaussian", desk1), "biharmonic", tg48)
+
+
+class TestStackValidation:
+    """A stack over an apply_symbols output is not scanned for non-finite
+    entries again; every other way of building one is."""
+
+    def test_scan_only_where_no_pass_checked(self, monkeypatch, tmp_path, small1, tg16):
+        scans = []
+        validate = ExtensionStack._validate
+
+        def spy(self, scan_finite):
+            scans.append(scan_finite)
+            validate(self, scan_finite)
+
+        monkeypatch.setattr(ExtensionStack, "_validate", spy)
+        f = bandlimited_random(small1, 16, 0.5, 2.0)
+        stack = extend(f, "heat", tg16)
+        assert scans == [False]
+        caloric_lift(f, tg16)
+        assert scans == [False] * 3
+        write_stack(stack, tmp_path / "u.stack")
+        read_stack(tmp_path / "u.stack")
+        stack.map_values(lambda v: 2.0 * v)
+        ExtensionStack(small1, tg16, stack.values)
+        assert scans == [False] * 3 + [True] * 3
+
+    def test_pass_stack_keeps_the_other_checks(self, small1, tg16):
+        stack = extend(bandlimited_random(small1, 17, 0.5, 2.0), "poisson", tg16)
+        assert not stack.values.flags.writeable and stack.values.flags.c_contiguous
+        with pytest.raises(ValueError, match="does not match"):
+            ExtensionStack._from_pass(small1, tg16, stack.values[1:], "heat")
+        with pytest.raises(ValueError, match="kernel tag"):
+            ExtensionStack._from_pass(small1, tg16, stack.values, "wave")
+
+    def test_direct_construction_rejects_nonfinite(self, small1, tg16):
+        values = np.zeros((tg16.count,) + small1.shape, dtype=complex)
+        values[3, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ExtensionStack(small1, tg16, values)
+        stack = ExtensionStack(small1, tg16, np.zeros_like(values))
+        with pytest.raises(ValueError, match="non-finite"):
+            stack.map_values(lambda v: values)
 
 
 class TestKernelBlock:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.special import erfc
@@ -15,6 +17,8 @@ from amalgam.kernels import decay_certificate
 from amalgam.oracle import weyl_direct
 from amalgam.weyl import (
     TimeProfile,
+    _derivative_rows,
+    _simpson_weights,
     half_derivative_quadrature,
     half_derivative_spectral,
     half_derivative_stack_quadrature,
@@ -77,6 +81,10 @@ class TestQuadrature:
     def test_evaluation_point_must_be_interior(self):
         with pytest.raises(ValueError, match="interior"):
             half_derivative_quadrature(exp_profile(1.0), 64.0)
+
+    def test_nan_evaluation_point_rejected(self):
+        with pytest.raises(ValueError, match="interior"):
+            half_derivative_quadrature(exp_profile(1.0), float("nan"))
 
     def test_bad_tail_tag(self):
         with pytest.raises(ValueError):
@@ -161,6 +169,71 @@ class TestStackQuadrature:
         got = half_derivative_stack_quadrature(stack, 0.8)[i]
         want = weyl_direct("heat_peak", 0.8, x0=float(x[i]))
         assert abs(got - want) <= 1e-4 * abs(want)
+
+
+# increasing knot sets: geometric spacing like TimeGrid, or random gaps
+# within a factor 10 of each other.  Gaps 1000 times apart make the
+# not-a-knot system so ill-conditioned that scipy's banded solve and the
+# dense one differ by 1e-10 (four knots with gaps 9.09, 0.01, 9.09: 1.5e-10
+# and 1e-11 from the exact rational solution), which no 1e-12 oracle can pin.
+KNOT_SETS = st.one_of(
+    st.builds(lambda n, t0, span: np.geomspace(t0, t0 * span, n),
+              st.integers(4, 64), st.floats(1e-3, 1.0), st.floats(2.0, 1e5)),
+    st.lists(st.floats(0.1, 1.0), min_size=3, max_size=63).map(
+        lambda gaps: np.concatenate([[0.0], np.cumsum(gaps)])),
+)
+
+
+def cubic_spline_basis(ts, x):
+    """scipy's derivative basis: column j is the not-a-knot spline of e_j."""
+    return CubicSpline(ts, np.eye(ts.size), axis=0).derivative()(x)
+
+
+class TestSplineAndSimpson:
+    """The numpy spline derivative and Simpson weights of the Weyl matrix
+    against scipy's CubicSpline and simpson."""
+
+    @given(ts=KNOT_SETS, seed=st.integers(0, 2**16))
+    @example(ts=TimeGrid(1e-3, 64.0, 48).values, seed=0)
+    def test_derivative_basis_matches_cubic_spline(self, ts, seed):
+        x = np.concatenate([ts, np.random.default_rng(seed).uniform(ts[0], ts[-1], 32)])
+        want = cubic_spline_basis(ts, x)
+        got = _derivative_rows(ts, x[:, None], np.ones((x.size, 1)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_and_three_knots_are_line_and_parabola(self, n):
+        ts = np.geomspace(0.1, 3.0, n)
+        x = np.linspace(0.1, 3.0, 17)
+        got = _derivative_rows(ts, x[:, None], np.ones((x.size, 1)))
+        assert np.max(np.abs(got - cubic_spline_basis(ts, x))) <= 1e-12 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("n", [3, 5, 11, 401, 801])
+    def test_simpson_weights_match_scipy(self, n):
+        x = np.linspace(0.0, 7.5, n)
+        want = simpson(np.eye(n), x=x, axis=0)
+        got = _simpson_weights(n) * (7.5 / (n - 1))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_quad", [0, 1, 2, 4, 400])
+    def test_even_or_short_n_quad_rejected(self, n_quad):
+        tg = TimeGrid(1e-3, 64.0, 48)
+        stack = extend(bandlimited_random(make_grid(1, 8, 64), 14, 0.25, 2.0), "heat", tg)
+        with pytest.raises(ValueError, match="odd n_quad"):
+            half_derivative_stack_quadrature(stack, 1.0, n_quad=n_quad)
+        with pytest.raises(ValueError, match="odd n_quad"):
+            half_derivative_quadrature(exp_profile(1.0), 1.0, n_quad=n_quad)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_two_and_three_slice_stacks(self, count):
+        # TimeGrid accepts two and three times; W agrees with the per-node
+        # CubicSpline route there too
+        tg = TimeGrid(0.01, 2.0, count)
+        stack = extend(bandlimited_random(make_grid(1, 8, 64), 15, 0.25, 2.0), "heat", tg)
+        tail = ("exp_decay", 4 * np.pi**2 * 0.25**2)
+        got = half_derivative_stack_quadrature(stack, tg.values[:-1], n_quad=401, tail=tail)
+        want = per_node_reference(stack, tg.values[:-1], 401, tail)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSpectralRoute:
