@@ -27,8 +27,8 @@ import numpy as np
 import scipy.fft
 
 from .extension import kernel_block
-from .grid import apply_symbols
-from .norms import slice_norms
+from .grid import _run_parts, _slice_parts, apply_symbols
+from .norms import _slice_norms
 from .weyl import _log_grid_derivative, _weyl_matrix
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "MajorizationReport",
 ]
 
-CHUNK = 2  # time slices per transform: a residual call never holds a whole stack
+CHUNK = 2  # time slices in flight, over all parts: a residual call never holds a whole stack
 QUAD_ROWS = 4 * CHUNK  # quadrature half-derivative slices formed per matrix product
 
 
@@ -108,30 +108,46 @@ class ResidualReport:
 
 def _parseval_norms(coeffs: np.ndarray, spec) -> np.ndarray:
     """Grid L^2 norm of each slice from its DFT over the space axes,
-    sqrt(h^d/N sum |g^|^2) by Plancherel, with no |g|^2 temporary."""
+    sqrt(h^d/N sum |g^|^2) by Plancherel, with no |g|^2 temporary.  einsum
+    rounds a lone row differently from the same row in a block of two or
+    more, so a lone row is summed as a block of two (a broadcast view): a
+    slice's norm is the same bits in a chunk of any height."""
     flat = coeffs.reshape(coeffs.shape[0], -1).view(float)
-    return np.sqrt(spec.h**spec.d / spec.size * np.einsum("ij,ij->i", flat, flat))
+    block = flat if len(flat) > 1 else np.broadcast_to(flat, (2, flat.shape[1]))
+    sums = np.einsum("ij,ij->i", block, block)[:len(flat)]
+    return np.sqrt(spec.h**spec.d / spec.size * sums)
 
 
-def _sweep(F: ConjugateField, rows: range, keys: tuple, defects) -> dict:
+def _sweep(F: ConjugateField, rows: range, keys: tuple, part_defects, align: int = 1) -> dict:
     """Per-slice relative defect norms of F on the time slices in rows.
 
-    Each chunk of CHUNK slices of every component is transformed once (fftn
-    over the space axes); defects(U, lo, hi) gets the coefficients on the
-    slices lo:hi and yields (key, defect coefficients); a key keeps its
-    largest defect.  The scale of a slice is the sum of its component norms.
+    The time slices are split into parts across the CPUs (_slice_parts, part
+    boundaries at multiples of align).  CHUNK slices are in flight over all
+    parts together (one per part when there are more parts than that).  Each
+    chunk of a part's slices of every component is transformed once (fftn
+    over the space axes); the part's defects(U, lo, hi), from
+    part_defects(), gets the coefficients on the slices lo:hi and yields
+    (key, defect coefficients); a key keeps its largest defect.  The scale of
+    a slice is the sum of its component norms.
     """
     spec, nt = F.spec, F.tgrid.count
     axes = tuple(range(1, spec.d + 1))
     scale, worst = np.zeros(nt), {key: np.zeros(len(rows)) for key in keys}
-    for i0 in range(0, nt, CHUNK):
-        i1 = min(i0 + CHUNK, nt)
-        U = [scipy.fft.fftn(c.values[i0:i1], axes=axes) for c in F.components]
-        scale[i0:i1] = sum(_parseval_norms(u, spec) for u in U)
-        lo, hi = max(i0, rows.start), min(i1, rows.stop)
-        for key, g in defects([u[lo - i0:hi - i0] for u in U], lo, hi) if lo < hi else ():
-            out = worst[key][lo - rows.start:hi - rows.start]
-            np.maximum(out, _parseval_norms(g, spec), out=out)
+    parts = _slice_parts(spec, nt, align)
+    step = max(CHUNK // len(parts), 1)
+
+    def run(part):
+        defects = part_defects()
+        for i0 in range(part.start, part.stop, step):
+            i1 = min(i0 + step, part.stop)
+            U = [scipy.fft.fftn(c.values[i0:i1], axes=axes) for c in F.components]
+            scale[i0:i1] = sum(_parseval_norms(u, spec) for u in U)
+            lo, hi = max(i0, rows.start), min(i1, rows.stop)
+            for key, g in defects([u[lo - i0:hi - i0] for u in U], lo, hi) if lo < hi else ():
+                out = worst[key][lo - rows.start:hi - rows.start]
+                np.maximum(out, _parseval_norms(g, spec), out=out)
+
+    _run_parts(run, parts)
     if not all(np.all(np.isfinite(v)) for v in (scale, *worst.values())):
         raise ValueError("residual norms are not finite")
     if np.max(scale) == 0:
@@ -168,7 +184,7 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
 
     exact = all(c.kernel in dt_symbol for c in F.components)
     return ResidualReport(
-        "harmonic", "spectral", _sweep(F, range(nt), ("sym_res", "div_res"), defects),
+        "harmonic", "spectral", _sweep(F, range(nt), ("sym_res", "div_res"), lambda: defects),
         F.tgrid.values, "exact-symbol" if exact else "log-grid-differences",
         grid_id=f"{spec.grid_id()}-{F.tgrid.grid_id()}",
     )
@@ -176,8 +192,9 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
 
 def _quadrature_half(F: ConjugateField, window: tuple) -> tuple:
     """The slices whose t lies in the fraction window of [t_min, t_max], as a
-    range, and half(a, lo, hi): the quadrature half-derivative of component a
-    on the slices lo:hi of that range, formed on demand as rows of W @ values."""
+    range, and new_half(): for one part of a sweep, half(a, U, lo, hi), the
+    coefficients of the quadrature half-derivative of component a on the
+    slices lo:hi of that range, formed on demand as rows of W @ values."""
     ts = F.tgrid.values
     lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in window)
     idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
@@ -193,21 +210,27 @@ def _quadrature_half(F: ConjugateField, window: tuple) -> tuple:
     W1 = W.sum(axis=1)
     flat = [c.values.reshape(len(ts), -1) for c in F.components]
     dc = [complex(np.mean(c.values[0])) for c in F.components]
-    formed = {}  # component -> (first slice, its rows of W @ values from there)
+    axes = tuple(range(1, F.spec.d + 1))
 
-    def half(a, lo, hi):
-        # a product reads the whole component stack, so its rows are formed
-        # QUAD_ROWS slices at a time, aligned like the sweep's chunks
-        start = lo - lo % QUAD_ROWS
-        b, e = max(start, rows.start), min(start + QUAD_ROWS, rows.stop)
-        if formed.get(a, (None,))[0] != b:
-            k = slice(b - rows.start, e - rows.start)
-            block = W[k] @ flat[a]
-            block -= dc[a] * W1[k, None]
-            formed[a] = b, block
-        return formed[a][1][lo - b:hi - b].reshape((hi - lo,) + F.spec.shape)
+    def new_half():
+        formed = {}  # this part's: component -> (first slice, its rows of W @ values from there)
 
-    return rows, half
+        def half(a, U, lo, hi):
+            # a product reads the whole component stack, so its rows are
+            # formed QUAD_ROWS slices at a time, aligned like the sweep's parts
+            start = lo - lo % QUAD_ROWS
+            b, e = max(start, rows.start), min(start + QUAD_ROWS, rows.stop)
+            first, block = formed.get(a, (None, None))
+            if first != b:
+                k = slice(b - rows.start, e - rows.start)
+                block = W[k] @ flat[a]
+                block -= dc[a] * W1[k, None]
+                formed[a] = b, block
+            return scipy.fft.fftn(block[lo - b:hi - b].reshape((hi - lo,) + F.spec.shape), axes=axes)
+
+        return half
+
+    return rows, new_half
 
 
 def caloric_cr_residual(F: ConjugateField, mode: str = "spectral",
@@ -225,25 +248,33 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral",
         raise ValueError(f"unknown mode {mode!r}")
     spec, d = F.spec, F.spec.d
     grad = [2j * np.pi * xi for xi in spec.freqs()]
-    # half(a, U, lo, hi): d_t^(1/2) u_a on the slices lo:hi, as coefficients
+    # new_half() gives one part of the sweep its half(a, U, lo, hi):
+    # d_t^(1/2) u_a on the slices lo:hi, as coefficients
     if mode == "spectral":
         if any(c.kernel != "heat" for c in F.components):
             raise ValueError("spectral mode needs heat-built stacks")
         rows, half_symbol = range(F.tgrid.count), -2j * np.pi * spec.freq_norm()
-        half = lambda a, U, lo, hi: half_symbol * U[a]
+
+        def new_half():
+            return lambda a, U, lo, hi: half_symbol * U[a]
     else:
-        rows, half_rows = _quadrature_half(F, quadrature_time_window)
-        half = lambda a, U, lo, hi: scipy.fft.fftn(half_rows(a, lo, hi), axes=tuple(range(1, d + 1)))
+        rows, new_half = _quadrature_half(F, quadrature_time_window)
 
-    def defects(U, lo, hi):
-        yield "a_res", sum(grad[j] * U[j] for j in range(d)) - 1j * half(d, U, lo, hi)
-        if d == 2:
-            yield "b_res", grad[1] * U[0] - grad[0] * U[1]
-        for j in range(d):
-            yield "c_res", grad[j] * U[d] + 1j * half(j, U, lo, hi)
+    def part_defects():
+        half = new_half()
 
+        def defects(U, lo, hi):
+            yield "a_res", sum(grad[j] * U[j] for j in range(d)) - 1j * half(d, U, lo, hi)
+            if d == 2:
+                yield "b_res", grad[1] * U[0] - grad[0] * U[1]
+            for j in range(d):
+                yield "c_res", grad[j] * U[d] + 1j * half(j, U, lo, hi)
+
+        return defects
+
+    align = 1 if mode == "spectral" else QUAD_ROWS  # no part forms another's rows
     return ResidualReport(
-        "caloric", mode, _sweep(F, rows, ("a_res", "b_res", "c_res"), defects),
+        "caloric", mode, _sweep(F, rows, ("a_res", "b_res", "c_res"), part_defects, align),
         F.tgrid.values[rows.start:rows.stop], f"half-derivative-{mode}",
         grid_id=f"{spec.grid_id()}-{F.tgrid.grid_id()}",
     )
@@ -256,14 +287,23 @@ def sup_vector_amalgam_norm(F: ConjugateField, e) -> float:
 
 def sup_vector_amalgam_norms(F: ConjugateField, exponents) -> np.ndarray:
     """sup_vector_amalgam_norm for every exponent pair, from one walk over the
-    time slices: the magnitude of CHUNK slices at a time, normed per pair."""
+    time slices split across the CPUs like _sweep: the magnitude of a chunk
+    of slices at a time, normed per pair, a maximum per part, then the
+    maximum of the parts."""
     spec, nt = F.spec, F.tgrid.count
-    out = np.zeros(len(exponents))
-    for i0 in range(0, nt, CHUNK):
-        mag = np.sqrt(sum(np.abs(c.values[i0:i0 + CHUNK]) ** 2 for c in F.components))
-        for k, e in enumerate(exponents):
-            out[k] = max(out[k], slice_norms(spec, mag, e).max())
-    return out
+    parts = _slice_parts(spec, nt)
+    step = max(CHUNK // len(parts), 1)
+
+    def part_max(part):
+        out = np.zeros(len(exponents))
+        for i0 in range(part.start, part.stop, step):
+            i1 = min(i0 + step, part.stop)
+            mag = np.sqrt(sum(np.abs(c.values[i0:i1]) ** 2 for c in F.components))
+            for k, e in enumerate(exponents):
+                out[k] = max(out[k], _slice_norms(spec, mag, e).max())
+        return out
+
+    return np.max(_run_parts(part_max, parts), axis=0)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.fft
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
-from .grid import GridFunction, GridSpec, _read_binary, _write_binary, apply_symbols
+from .grid import (GridFunction, GridSpec, _read_binary, _run_parts, _slice_parts, _write_binary,
+                   apply_symbols)
 from .norms import Exponents, slice_norms
 from .spectral import convolve
 
@@ -164,20 +165,28 @@ def kernel_block(kernel: str, spec: GridSpec, ts) -> np.ndarray:
     A block of at most BLOCK_BYTES is real, read-only and cached: a repeat
     request returns the same object.  A larger block is complex, writable
     and fresh on every call, for apply_symbols to consume as its output
-    buffer.  It is filled eight rows at a time, so no second full-size array
-    is alive beside it, and exp is taken only where its argument exceeds
-    -746: below that exp is exactly 0, which the zeroed block already holds,
-    and numpy reaches that 0 several times slower than a normal result.  The
-    block is the same bits as the per-slice extension_symbol.
+    buffer.  Its rows are split across the CPUs like a multiplier pass, and
+    eight rows are filled at a time over all parts together, so no second
+    full-size array is alive beside it; exp is taken only where its argument
+    exceeds -746: below that exp is exactly 0, which the zeroed block already
+    holds, and numpy reaches that 0 several times slower than a normal
+    result.  The block is the same bits as the per-slice extension_symbol.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size * spec.size * 8 <= BLOCK_BYTES:
         return _cached_block(kernel, spec, ts.tobytes())
     rate, base = _extension_rate(kernel, spec)
     block = np.zeros((ts.size,) + spec.shape, dtype=complex)
-    for i in range(0, ts.size, 8):
-        arg = np.multiply.outer(rate * ts[i:i + 8], base)
-        np.exp(arg, out=block[i:i + 8].real, where=arg > -746.0)
+    parts = _slice_parts(spec, ts.size)
+    step = max(8 // len(parts), 1)
+
+    def fill(part):
+        for i in range(part.start, part.stop, step):
+            j = min(i + step, part.stop)
+            arg = np.multiply.outer(rate * ts[i:j], base)
+            np.exp(arg, out=block[i:j].real, where=arg > -746.0)
+
+    _run_parts(fill, parts)
     return block
 
 
@@ -329,26 +338,34 @@ def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunct
     _disc_offsets_maxfilter (a doubling table of row runs, two runs per row
     chord, one in-place fold per row offset), or the slice's global max once
     the disc covers the whole wrapped box.  Only maxima are taken, so the
-    result is exact: the same bits in any order of evaluation.
+    result is exact: the same bits in any order of evaluation.  The slices
+    are dealt out in turn to the CPUs (late slices only take a global max,
+    so contiguous parts would be unequal), each part keeps its own maximum,
+    and the parts' maxima are folded at the end.
     """
     if aperture <= 0:
         raise ValueError(f"aperture must be positive, got {aperture}")
     spec = stack.spec
     n, h = spec.n, spec.h
-    acc = None
-    for i, t in enumerate(stack.times):
-        absu = np.abs(stack.values[i])
-        rho_cells = aperture * float(t) / h
-        if spec.d == 1:
-            w = _strict_halfwidth(aperture * float(t), h)
-            cand = maximum_filter1d(absu, size=min(2 * w + 1, n), mode="wrap")
-        else:
-            if rho_cells > (n / 2) * math.sqrt(2.0) + 1:
+    ts = stack.times
+
+    def part_max(part):
+        acc = None
+        for i in part:
+            absu = np.abs(stack.values[i])
+            rho_cells = aperture * float(ts[i]) / h
+            if spec.d == 1:
+                w = _strict_halfwidth(aperture * float(ts[i]), h)
+                cand = maximum_filter1d(absu, size=min(2 * w + 1, n), mode="wrap")
+            elif rho_cells > (n / 2) * math.sqrt(2.0) + 1:
                 cand = np.full(spec.shape, absu.max())
             else:
                 cand = _disc_offsets_maxfilter(absu, rho_cells, n)
-        acc = cand if acc is None else np.maximum(acc, cand, out=acc)
-    return GridFunction(spec, acc)
+            acc = cand if acc is None else np.maximum(acc, cand, out=acc)
+        return acc
+
+    accs = _run_parts(part_max, _slice_parts(spec, len(ts), interleave=True))
+    return GridFunction(spec, reduce(np.maximum, accs))
 
 
 def _disc_mask(n: int, rho_cells: float) -> np.ndarray:

@@ -18,7 +18,10 @@ inversion integral; forward/inverse round-trip is exact to rounding.
 
 from __future__ import annotations
 
+import contextvars
 import os
+import threading
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -200,6 +203,59 @@ def _lattice(spec: GridSpec) -> tuple:
     return xi, fs, norm, phase
 
 
+# Stack passes of slices of at least SPLIT_BYTES (complex) are split across
+# the CPUs this process may run on: at d=2, grids from n=128 up (at d=1 from
+# n=16384).  numpy and pocketfft release the GIL for the whole of a slice's
+# work, so threads run it side by side.  Below the gate (every d=1 desk grid,
+# 64 KiB slices) the hand-off costs more than it saves.
+SPLIT_BYTES = 256 * 2**10
+_POOL = []  # the process-wide worker pool, created by the first split pass
+_POOL_LOCK = threading.Lock()
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slice_parts(spec: GridSpec, n: int, align: int = 1, interleave: bool = False) -> list:
+    """range(n), n slices on the grid spec, as parts for _run_parts: one part
+    when a complex slice is below SPLIT_BYTES or there is one CPU, else one
+    per CPU (at most one per slice).  Parts are contiguous with boundaries
+    at multiples of align, or, with interleave, every k-th slice, for passes
+    whose late slices are cheap."""
+    units = -(-n // align)
+    k = max(min(_cpus(), units), 1) if spec.size * 16 >= SPLIT_BYTES else 1
+    if interleave:
+        return [range(i, n, k) for i in range(k)]
+    bounds = [align * (units * i // k) for i in range(k)] + [n]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_parts(fn, parts: list) -> list:
+    """[fn(part) for part in parts]: one part is a plain call, more run on
+    the worker pool, the first on the calling thread.  Each part must write
+    only its own slices, and fn must not split again.  Worker parts run in
+    a copy of the caller's context, so they keep its numpy floating-point
+    error state (a context variable from numpy 2.0 on)."""
+    if len(parts) == 1:
+        return [fn(parts[0])]
+    with _POOL_LOCK:
+        if not _POOL:
+            # imported here: the thread module costs start-up that an
+            # unsplit run never uses
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL.append(ThreadPoolExecutor(_cpus(), thread_name_prefix="amalgam"))
+    futures = [_POOL[0].submit(contextvars.copy_context().run, fn, part) for part in parts[1:]]
+    try:
+        first = fn(parts[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
 def forward(f: GridFunction) -> SpectralFunction:
     """Forward transform: h^d-weighted Riemann sum of the Fourier integral."""
     c = f.spec.h**f.spec.d * _lattice(f.spec)[3] * scipy.fft.fftn(f.values)
@@ -219,22 +275,54 @@ def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
     (-1)^k phases and h^d factors cancel exactly (h is a power of two), so the
     pass is fftn, product, ifftn, bit-identical to the forward/inverse route.
     The product is formed in place, and ifftn overwrites it, so a pass holds
-    one stack.  It goes into the transform of values, unless only the symbols
-    carry the batch axis: then a writable complex symbol block is consumed as
-    the output buffer, while a real or read-only block (such as a cached
-    extension.kernel_block) is left intact and the output is allocated.
+    one stack.  When values carry the batch axis, they are copied into a
+    fresh output and transformed there.  When only the symbols carry it, a
+    writable complex symbol block is consumed as the output buffer, while a
+    real or read-only block (such as a cached extension.kernel_block) is left
+    intact and the output is allocated.  The batch rows are split across the
+    CPUs (_slice_parts); each slice's arithmetic is the same in any split.
     Non-finite output raises.
     """
     if any(np.shape(a)[-spec.d:] != spec.shape or np.ndim(a) > spec.d + 1 for a in (values, symbols)):
         raise ValueError(f"shapes {np.shape(values)}, {np.shape(symbols)}: not the grid shape "
                          f"{spec.shape} with at most one batch axis")
     axes = tuple(range(-spec.d, 0))
-    spectrum = scipy.fft.fftn(np.asarray(values, dtype=complex), axes=axes)
-    block = spectrum
-    if np.ndim(symbols) > spectrum.ndim:
-        block = symbols if np.iscomplexobj(symbols) and symbols.flags.writeable else None
-    out = scipy.fft.ifftn(np.multiply(symbols, spectrum, out=block), axes=axes, overwrite_x=True)
-    if not np.all(np.isfinite(out)):
+    values = np.asarray(values)
+    spectrum = None
+    if values.ndim > spec.d:
+        if np.ndim(symbols) > spec.d and len(symbols) not in (1, len(values)):
+            raise ValueError(f"{len(values)} value slices but {len(symbols)} symbol slices")
+        out = np.empty(values.shape, dtype=complex)
+    else:
+        spectrum = scipy.fft.fftn(np.asarray(values, dtype=complex), axes=axes)
+        if np.ndim(symbols) == spec.d:
+            out = spectrum
+        elif np.iscomplexobj(symbols) and symbols.flags.writeable:
+            out = symbols
+        else:
+            out = np.empty(np.shape(symbols), dtype=complex)
+    # output and symbols with one batch axis (of length 1 when unbatched)
+    rows = out.reshape((-1,) + spec.shape)
+    sym = np.asarray(symbols).reshape((-1,) + spec.shape)
+
+    def in_place(transform, a):
+        r = transform(a, axes=axes, overwrite_x=True)
+        if not np.may_share_memory(r, a):
+            a[...] = r
+
+    def run(part):
+        o = rows[part.start:part.stop]
+        s = sym if len(sym) == 1 else sym[part.start:part.stop]
+        if spectrum is None:
+            o[...] = values[part.start:part.stop]
+            in_place(scipy.fft.fftn, o)
+            np.multiply(s, o, out=o)
+        else:
+            np.multiply(s, spectrum, out=o)
+        in_place(scipy.fft.ifftn, o)
+        return np.all(np.isfinite(o))
+
+    if not all(_run_parts(run, _slice_parts(spec, len(rows)))):
         raise ValueError("multiplier pass produced non-finite values")
     return out
 

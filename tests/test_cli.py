@@ -357,18 +357,22 @@ class TestConsoleEntry:
         # it needs only fft, special and ndimage.  The subprocess imports
         # those first, so the check covers only what amalgam itself adds
         # and holds whatever those subpackages load in a given scipy release.
+        # The import starts no thread either: the worker pool of split stack
+        # passes is created by the first such pass.
         script = (
-            "import json, sys\n"
+            "import json, sys, threading\n"
             "import scipy.fft, scipy.ndimage, scipy.special\n"
-            "before = set(sys.modules)\n"
+            "before, threads = set(sys.modules), threading.enumerate()\n"
             "import amalgam.cli\n"
-            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+            "print(json.dumps([sorted(set(sys.modules) - before),\n"
+            "                  len(threading.enumerate()) - len(threads)]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, cwd=tmp_path, env=uninstalled_env())
         assert proc.returncode == 0, proc.stderr
-        added = {".".join(m.split(".")[:2]) for m in json.loads(proc.stdout)
-                 if m.startswith("scipy.")}
+        modules, new_threads = json.loads(proc.stdout)
+        assert new_threads == 0
+        added = {".".join(m.split(".")[:2]) for m in modules if m.startswith("scipy.")}
         assert not added & {"scipy.interpolate", "scipy.integrate"}
         assert added <= {"scipy.fft", "scipy.ndimage", "scipy.special"}
 

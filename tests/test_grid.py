@@ -205,6 +205,8 @@ class TestApplySymbols:
             apply_symbols(small1, f.values, np.ones(small1.n // 2))
         with pytest.raises(ValueError, match="grid shape"):
             apply_symbols(small2, np.ones(small2.shape), np.ones((2, 3) + small2.shape))
+        with pytest.raises(ValueError, match="slices"):
+            apply_symbols(small2, np.ones((1,) + small2.shape), np.ones((3,) + small2.shape))
 
 
 class TestLatticeCache:
