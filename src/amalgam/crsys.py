@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .extension import kernel_block
-from .grid import _run_parts, _slice_parts, apply_symbols
+from .grid import _fftn, _run_parts, _slice_parts, apply_symbols
 from .norms import _slice_norms
 from .weyl import _log_grid_derivative, _weyl_matrix
 
@@ -131,7 +130,6 @@ def _sweep(F: ConjugateField, rows: range, keys: tuple, part_defects, align: int
     a slice is the sum of its component norms.
     """
     spec, nt = F.spec, F.tgrid.count
-    axes = tuple(range(1, spec.d + 1))
     scale, worst = np.zeros(nt), {key: np.zeros(len(rows)) for key in keys}
     parts = _slice_parts(spec, nt, align)
     step = max(CHUNK // len(parts), 1)
@@ -140,7 +138,7 @@ def _sweep(F: ConjugateField, rows: range, keys: tuple, part_defects, align: int
         defects = part_defects()
         for i0 in range(part.start, part.stop, step):
             i1 = min(i0 + step, part.stop)
-            U = [scipy.fft.fftn(c.values[i0:i1], axes=axes) for c in F.components]
+            U = [_fftn(c.values[i0:i1], spec.d) for c in F.components]
             scale[i0:i1] = sum(_parseval_norms(u, spec) for u in U)
             lo, hi = max(i0, rows.start), min(i1, rows.stop)
             for key, g in defects([u[lo - i0:hi - i0] for u in U], lo, hi) if lo < hi else ():
@@ -173,7 +171,7 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
         # centered differences in t act on the coefficients of the slices
         # lo:hi and of one neighbour slice on each side
         s, e = max(lo - 1, 0), min(hi + 1, nt)
-        coeffs = scipy.fft.fftn(c.values[s:e], axes=tuple(range(1, d + 1)))
+        coeffs = _fftn(c.values[s:e], d)
         return _log_grid_derivative(coeffs, c.times[s:e])[lo - s:hi - s]
 
     def defects(U, lo, hi):
@@ -210,7 +208,6 @@ def _quadrature_half(F: ConjugateField, window: tuple) -> tuple:
     W1 = W.sum(axis=1)
     flat = [c.values.reshape(len(ts), -1) for c in F.components]
     dc = [complex(np.mean(c.values[0])) for c in F.components]
-    axes = tuple(range(1, F.spec.d + 1))
 
     def new_half():
         formed = {}  # this part's: component -> (first slice, its rows of W @ values from there)
@@ -226,7 +223,7 @@ def _quadrature_half(F: ConjugateField, window: tuple) -> tuple:
                 block = W[k] @ flat[a]
                 block -= dc[a] * W1[k, None]
                 formed[a] = b, block
-            return scipy.fft.fftn(block[lo - b:hi - b].reshape((hi - lo,) + F.spec.shape), axes=axes)
+            return _fftn(block[lo - b:hi - b].reshape((hi - lo,) + F.spec.shape), F.spec.d)
 
         return half
 

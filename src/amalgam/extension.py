@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.fft
-from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .grid import (GridFunction, GridSpec, _read_binary, _run_parts, _slice_parts, _write_binary,
                    apply_symbols)
@@ -278,7 +276,8 @@ def _strict_halfwidth(radius: float, h: float) -> int:
 
 def _shift_max(a: np.ndarray, s1: int, s2: int, r: np.ndarray) -> np.ndarray:
     """r[:, x] = max(a[:, x + s1], a[:, x + s2]), column indices wrapped,
-    filled from three pairs of slices; returns r."""
+    filled from three pairs of slices; returns r.  The one step of the
+    window max of _run_max, for d=1 lines and d=2 row chords alike."""
     n = a.shape[1]
     s1, s2 = sorted((s1 % n, s2 % n))
     np.maximum(a[:, s1:s1 + n - s2], a[:, s2:], out=r[:, :n - s2])
@@ -287,16 +286,35 @@ def _shift_max(a: np.ndarray, s1: int, s2: int, r: np.ndarray) -> np.ndarray:
     return r
 
 
+def _run_max(table: list, w: int, out: np.ndarray) -> np.ndarray:
+    """Max over the 2w + 1 wrapped cells x - w, ..., x + w of each row of
+    table[0]: the one window-max primitive of nontangential_max, for the
+    d=1 line (one row) and for each row chord of a d=2 disc.
+
+    table is a doubling table: level j holds the max over the 2^j wrapped
+    cells x, ..., x + 2^j - 1 of each row, each level the max of two
+    wrapped shifts of the level below (_shift_max); levels are appended as
+    they are needed.  A run of 2w + 1 < n cells is the max of two runs of
+    the largest level 2^k that fits, starting at x - w and at
+    x + w - 2^k + 1, written into out.  A run of n cells or more is the
+    whole row, returned as a read-only broadcast view.
+    """
+    a = table[0]
+    n = a.shape[1]
+    if 2 * w + 1 >= n:
+        return np.broadcast_to(a.max(axis=1, keepdims=True), a.shape)
+    k = (2 * w + 1).bit_length() - 1
+    while len(table) <= k:
+        table.append(_shift_max(table[-1], 0, 2 ** (len(table) - 1), np.empty_like(a)))
+    return _shift_max(table[k], -w, w - 2**k + 1, out)
+
+
 def _disc_offsets_maxfilter(absu: np.ndarray, rho_cells: float, n: int) -> np.ndarray:
     """Max over lattice offsets |delta| < rho_cells (Euclidean, strict) with wrap.
 
     The disc is a stack of row chords: row offsets +-d2 admit the column
-    offsets |d1| <= w1(d2).  Level j of a doubling table holds the max over
-    the 2^j wrapped cells x, ..., x + 2^j - 1 of each row; each level is the
-    max of two wrapped shifts of the level below.  A chord of length
-    2 w1 + 1 < n is the max of two runs of the largest level 2^k that fits,
-    starting at x - w1 and at x + w1 - 2^k + 1 (a chord of n cells or more is
-    the whole row).  Along d2 = 0, 1, ... the width w1 only shrinks, so each
+    offsets |d1| <= w1(d2), and the chord of each row is a _run_max of
+    half-width w1.  Along d2 = 0, 1, ... the width w1 only shrinks, so each
     chord is built once, just before its rows, and folded into the result in
     place at +d2 and -d2, from two slices per row offset.  Maxima are exact,
     so the result is bit-identical to any other order of taking them, such
@@ -313,13 +331,7 @@ def _disc_offsets_maxfilter(absu: np.ndarray, rho_cells: float, n: int) -> np.nd
         w1 = _strict_halfwidth(math.sqrt(rem), 1.0)
         if w1 != chord_w1:
             chord_w1 = w1
-            if 2 * w1 + 1 >= n:
-                chord = np.broadcast_to(absu.max(axis=1, keepdims=True), absu.shape)
-            else:
-                k = (2 * w1 + 1).bit_length() - 1
-                while len(table) <= k:
-                    table.append(_shift_max(table[-1], 0, 2 ** (len(table) - 1), np.empty_like(absu)))
-                chord = _shift_max(table[k], -w1, w1 - 2**k + 1, buf)
+            chord = _run_max(table, w1, buf)
         if out is None:
             out = np.array(chord)
             continue
@@ -333,15 +345,15 @@ def _disc_offsets_maxfilter(absu: np.ndarray, rho_cells: float, n: int) -> np.nd
 def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunction:
     """u*(x) = max over slices t and nodes y with |x - y| < aperture * t of |u(y,t)|.
 
-    Each slice's window max is taken on the lattice: at d=1 a wrapped moving
-    max over the 2w + 1 cells |x - y| < aperture * t; at d=2 the disc max of
-    _disc_offsets_maxfilter (a doubling table of row runs, two runs per row
-    chord, one in-place fold per row offset), or the slice's global max once
-    the disc covers the whole wrapped box.  Only maxima are taken, so the
-    result is exact: the same bits in any order of evaluation.  The slices
-    are dealt out in turn to the CPUs (late slices only take a global max,
-    so contiguous parts would be unequal), each part keeps its own maximum,
-    and the parts' maxima are folded at the end.
+    Each slice's window max is taken on the lattice with one primitive,
+    _run_max: at d=1 a run of the 2w + 1 cells |x - y| < aperture * t of
+    the line; at d=2 the disc max of _disc_offsets_maxfilter (one run per
+    row chord, one in-place fold per row offset), or the slice's global max
+    once the disc covers the whole wrapped box.  Only maxima are taken, so
+    the result is exact: the same bits in any order of evaluation.  The
+    slices are dealt out in turn to the CPUs (late slices only take a
+    global max, so contiguous parts would be unequal), each part keeps its
+    own maximum, and the parts' maxima are folded at the end.
     """
     if aperture <= 0:
         raise ValueError(f"aperture must be positive, got {aperture}")
@@ -350,22 +362,32 @@ def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunct
     ts = stack.times
 
     def part_max(part):
-        acc = None
+        acc = np.zeros(spec.shape)  # |u| >= 0, so 0 leaves every max as it is
         for i in part:
             absu = np.abs(stack.values[i])
             rho_cells = aperture * float(ts[i]) / h
             if spec.d == 1:
                 w = _strict_halfwidth(aperture * float(ts[i]), h)
-                cand = maximum_filter1d(absu, size=min(2 * w + 1, n), mode="wrap")
+                cand = _run_max([absu[None]], w, np.empty((1, n)))[0]
             elif rho_cells > (n / 2) * math.sqrt(2.0) + 1:
-                cand = np.full(spec.shape, absu.max())
+                cand = absu.max()
             else:
                 cand = _disc_offsets_maxfilter(absu, rho_cells, n)
-            acc = cand if acc is None else np.maximum(acc, cand, out=acc)
+            np.maximum(acc, cand, out=acc)
         return acc
 
     accs = _run_parts(part_max, _slice_parts(spec, len(ts), interleave=True))
     return GridFunction(spec, reduce(np.maximum, accs))
+
+
+def _moving_mean(a: np.ndarray, size: int) -> np.ndarray:
+    """Mean over the size wrapped cells x - size//2, ..., x - size//2 + size - 1
+    of the line a: one running sum, started on the first window and moved by
+    the cell that enters less the cell that leaves, then divided by size."""
+    left = size // 2
+    ext = np.concatenate([a[len(a) - left:], a, a[:size - 1 - left]])
+    first = np.cumsum(ext[:size])[-1:]  # summed in order, as the running sum is
+    return np.cumsum(np.concatenate([first, ext[size:] - ext[:-size]])) / size
 
 
 def _disc_mask(n: int, rho_cells: float) -> np.ndarray:
@@ -389,7 +411,7 @@ def hl_maximal(f: GridFunction, r: float) -> GridFunction:
     m = 1
     while m <= n // 2:  # rho = m*h, up to rho = L
         if spec.d == 1:
-            mean = uniform_filter1d(dens, size=2 * m - 1, mode="wrap")
+            mean = _moving_mean(dens, 2 * m - 1)
         else:
             mask = _disc_mask(n, m)
             mask_hat = np.fft.fftn(mask)
@@ -469,7 +491,7 @@ def area_integral(f: GridFunction, window: AnnularWindow | None, tg: TimeGrid) -
         S2 = np.zeros(spec.shape)
         for g, t, dt in zip(slices, ts, dts):
             size = min(2 * _strict_halfwidth(t, h) + 1, n)
-            ball = uniform_filter1d(np.abs(g) ** 2, size=size, mode="wrap") * size
+            ball = _moving_mean(np.abs(g) ** 2, size) * size
             S2 += ball * (h**spec.d) * dt / t ** (spec.d + 1)
     else:
         acc = np.zeros((n, n // 2 + 1), dtype=complex)
@@ -480,8 +502,8 @@ def area_integral(f: GridFunction, window: AnnularWindow | None, tg: TimeGrid) -
             if (t / h) ** 2 > 2 * (n // 2) ** 2:
                 total += c * sq.sum()
             else:
-                acc += c * scipy.fft.rfft2(sq) * scipy.fft.rfft2(_disc_mask(n, t / h)).real
-        S2 = scipy.fft.irfft2(acc, s=spec.shape) + total
+                acc += c * np.fft.rfft2(sq) * np.fft.rfft2(_disc_mask(n, t / h)).real
+        S2 = np.fft.irfft2(acc, s=spec.shape) + total
     return GridFunction(spec, np.sqrt(np.maximum(S2, 0.0)))
 
 

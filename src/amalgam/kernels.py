@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn
 
 from . import analytic
 from .grid import GridFunction, GridSpec, SpectralFunction, inverse
@@ -150,7 +149,7 @@ def half_derivative_heat_pointwise(x: np.ndarray, t: float) -> np.ndarray:
     a = 4.0 * np.pi**2 * t
     b = 2.0 * np.pi * np.abs(np.asarray(x, dtype=float))
     z = b / (2.0 * np.sqrt(a))
-    return -(2.0j * np.pi / a) * (1.0 - 2.0 * z * dawsn(z))
+    return -(2.0j * np.pi / a) * (1.0 - 2.0 * z * analytic._dawson(z))
 
 
 @dataclass(frozen=True)

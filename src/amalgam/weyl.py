@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx
 
+from .analytic import _erfcx
 from .extension import ExtensionStack, TimeGrid
 from .grid import apply_symbols
 
@@ -150,7 +150,7 @@ def _decay_end(ts: np.ndarray, values: np.ndarray, tail_tol: float) -> float:
 
 def _tail(ts: np.ndarray, t, lam: float):
     """exp_decay(lam) tail beyond u_max = sqrt(t_max - t), per unit g(t_max)."""
-    return -1j * math.sqrt(lam) * erfcx(np.sqrt(lam * (ts[-1] - t)))
+    return -1j * math.sqrt(lam) * _erfcx(np.sqrt(lam * (ts[-1] - t)))
 
 
 def _weyl_matrix(ts: np.ndarray, times, tail, n_quad: int) -> np.ndarray:

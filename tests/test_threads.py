@@ -156,8 +156,6 @@ class TestApplySymbols:
         with pytest.raises(ValueError, match="non-finite"):
             apply_symbols(gate2, f2.values, sym)
 
-    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                        reason="numpy < 2 keeps the error state per thread")
     def test_workers_keep_the_callers_error_state(self, monkeypatch, gate2, f2, tg7):
         monkeypatch.setattr(grid, "_cpus", lambda: 2)
         sym = kernel_block("heat", gate2, tg7.values).astype(complex)
