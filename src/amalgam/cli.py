@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .extension import TimeGrid, extend, write_stack
 from .frozen import FrozenStore, default_store_path
 from .grid import FunctionSpec, GridFunction, GridSpec, lp_norm, sample, write_grid_function
 from .hardy import (
+    ATOM_SIDES,
     EQUIVALENCE_METHODS,
     SLACK,
     atom_probe,
@@ -98,47 +100,53 @@ class RunConfig:
             raise UsageError(f"--function {self.function!r}: {exc}") from exc
 
     def echo(self) -> dict:
-        return {
-            "dim": self.dim, "L": self.L, "n": self.n, "p": self.p, "q": self.q,
-            "tmin": self.tmin, "tmax": self.tmax, "tcount": self.tcount,
-            "seed": self.seed, "function": self.function,
-        }
+        """The fields that determine the results, not where they are written."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("out", "frozen", "do_assert")}
+
+
+# the values a config file may give a RunConfig field, by its annotation
+# (a bool is an int to isinstance, but not to a config file)
+_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+                 "str | None": (str, type(None)), "bool": (bool,)}
 
 
 def _add_common(sub):
-    sub.add_argument("--dim", type=int, default=None)
-    sub.add_argument("--L", type=int, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--p", type=float, default=None)
-    sub.add_argument("--q", type=float, default=None)
-    sub.add_argument("--tmin", type=float, default=None)
-    sub.add_argument("--tmax", type=float, default=None)
-    sub.add_argument("--tcount", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--function", type=str, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--frozen", type=str, default=None)
-    sub.add_argument("--config", type=str, default=None, help="JSON file with the same keys")
-    sub.add_argument("--assert", dest="do_assert", action="store_true",
-                     help="turn the report into a pass/fail gate (exit 2 on failure)")
+    """One flag per RunConfig field, --assert for do_assert, and --config."""
+    for f in fields(RunConfig):
+        if f.type == "bool":
+            sub.add_argument(f"--{f.name.removeprefix('do_')}", dest=f.name, action="store_true",
+                             default=None, help="turn the report into a pass/fail gate "
+                                                "(exit 2 on failure)")
+        else:
+            sub.add_argument(f"--{f.name}", type={"int": int, "float": float}.get(f.type, str))
+    sub.add_argument("--config", help="JSON file with the same keys")
+
+
+def _read_config(path: str) -> dict:
+    """The RunConfig fields a config file sets, each of its field's type."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise UsageError(f"--config {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"--config {path!r}: not a JSON object")
+    types = {f.name: f.type for f in fields(RunConfig)}
+    for key, val in doc.items():
+        if key not in types:
+            raise UsageError(f"--config {path!r}: unknown config key {key!r}")
+        want = _CONFIG_TYPES[types[key]]
+        if not isinstance(val, want) or (isinstance(val, bool) and bool not in want):
+            raise UsageError(f"--config {path!r}: {key} must be {types[key]}, got {val!r}")
+    return doc
 
 
 def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        for key, val in doc.items():
-            if not hasattr(cfg, key):
-                raise UsageError(f"unknown config key {key!r}")
-            setattr(cfg, key, val)
-    for key in ("dim", "L", "n", "p", "q", "tmin", "tmax", "tcount",
-                "seed", "function", "out", "frozen"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "do_assert", False):
-        cfg.do_assert = True
+    cfg = RunConfig(**(_read_config(args.config) if args.config else {}))
+    for f in fields(cfg):
+        if (val := getattr(args, f.name)) is not None:
+            setattr(cfg, f.name, val)
     try:
         if cfg.grid().size > MAX_GRID_POINTS:
             raise UsageError(f"grid of {cfg.n}^{cfg.dim} points exceeds {MAX_GRID_POINTS}")
@@ -150,8 +158,10 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w") as fh:
+def _write_csv(cfg: RunConfig, suffix: str, header, rows):
+    """Write the CSV sibling <stem>_<suffix>.csv of the --out report."""
+    out = Path(cfg.out)
+    with open(out.with_name(f"{out.stem}_{suffix}.csv"), "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
@@ -182,116 +192,108 @@ def _emit(cfg: RunConfig, command: str, results: dict, status: str = "pass") -> 
         "status": status,
     }
     body = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
-    payload_with_ts = dict(payload)
-    payload_with_ts["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if cfg.out:
-        out = Path(cfg.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w") as fh:
-            json.dump(payload_with_ts, fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
+        stamped = {**payload, "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+        Path(cfg.out).write_text(json.dumps(stamped, sort_keys=True, indent=1, allow_nan=False) + "\n")
     else:
         print(body)
     return payload
 
 
-def _csv_sibling(cfg: RunConfig, suffix: str) -> Path | None:
-    if not cfg.out:
-        return None
-    out = Path(cfg.out)
-    return out.with_name(out.stem + f"_{suffix}.csv")
-
-
 # -- commands ------------------------------------------------------------------
+# Each takes the run's config and the parsed arguments of its own flags.
 
 
-def _cmd_norm(cfg: RunConfig) -> dict:
-    f = cfg.sample()
-    e = cfg.exponents()
+def _require_d1(cfg: RunConfig, command: str) -> None:
+    if cfg.dim != 1:
+        raise UsageError(f"{command} is one-dimensional, got --dim {cfg.dim}")
+
+
+def _frozen_store(cfg: RunConfig) -> FrozenStore | None:
+    """The --frozen store; a missing one is None, or under --assert a usage error."""
+    try:
+        return FrozenStore.load(cfg.frozen)
+    except FileNotFoundError as exc:
+        if cfg.do_assert:
+            raise UsageError(str(exc)) from exc
+        return None
+
+
+def _cmd_norm(cfg: RunConfig, args) -> None:
+    f, e = cfg.sample(), cfg.exponents()
     results = {
         "lp": lp_norm(f, e.p),
         "amalgam_discrete": amalgam_norm(f, e, "discrete"),
         "amalgam_ball": amalgam_norm(f, e, "ball"),
     }
-    return _emit(cfg, "norm", results)
+    _emit(cfg, "norm", results)
 
 
-def _cmd_transform(cfg: RunConfig, op: str, axis: int, symbol_file: str | None) -> dict:
+def _cmd_transform(cfg: RunConfig, args) -> None:
     f = cfg.sample()
-    if op == "riesz":
-        if not 1 <= axis <= cfg.dim:
-            raise UsageError(f"--axis must lie in 1..{cfg.dim} for dim={cfg.dim}, got {axis}")
-        g = riesz(f, axis)
-    elif op == "multiplier":
-        if not symbol_file:
+    if args.op == "riesz":
+        if not 1 <= args.axis <= cfg.dim:
+            raise UsageError(f"--axis must lie in 1..{cfg.dim} for dim={cfg.dim}, got {args.axis}")
+        g = riesz(f, args.axis)
+    else:
+        if not args.symbol_file:
             raise UsageError("multiplier transform needs --symbol-file")
         try:
-            theta = read_symbol(symbol_file)
+            theta = read_symbol(args.symbol_file)
         except (OSError, ValueError, KeyError, TypeError) as exc:  # unreadable or malformed
-            raise UsageError(f"--symbol-file {symbol_file!r}: {exc}") from exc
+            raise UsageError(f"--symbol-file {args.symbol_file!r}: {exc}") from exc
         if theta.d != cfg.dim:
             raise UsageError(f"symbol dimension {theta.d} does not match dim={cfg.dim}")
         g = apply_multiplier(f, theta)
-    else:
-        raise UsageError(f"unknown transform {op!r}")
-    results = {"op": op, "input_l2": lp_norm(f, 2), "output_l2": lp_norm(g, 2)}
+    results = {"op": args.op, "input_l2": lp_norm(f, 2), "output_l2": lp_norm(g, 2)}
     if cfg.out:
         data_path = Path(cfg.out).with_suffix(".grid")
         write_grid_function(g, data_path)
         results["data_file"] = data_path.name
-    return _emit(cfg, "transform", results)
+    _emit(cfg, "transform", results)
 
 
-def _cmd_extend(cfg: RunConfig, kernel: str) -> dict:
-    f = cfg.sample()
+def _cmd_extend(cfg: RunConfig, args) -> None:
     tg = cfg.timegrid()
-    stack = extend(f, kernel, tg)
+    stack = extend(cfg.sample(), args.kernel, tg)
     ts = tg.values
     sups = [float(np.max(np.abs(stack.values[i]))) for i in range(tg.count)]
     l2s = [lp_norm(stack.slice(i), 2) for i in range(tg.count)]
-    results = {"kernel": kernel, "t": list(ts), "sup": sups, "l2": l2s}
+    results = {"kernel": args.kernel, "t": list(ts), "sup": sups, "l2": l2s}
     if cfg.out:
         stack_path = Path(cfg.out).with_suffix(".stack")
         write_stack(stack, stack_path)
         results["stack_file"] = stack_path.name
-        csv = _csv_sibling(cfg, "slices")
-        _write_csv(csv, ["t", "sup", "l2"], zip(ts, sups, l2s))
-    return _emit(cfg, "extend", results)
+        _write_csv(cfg, "slices", ["t", "sup", "l2"], zip(ts, sups, l2s))
+    _emit(cfg, "extend", results)
 
 
-def _cmd_cr_check(cfg: RunConfig, lift: str, mode: str, tol: float | None) -> dict:
-    f = cfg.sample()
-    tg = cfg.timegrid()
-    if lift == "harmonic":
+def _cmd_cr_check(cfg: RunConfig, args) -> None:
+    f, tg = cfg.sample(), cfg.timegrid()
+    if args.lift == "harmonic":
         rep = harmonic_cr_residual(harmonic_lift(f, tg))
         default_tol = 1e-6
-    elif lift == "caloric":
-        rep = caloric_cr_residual(caloric_lift(f, tg), mode=mode)
-        default_tol = 1e-6 if mode == "spectral" else 1e-2
     else:
-        raise UsageError(f"unknown lift {lift!r}")
-    tol = default_tol if tol is None else tol
+        rep = caloric_cr_residual(caloric_lift(f, tg), mode=args.mode)
+        default_tol = 1e-6 if args.mode == "spectral" else 1e-2
+    tol = default_tol if args.tol is None else args.tol
     maxima = {k: rep.max_of(k) for k in rep.per_slice}
-    results = {"lift": lift, "report": rep.to_jsonable(), "tol": tol, "max": maxima}
+    results = {"lift": args.lift, "report": rep.to_jsonable(), "tol": tol, "max": maxima}
     ok = all(v <= tol for v in maxima.values())
     if cfg.out:
-        csv = _csv_sibling(cfg, "residuals")
         keys = sorted(rep.per_slice)
-        rows = zip(rep.times, *[rep.per_slice[k] for k in keys])
-        _write_csv(csv, ["t"] + keys, rows)
-    payload = _emit(cfg, "cr-check", results, status="pass" if ok else "fail")
+        _write_csv(cfg, "residuals", ["t"] + keys, zip(rep.times, *[rep.per_slice[k] for k in keys]))
+    _emit(cfg, "cr-check", results, status="pass" if ok else "fail")
     if cfg.do_assert and not ok:
         raise AssertionFailure(f"residuals exceed {tol}: {maxima}")
-    return payload
 
 
-def _cmd_hardy(cfg: RunConfig, order: int) -> dict:
-    if order < 1:
-        raise UsageError(f"--order must be >= 1, got {order}")
-    f = cfg.sample()
-    e = cfg.exponents()
-    tg = cfg.timegrid()
-    rq = hardy_quantity_riesz(f, e, tg, order=order)
+def _cmd_hardy(cfg: RunConfig, args) -> None:
+    _require_d1(cfg, "hardy")
+    if args.order < 1:
+        raise UsageError(f"--order must be >= 1, got {args.order}")
+    f, e, tg = cfg.sample(), cfg.exponents(), cfg.timegrid()
+    rq = hardy_quantity_riesz(f, e, tg, order=args.order)
     mq = hardy_quantity_multiplier(f, default_multiplier_family(cfg.dim), e)
     results = {
         "maximal": hardy_norm_maximal(f, e, tg),
@@ -299,25 +301,22 @@ def _cmd_hardy(cfg: RunConfig, order: int) -> dict:
         "riesz_threshold_ok": rq.threshold_ok,
         "multiplier": mq.value,
         "multiplier_rank2_ok": mq.threshold_ok,
-        "order": order,
+        "order": args.order,
     }
     if cfg.out:
-        csv = _csv_sibling(cfg, "riesz_scale")
-        _write_csv(csv, ["t", "quantity"], zip(tg.values, rq.per_scale))
-    return _emit(cfg, "hardy", results)
+        _write_csv(cfg, "riesz_scale", ["t", "quantity"], zip(tg.values, rq.per_scale))
+    _emit(cfg, "hardy", results)
 
 
-def _cmd_atoms(cfg: RunConfig, orders, sides) -> dict:
-    spec = cfg.grid()
-    e = cfg.exponents()
-    tg = cfg.timegrid()
+def _cmd_atoms(cfg: RunConfig, args) -> None:
+    spec, e, tg = cfg.grid(), cfg.exponents(), cfg.timegrid()
+    store = _frozen_store(cfg) if cfg.do_assert else None
     rows = [{"m": m, "side": side, "value": value}
-            for m, side, value in atom_probe(spec, e, tg, orders, sides)]
+            for m, side, value in atom_probe(spec, e, tg, args.orders, args.sides)]
     values = [r["value"] for r in rows]
     results = {"atoms": rows, "band_low": min(values), "band_high": max(values)}
     status = "pass"
-    if cfg.do_assert:
-        store = FrozenStore.load(cfg.frozen)
+    if store is not None:
         gid = grid_run_id(spec, tg)
         lo = store.get("atoms-d1", "band_low", e.p, e.q, gid)
         hi = store.get("atoms-d1", "band_high", e.p, e.q, gid)
@@ -325,71 +324,66 @@ def _cmd_atoms(cfg: RunConfig, orders, sides) -> dict:
         results["frozen_band"] = [lo, hi]
         status = "pass" if ok else "fail"
     if cfg.out:
-        csv = _csv_sibling(cfg, "atoms")
-        _write_csv(csv, ["m", "side", "value"], [(r["m"], r["side"], r["value"]) for r in rows])
-    payload = _emit(cfg, "atoms", results, status)
-    if cfg.do_assert and status == "fail":
+        _write_csv(cfg, "atoms", ["m", "side", "value"], [(r["m"], r["side"], r["value"]) for r in rows])
+    _emit(cfg, "atoms", results, status)
+    if status == "fail":
         raise AssertionFailure(f"atom band {min(values), max(values)} outside frozen band")
-    return payload
 
 
-def _parse_pq(text: str) -> Exponents:
-    try:
-        p_str, q_str = text.split(",")
-        return Exponents(float(p_str), float(q_str))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"--pq expects 'p,q', got {text!r}") from exc
-
-
-def _parse_list(flag: str, text: str, kind) -> list:
-    try:
-        return [kind(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"{flag} expects a comma-separated list, got {text!r}") from exc
-
-
-def _method_list(text: str):
-    methods = tuple(item.strip() for item in text.split(","))
-    for item in methods:
-        if item not in EQUIVALENCE_METHODS:
-            raise UsageError(f"unknown method {item!r}; "
-                             f"choose from {sorted(EQUIVALENCE_METHODS)}")
-    return methods
-
-
-def _cmd_report(cfg: RunConfig, pq: Exponents, methods) -> dict:
-    spec = cfg.grid()
-    tg = cfg.timegrid()
-    members = reference_family(spec)
-    store = None
-    try:
-        store = FrozenStore.load(cfg.frozen)
-    except FileNotFoundError:
-        if cfg.do_assert:
-            raise
-    rep = equivalence_report(members, pq, tg, methods=methods, store=store)
+def _cmd_report(cfg: RunConfig, args) -> None:
+    _require_d1(cfg, "report")
+    store = _frozen_store(cfg)
+    rep = equivalence_report(reference_family(cfg.grid()), args.pq, cfg.timegrid(), args.methods,
+                             store=store)
     results = rep.to_jsonable()
     ok = rep.ok and all(info["ok"] is not None for info in rep.pairs.values()) if cfg.do_assert else rep.ok
     if cfg.out:
-        csv = _csv_sibling(cfg, "ratios")
         cols = ("min", "max", "spread", "frozen")
         rows = [(pair, *("" if info[c] is None else info[c] for c in cols))
                 for pair, info in rep.pairs.items()]
-        _write_csv(csv, ["pair", *cols], rows)
-    payload = _emit(cfg, "report", results, status="pass" if ok else "fail")
+        _write_csv(cfg, "ratios", ["pair", *cols], rows)
+    _emit(cfg, "report", results, status="pass" if ok else "fail")
     if cfg.do_assert and not ok:
         bad = {k: v for k, v in rep.pairs.items() if v["ok"] is not True}
         raise AssertionFailure(f"ratio spreads outside frozen bands: {sorted(bad)}")
-    return payload
 
 
-def _cmd_freeze(cfg: RunConfig) -> dict:
-    spec = cfg.grid()
-    tg = cfg.timegrid()
+def _cmd_freeze(cfg: RunConfig, args) -> None:
+    _require_d1(cfg, "freeze")
     store = FrozenStore()
-    frozen = freeze_constants(spec, tg, store)
+    frozen = freeze_constants(cfg.grid(), cfg.timegrid(), store)
     path = store.save(cfg.frozen if cfg.frozen else default_store_path())
-    return _emit(cfg, "freeze", {"store": str(path), "constants": frozen})
+    _emit(cfg, "freeze", {"store": str(path), "constants": frozen})
+
+
+# -- flag types: a bad value is a usage error while parsing ------------------------
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
+def _exponent_pair(text: str) -> Exponents:
+    try:
+        p, q = text.split(",")
+        return Exponents(float(p), float(q))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expects 'p,q', got {text!r}") from exc
+
+
+def _list_of(kind, valid, what: str):
+    """A comma-separated list of kind, each item valid (what says which)."""
+    def parse(text: str) -> list:
+        try:
+            if all(map(valid, items := [kind(v) for v in text.split(",")])):
+                return items
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expects a comma-separated list of {what}, got {text!r}")
+    return parse
 
 
 # -- entry point -----------------------------------------------------------------
@@ -399,72 +393,58 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="amalgam", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("norm", help="Lebesgue and amalgam norms of a sampled function")
-    _add_common(sub)
+    def command(name: str, handler, help: str):
+        sub = subs.add_parser(name, help=help)
+        _add_common(sub)
+        sub.set_defaults(handler=handler)
+        return sub
 
-    sub = subs.add_parser("transform", help="Riesz transform or multiplier image")
-    _add_common(sub)
+    command("norm", _cmd_norm, "Lebesgue and amalgam norms of a sampled function")
+
+    sub = command("transform", _cmd_transform, "Riesz transform or multiplier image")
     sub.add_argument("--op", choices=("riesz", "multiplier"), default="riesz")
     sub.add_argument("--axis", type=int, default=1)
     sub.add_argument("--symbol-file", type=str, default=None)
 
-    sub = subs.add_parser("extend", help="Poisson/heat extension stack dump")
-    _add_common(sub)
+    sub = command("extend", _cmd_extend, "Poisson/heat extension stack dump")
     sub.add_argument("--kernel", choices=("poisson", "heat"), default="heat")
 
-    sub = subs.add_parser("cr-check", help="conjugate-system residual report")
-    _add_common(sub)
+    sub = command("cr-check", _cmd_cr_check, "conjugate-system residual report")
     sub.add_argument("--lift", choices=("harmonic", "caloric"), default="harmonic")
     sub.add_argument("--mode", choices=("spectral", "quadrature"), default="spectral")
-    sub.add_argument("--tol", type=float, default=None)
+    sub.add_argument("--tol", type=_tolerance, default=None)
 
-    sub = subs.add_parser("hardy", help="the three Hardy quantities of a function")
-    _add_common(sub)
+    sub = command("hardy", _cmd_hardy, "the three Hardy quantities of a function")
     sub.add_argument("--order", type=int, default=1)
 
-    sub = subs.add_parser("atoms", help="atom generation and maximal-norm probe")
-    _add_common(sub)
-    sub.add_argument("--orders", type=str, default="0,1")
-    sub.add_argument("--sides", type=str, default="0.25,0.5,1,2,4")
+    sub = command("atoms", _cmd_atoms, "atom generation and maximal-norm probe")
+    sub.add_argument("--orders", type=_list_of(int, lambda m: m >= 0, "moment orders >= 0"),
+                     default="0,1")
+    sub.add_argument("--sides", type=_list_of(float, ATOM_SIDES.__contains__,
+                                              f"sides from {ATOM_SIDES}"),
+                     default="0.25,0.5,1,2,4")
 
-    sub = subs.add_parser("report", help="norm-equivalence ratio report on the reference family")
-    _add_common(sub)
-    sub.add_argument("--methods", type=str, default="maximal,riesz1")
-    sub.add_argument("--pq", type=str, default="1,1")
+    sub = command("report", _cmd_report, "norm-equivalence ratio report on the reference family")
+    sub.add_argument("--methods", type=_list_of(str.strip, EQUIVALENCE_METHODS.__contains__,
+                                                f"methods from {EQUIVALENCE_METHODS}"),
+                     default="maximal,riesz1")
+    sub.add_argument("--pq", type=_exponent_pair, default="1,1")
 
-    sub = subs.add_parser("freeze", help="measure and write the frozen constants")
-    _add_common(sub)
+    command("freeze", _cmd_freeze, "measure and write the frozen constants")
     return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         cfg = _build_config(args)
-    except UsageError as exc:
+        if cfg.out:  # the report and its siblings are written there
+            Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "norm":
-            _cmd_norm(cfg)
-        elif args.command == "transform":
-            _cmd_transform(cfg, args.op, args.axis, args.symbol_file)
-        elif args.command == "extend":
-            _cmd_extend(cfg, args.kernel)
-        elif args.command == "cr-check":
-            _cmd_cr_check(cfg, args.lift, args.mode, args.tol)
-        elif args.command == "hardy":
-            _cmd_hardy(cfg, args.order)
-        elif args.command == "atoms":
-            _cmd_atoms(cfg, _parse_list("--orders", args.orders, int),
-                       _parse_list("--sides", args.sides, float))
-        elif args.command == "report":
-            _cmd_report(cfg, _parse_pq(args.pq), _method_list(args.methods))
-        elif args.command == "freeze":
-            _cmd_freeze(cfg)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {args.command!r}")
+        args.handler(cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

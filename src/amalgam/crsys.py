@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import kernel_block
+from .extension import _extension_rate, kernel_block
 from .grid import _fftn, _run_parts, _slice_parts, apply_symbols
 from .norms import _slice_norms
 from .weyl import _log_grid_derivative, _weyl_matrix
@@ -162,8 +162,7 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
         raise ValueError("harmonic residual of a non-harmonic field")
     spec, d, nt = F.spec, F.spec.d, F.tgrid.count
     grad = [2j * np.pi * xi for xi in spec.freqs()]
-    xi = spec.freq_norm()
-    dt_symbol = {"heat": -4.0 * np.pi**2 * xi**2, "poisson": -2.0 * np.pi * xi}
+    dt_symbol = {k: np.multiply(*_extension_rate(k, spec)) for k in ("heat", "poisson")}
 
     def dt(c, u, lo, hi):
         if c.kernel in dt_symbol:

@@ -17,14 +17,12 @@ import numpy as np
 from .grid import (GridFunction, GridSpec, _read_binary, _run_parts, _slice_parts, _write_binary,
                    apply_symbols)
 from .norms import Exponents, slice_norms
-from .spectral import convolve
 
 __all__ = [
     "TimeGrid",
     "ExtensionStack",
     "DilationFamily",
     "heat_profile",
-    "poisson_profile",
     "extend",
     "extension_symbol",
     "kernel_block",
@@ -221,16 +219,10 @@ class DilationFamily:
 
     name: str  # "heat" or "poisson"
 
-    def kernel_times(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return ts**2 if self.name == "heat" else ts
-
     def block(self, spec: GridSpec, ts) -> np.ndarray:
         """phi_t^ over the times ts (see kernel_block)."""
-        return kernel_block(self.name, spec, self.kernel_times(ts))
-
-    def symbol(self, spec: GridSpec, t: float) -> np.ndarray:
-        return extension_symbol(self.name, spec, float(self.kernel_times(t)))
+        ts = np.asarray(ts, dtype=float)
+        return kernel_block(self.name, spec, ts**2 if self.name == "heat" else ts)
 
 
 def heat_profile() -> DilationFamily:
@@ -238,32 +230,10 @@ def heat_profile() -> DilationFamily:
     return DilationFamily("heat")
 
 
-def poisson_profile() -> DilationFamily:
-    """phi = P_1 (unit mass); dilation by t is the Poisson kernel at t."""
-    return DilationFamily("poisson")
-
-
-def radial_maximal(f: GridFunction, family, tg: TimeGrid) -> GridFunction:
-    """Pointwise max over the time grid of |f * phi_t|.
-
-    family is a DilationFamily (unit mass) or a callable t -> GridFunction
-    producing the dilated profile samples; zero-mean profiles are rejected.
-    """
-    if isinstance(family, DilationFamily):
-        sym = family.block(f.spec, tg.values)
-        acc = np.abs(apply_symbols(f.spec, f.values, sym)).max(axis=0)
-    else:
-        acc = None
-        h = f.spec.h
-        for i, t in enumerate(tg.values):
-            phi_t = family(float(t))
-            if i == 0:
-                mass = abs(complex(h**f.spec.d * np.sum(phi_t.values)))
-                if mass < 1e-12:
-                    raise ValueError("radial maximal function needs a profile with nonzero mean")
-            cand = np.abs(convolve(f, phi_t).values)
-            acc = cand if acc is None else np.maximum(acc, cand)
-    return GridFunction(f.spec, acc)
+def radial_maximal(f: GridFunction, family: DilationFamily, tg: TimeGrid) -> GridFunction:
+    """Pointwise max over the time grid of |f * phi_t|, one multiplier pass."""
+    sym = family.block(f.spec, tg.values)
+    return GridFunction(f.spec, np.abs(apply_symbols(f.spec, f.values, sym)).max(axis=0))
 
 
 # -- window machinery ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Periodic sampling grids, analytic-family sampling and the Fourier layer.
+"""Periodic sampling grids, analytic-family sampling and the multiplier pass.
 
 Everything downstream lives on the periodic box [-L, L)^d with n samples per
 axis and spacing h = 2L/n, nodes at cell left edges x_k = -L + k*h.  The
@@ -12,8 +12,9 @@ Fourier convention: the forward transform approximates
 
 on the frequency lattice xi_k = k/(2L), k in {-n/2, ..., n/2-1}^d, so the
 heat kernel at time t transforms to exp(-4 pi^2 t |xi|^2) and the Poisson
-kernel to exp(-2 pi t |xi|).  The inverse is the matching Riemann sum of the
-inversion integral; forward/inverse round-trip is exact to rounding.
+kernel to exp(-2 pi t |xi|).  Every operator is a multiplier of that
+transform, applied by apply_symbols; the transform itself, as a separate
+forward/inverse pair, is the reference in amalgam.oracle.
 """
 
 from __future__ import annotations
@@ -32,12 +33,9 @@ from . import analytic
 __all__ = [
     "GridSpec",
     "GridFunction",
-    "SpectralFunction",
     "FunctionSpec",
     "make_grid",
     "sample",
-    "forward",
-    "inverse",
     "apply_symbols",
     "lp_norm",
     "sup_norm",
@@ -167,21 +165,6 @@ class GridFunction:
         return complex(self.values[self.spec.index_of(point)])
 
 
-@dataclass(frozen=True)
-class SpectralFunction:
-    """Fourier coefficients on the frequency lattice k/(2L), FFT ordering."""
-
-    spec: GridSpec
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_values(self.spec, self.coeffs))
-
-    def energy(self) -> float:
-        """Parseval energy (1/2L)^d * sum |coeffs|^2."""
-        return float(np.sum(np.abs(self.coeffs) ** 2) / (2.0 * self.spec.L) ** self.spec.d)
-
-
 def make_grid(d: int, L: int, n: int) -> GridSpec:
     """Validated grid: d in {1,2}, integer L >= 1, n a power of two, n % 2L == 0."""
     return GridSpec(d, L, n)
@@ -272,32 +255,20 @@ def _ifftn(a: np.ndarray, d: int, out=None) -> np.ndarray:
     return _fftn(a, d, out, np.fft.ifft)
 
 
-def forward(f: GridFunction) -> SpectralFunction:
-    """Forward transform: h^d-weighted Riemann sum of the Fourier integral."""
-    c = f.spec.h**f.spec.d * _lattice(f.spec)[3] * _fftn(f.values, f.spec.d)
-    return SpectralFunction(f.spec, c)
-
-
-def inverse(F: SpectralFunction) -> GridFunction:
-    """Inverse transform; forward(inverse(F)) == F to rounding."""
-    v = _ifftn(_lattice(F.spec)[3] * F.coeffs, F.spec.d) / F.spec.h**F.spec.d
-    return GridFunction(F.spec, v)
-
-
 def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
     """One multiplier pass inverse(symbols * forward(values)), as an array.
 
     values or symbols may carry one leading batch axis (time slices).  The
     (-1)^k phases and h^d factors cancel exactly (h is a power of two), so the
-    pass is fftn, product, ifftn, bit-identical to the forward/inverse route.
-    The product is formed in place, and ifftn overwrites it, so a pass holds
-    one stack.  When values carry the batch axis, they are copied into a
-    fresh output and transformed there.  When only the symbols carry it, a
-    writable complex symbol block is consumed as the output buffer, while a
-    real or read-only block (such as a cached extension.kernel_block) is left
-    intact and the output is allocated.  The batch rows are split across the
-    CPUs (_slice_parts); each slice's arithmetic is the same in any split.
-    Non-finite output raises.
+    pass is fftn, product, ifftn, bit-identical to the forward/inverse route
+    of amalgam.oracle.  The product is formed in place, and ifftn overwrites
+    it, so a pass holds one stack.  When values carry the batch axis, they
+    are copied into a fresh output and transformed there.  When only the
+    symbols carry it, a writable complex symbol block is consumed as the
+    output buffer, while a real or read-only block (such as a cached
+    extension.kernel_block) is left intact and the output is allocated.  The
+    batch rows are split across the CPUs (_slice_parts); each slice's
+    arithmetic is the same in any split.  Non-finite output raises.
     """
     if any(np.shape(a)[-spec.d:] != spec.shape or np.ndim(a) > spec.d + 1 for a in (values, symbols)):
         raise ValueError(f"shapes {np.shape(values)}, {np.shape(symbols)}: not the grid shape "
@@ -354,8 +325,10 @@ def sup_norm(f: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-FUNCTION_FAMILIES = ("gaussian", "poisson_kernel", "heat_kernel", "indicator", "haar",
-                     "bandlimited_random", "from_file")
+# each family's parameters, the only keys a spec may set (see sample)
+FUNCTION_FAMILIES = {"gaussian": ("center", "width"), "poisson_kernel": ("t",),
+                     "heat_kernel": ("t",), "indicator": ("lo", "hi"), "haar": ("corner", "side"),
+                     "bandlimited_random": ("seed", "lo", "hi"), "from_file": ("path",)}
 
 
 @dataclass(frozen=True)
@@ -378,6 +351,9 @@ class FunctionSpec:
                 key, sep, val = item.partition("=")
                 if not sep:
                     raise ValueError(f"malformed function parameter {item!r}")
+                if key not in FUNCTION_FAMILIES[name]:
+                    raise ValueError(f"unknown parameter {key!r} of {name}; "
+                                     f"choose from {list(FUNCTION_FAMILIES[name])}")
                 try:
                     if key == "path":
                         params[key] = val

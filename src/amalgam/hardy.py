@@ -17,13 +17,14 @@ them against frozen constants with 10% slack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import kernels
 from .crsys import ConjugateField, sup_vector_amalgam_norms
-from .extension import (DilationFamily, ExtensionStack, TimeGrid, _h1_certificate, extend,
-                        heat_profile, kernel_block, nontangential_max, radial_maximal)
+from .extension import (ExtensionStack, TimeGrid, _h1_certificate, extend, heat_profile,
+                        kernel_block, nontangential_max, radial_maximal)
 from .frozen import FrozenStore
 from .grid import GridFunction, GridSpec, apply_symbols, sample, sup_norm
 from .norms import Exponents, amalgam_norm, slice_norms
@@ -120,19 +121,10 @@ def make_atom(a: AtomSpec, spec: GridSpec) -> GridFunction:
             raise ValueError("cube too small to kill the requested moments")
         profiles.append(_axis_profile(nodes[mask], a.moment_order))
         masks.append(mask)
-    if spec.d == 1:
-        v = np.zeros(spec.shape)
-        v[masks[0]] = profiles[0]
-    else:
-        v = np.zeros(spec.shape)
-        block = np.multiply.outer(profiles[0], profiles[1])
-        ix = np.ix_(np.where(masks[0])[0], np.where(masks[1])[0])
-        v[ix] = block
-    indicator = np.zeros(spec.shape)
-    if spec.d == 1:
-        indicator[masks[0]] = 1.0
-    else:
-        indicator[np.ix_(np.where(masks[0])[0], np.where(masks[1])[0])] = 1.0
+    cube = np.ix_(*[np.flatnonzero(m) for m in masks])
+    v, indicator = np.zeros(spec.shape), np.zeros(spec.shape)
+    v[cube] = reduce(np.multiply.outer, profiles)
+    indicator[cube] = 1.0
     bound = 1.0 / amalgam_norm(GridFunction(spec, indicator), (a.p, a.q))
     v = v * (bound / np.max(np.abs(v)))
     return GridFunction(spec, v)
@@ -151,13 +143,9 @@ def atom_probe(spec: GridSpec, e, tg: TimeGrid, orders=(0, 1), sides=ATOM_SIDES)
 # ---------------------------------------------------------------------------
 
 
-def hardy_norm_maximal(f: GridFunction, e, tg: TimeGrid,
-                       profile: DilationFamily | None = None) -> float:
-    """Amalgam norm of the radial maximal function (default profile: the
-    unit-mass heat bump)."""
-    if profile is None:
-        profile = heat_profile()
-    return amalgam_norm(radial_maximal(f, profile, tg), e)
+def hardy_norm_maximal(f: GridFunction, e, tg: TimeGrid) -> float:
+    """Amalgam norm of the radial maximal function of the unit-mass heat bump."""
+    return amalgam_norm(radial_maximal(f, heat_profile(), tg), e)
 
 
 def _riesz_compositions(spec: GridSpec, order: int):
@@ -177,23 +165,24 @@ class QuantityResult:
     per_scale: np.ndarray = field(repr=False)
 
 
-def _mollified_blocks(f: GridFunction, tg: TimeGrid, order: int, profile: DilationFamily):
-    """(level, block) pairs: f * phi_t over the time grid (level 0), then each
-    Riesz composition of it up to the given order, in the order of
-    _riesz_compositions.  Each block is built by one pass, and the caller
-    drops it before asking for the next, so one stack is alive at a time."""
+def _mollified_blocks(f: GridFunction, tg: TimeGrid, order: int):
+    """(level, block) pairs: f * phi_t of the heat profile over the time grid
+    (level 0), then each Riesz composition of it up to the given order, in
+    the order of _riesz_compositions.  Each block is built by one pass, and
+    the caller drops it before asking for the next, so one stack is alive at
+    a time."""
     spec = f.spec
-    moll = profile.block(spec, tg.values)
+    moll = heat_profile().block(spec, tg.values)
     for idx in [(), *_riesz_compositions(spec, order)]:
         # the identity symbol is complex (1 + 0j) too: its block becomes the output
         m = riesz_multiplier(spec, idx) if idx else 1 + 0j
         yield len(idx), apply_symbols(spec, f.values, moll * m)
 
 
-def hardy_quantity_riesz(f: GridFunction, e, eps_grid: TimeGrid, order: int = 1,
-                         profile: DilationFamily | None = None) -> QuantityResult:
-    """sup over mollification scales of ||f * phi_eps||_{p,q} plus the norms of
-    all Riesz compositions up to the given order, mollified the same way.
+def hardy_quantity_riesz(f: GridFunction, e, eps_grid: TimeGrid, order: int = 1) -> QuantityResult:
+    """sup over mollification scales of ||f * phi_eps||_{p,q} (phi the heat
+    profile) plus the norms of all Riesz compositions up to the given order,
+    mollified the same way.
 
     threshold_ok records min{p,q} > (d-1)/(d+order-1); below it the value is
     still computed but the characterization does not back it.
@@ -201,10 +190,8 @@ def hardy_quantity_riesz(f: GridFunction, e, eps_grid: TimeGrid, order: int = 1,
     e = e if isinstance(e, Exponents) else Exponents(*e)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if profile is None:
-        profile = heat_profile()
     per_scale = np.zeros(eps_grid.count)
-    for _, block in _mollified_blocks(f, eps_grid, order, profile):
+    for _, block in _mollified_blocks(f, eps_grid, order):
         per_scale += slice_norms(f.spec, block, e)
         del block
     return QuantityResult(float(per_scale.max()), e.riesz_threshold_ok(f.spec.d, order), per_scale)
@@ -363,7 +350,7 @@ def _member_values(f: GridFunction, es, tg: TimeGrid, methods, on_caloric=None) 
     order = 2 if "riesz2" in methods else int("riesz1" in methods)
     if order or "maximal" in methods:
         per_scale = np.zeros((len(es), tg.count))
-        for level, block in _mollified_blocks(f, tg, order, heat_profile()):
+        for level, block in _mollified_blocks(f, tg, order):
             # every reduction reads |block| only: take it once, drop the block
             mag = np.abs(block)
             del block

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .grid import GridFunction, GridSpec, SpectralFunction, inverse
+from .grid import GridFunction, GridSpec, apply_symbols
 from .spectral import riesz_multiplier
 
 __all__ = [
@@ -61,18 +61,13 @@ def _check_axis(spec: GridSpec, j: int):
 # -- periodized closed forms -------------------------------------------------
 
 
-def _poisson_periodic_1d(x: np.ndarray, t: float, L: int) -> np.ndarray:
-    # sum_m (1/pi) t/(t^2+(x+2Lm)^2) = -Im cot(pi (x+it)/2L) / 2L
+def _cot_periodic_1d(x: np.ndarray, t: float, L: int) -> tuple:
+    """(Poisson, conjugate Poisson) lattice sums at the nodes x:
+    sum_m (1/pi) t/(t^2+(x+2Lm)^2) = -Im cot(pi (x+it)/2L) / 2L and
+    sum_m (1/pi) (x+2Lm)/(t^2+(x+2Lm)^2) = Re cot(pi (x+it)/2L) / 2L."""
     c = 2.0 * L
     w = 1.0 / np.tan(np.pi * (x + 1j * t) / c)
-    return -w.imag / c
-
-
-def _conjugate_poisson_periodic_1d(x: np.ndarray, t: float, L: int) -> np.ndarray:
-    # sum_m (1/pi) (x+2Lm)/(t^2+(x+2Lm)^2) = Re cot(pi (x+it)/2L) / 2L
-    c = 2.0 * L
-    w = 1.0 / np.tan(np.pi * (x + 1j * t) / c)
-    return w.real / c
+    return -w.imag / c, w.real / c
 
 
 def _heat_periodic_axis(x: np.ndarray, t: float, L: int) -> np.ndarray:
@@ -85,13 +80,17 @@ def _heat_periodic_axis(x: np.ndarray, t: float, L: int) -> np.ndarray:
 
 
 def _spectral_kernel(spec: GridSpec, symbol: np.ndarray) -> GridFunction:
-    return inverse(SpectralFunction(spec, symbol.astype(complex)))
+    """The kernel whose transform is symbol: the multiplier applied to the
+    unit impulse h^-d at the origin, node n/2 of every axis."""
+    impulse = np.zeros(spec.shape)
+    impulse[(spec.n // 2,) * spec.d] = spec.h**-spec.d
+    return GridFunction(spec, apply_symbols(spec, impulse, symbol))
 
 
 def poisson_kernel(spec: GridSpec, t) -> GridFunction:
     t = _require_t(t)
     if spec.d == 1:
-        return GridFunction(spec, _poisson_periodic_1d(spec.axis_nodes(), t, spec.L))
+        return GridFunction(spec, _cot_periodic_1d(spec.axis_nodes(), t, spec.L)[0])
     return _spectral_kernel(spec, np.exp(-2.0 * np.pi * t * spec.freq_norm()))
 
 
@@ -99,7 +98,7 @@ def conjugate_poisson_kernel(spec: GridSpec, t, j: int = 1) -> GridFunction:
     t = _require_t(t)
     _check_axis(spec, j)
     if spec.d == 1:
-        return GridFunction(spec, _conjugate_poisson_periodic_1d(spec.axis_nodes(), t, spec.L))
+        return GridFunction(spec, _cot_periodic_1d(spec.axis_nodes(), t, spec.L)[1])
     radial = np.exp(-2.0 * np.pi * t * spec.freq_norm())
     return _spectral_kernel(spec, riesz_multiplier(spec, [j]) * radial)
 

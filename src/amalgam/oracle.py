@@ -1,11 +1,14 @@
 """Slow, independent reference implementations.
 
-These never call the spectral code path: convolution is a direct double sum
-with periodic wrap, the Riesz transform is a truncated principal value built
-from the near/far kernel split, and the half-derivative is adaptive
-quadrature on the original (s - t)^(-1/2) form.  Size caps keep the direct
-sums inside the acceptance-suite time budget.  The Cauchy-Riemann residuals
-are the grid-space formulas: every derivative stack built in full by its own
+The transform is a separate forward/inverse pair, the Riemann sums of the
+Fourier integral and of its inversion: the route every grid.apply_symbols
+pass is pinned to, bit for bit.  The other references never call the
+spectral code path: convolution is a direct double sum with periodic wrap,
+the Riesz transform is a truncated principal value built from the near/far
+kernel split, and the half-derivative is adaptive quadrature on the
+original (s - t)^(-1/2) form.  Size caps keep the direct sums inside the
+acceptance-suite time budget.  The Cauchy-Riemann residuals are the
+grid-space formulas: every derivative stack built in full by its own
 multiplier pass, the quadrature half-derivative stacks built in full from
 mean-shifted copies of the components, slice norms as Riemann sums.
 """
@@ -13,19 +16,47 @@ mean-shifted copies of the components, slice norms as Riemann sums.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import analytic
-from .grid import GridFunction, apply_symbols
+from .grid import GridFunction, GridSpec, _as_values, _fftn, _ifftn, _lattice, apply_symbols
 from .kernels import riesz_kernel_split
 from .weyl import half_derivative_spectral, half_derivative_stack_quadrature, time_derivative
 
-__all__ = ["convolve_direct", "riesz_direct_pv", "weyl_direct",
-           "harmonic_cr_residual_direct", "caloric_cr_residual_direct"]
+__all__ = ["SpectralFunction", "forward", "inverse", "convolve_direct", "riesz_direct_pv",
+           "weyl_direct", "harmonic_cr_residual_direct", "caloric_cr_residual_direct"]
 
 SIZE_CAP = 2**14
+
+
+@dataclass(frozen=True)
+class SpectralFunction:
+    """Fourier coefficients on the frequency lattice k/(2L), FFT ordering, read-only."""
+
+    spec: GridSpec
+    coeffs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _as_values(self.spec, self.coeffs))
+
+    def energy(self) -> float:
+        """Parseval energy (1/2L)^d * sum |coeffs|^2."""
+        return float(np.sum(np.abs(self.coeffs) ** 2) / (2.0 * self.spec.L) ** self.spec.d)
+
+
+def forward(f: GridFunction) -> SpectralFunction:
+    """Forward transform: h^d-weighted Riemann sum of the Fourier integral."""
+    c = f.spec.h**f.spec.d * _lattice(f.spec)[3] * _fftn(f.values, f.spec.d)
+    return SpectralFunction(f.spec, c)
+
+
+def inverse(F: SpectralFunction) -> GridFunction:
+    """Inverse transform; forward(inverse(F)) == F to rounding."""
+    v = _ifftn(_lattice(F.spec)[3] * F.coeffs, F.spec.d) / F.spec.h**F.spec.d
+    return GridFunction(F.spec, v)
 
 
 def _check_size(f: GridFunction):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, SpectralFunction, apply_symbols, forward, inverse
+from .grid import GridFunction, GridSpec, _fftn, _lattice, apply_symbols
 
 __all__ = [
     "SphereSymbol",
@@ -231,8 +231,10 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     so convolve(f, W_t) carries the exact symbol exp(-4 pi^2 t |xi|^2) f^."""
     if f.spec != g.spec:
         raise ValueError("grid mismatch")
-    F, G = forward(f), forward(g)
-    return inverse(SpectralFunction(f.spec, F.coeffs * G.coeffs))
+    spec = f.spec
+    # f's transform, h^d times the (-1)^k-phased DFT, is the symbol applied to g
+    symbol = spec.h**spec.d * _lattice(spec)[3] * _fftn(f.values, spec.d)
+    return GridFunction(spec, apply_symbols(spec, g.values, symbol))
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def rank2_check(theta: MultiplierFamily, samples: int = 64, tol: float = 1e-8) -
     if m < 2:
         return Rank2Result(False, 0.0, f"family of size {m} cannot have rank 2")
     if theta.d == 1:
-        ys = np.array([[1.0]])
+        ys = np.array([1.0])
     else:
         if samples < 2:
             raise ValueError(f"need at least 2 sphere samples, got {samples}")
@@ -260,13 +262,8 @@ def rank2_check(theta: MultiplierFamily, samples: int = 64, tol: float = 1e-8) -
         ys = np.column_stack([np.cos(phi), np.sin(phi)])
     sigma_min = np.inf
     for y in ys:
-        if theta.d == 1:
-            top = [s.at_points([1.0])[0] for s in theta.symbols]
-            bot = [s.at_points([-1.0])[0] for s in theta.symbols]
-        else:
-            top = [s.at_points([y])[0] for s in theta.symbols]
-            bot = [s.at_points([-y])[0] for s in theta.symbols]
-        mat = np.array([top, bot], dtype=complex)
+        mat = np.array([[s.at_points([sgn * y])[0] for s in theta.symbols] for sgn in (1, -1)],
+                       dtype=complex)
         sigma = np.linalg.svd(mat, compute_uv=False)
         sigma_min = min(sigma_min, float(sigma[1]))
     ok = sigma_min > tol

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import _erfcx
-from .extension import ExtensionStack, TimeGrid
+from .extension import ExtensionStack, TimeGrid, _extension_rate
 from .grid import apply_symbols
 
 __all__ = [
@@ -240,14 +240,13 @@ def _log_grid_derivative(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def time_derivative(stack: ExtensionStack) -> ExtensionStack:
-    """d/dt of a stack: exact symbols for heat/poisson stacks
-    (-4 pi^2 |xi|^2 and -2 pi |xi|), centered differences otherwise."""
+    """d/dt of a stack: for heat/poisson stacks the exact generator symbol c b
+    of their slices exp(c t b) (-4 pi^2 |xi|^2 and -2 pi |xi|), centered
+    differences otherwise."""
     if stack.tgrid.count < 3:
         raise ValueError("time derivative needs at least 3 slices")
-    xi = stack.spec.freq_norm()
-    if stack.kernel == "heat":
-        return _apply_symbol(stack, -4.0 * np.pi**2 * xi**2)
-    if stack.kernel == "poisson":
-        return _apply_symbol(stack, -2.0 * np.pi * xi)
+    if stack.kernel in ("heat", "poisson"):
+        c, b = _extension_rate(stack.kernel, stack.spec)
+        return _apply_symbol(stack, c * b)
     dv = _log_grid_derivative(stack.values, stack.times)
     return ExtensionStack(stack.spec, stack.tgrid, dv, "custom")

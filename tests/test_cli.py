@@ -142,6 +142,82 @@ class TestUsageErrors:
         assert not (tmp_path / "tr.json").exists()
 
 
+    @pytest.mark.parametrize("content, named", [
+        (None, "c.json"),                     # missing file
+        ("not json", "c.json"),
+        ("[1, 2]", "c.json"),                 # not an object
+        ('{"tcount": 2.5}', "tcount"),        # a float for an int field
+        ('{"dim": true}', "dim"),             # a bool is not an int
+        ('{"function": 5}', "function"),
+        ('{"p": "1"}', "p"),
+    ])
+    def test_unusable_config_file(self, content, named, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        if content is not None:
+            path.write_text(content)
+        assert run(["norm", *BASE, "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and named in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+    def test_unusable_tolerance(self, tol, capsys):
+        assert run(["cr-check", *BASE, "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and "--tol" in err
+
+    @pytest.mark.parametrize("flag, value", [("--sides", "3"), ("--sides", "1,0.3"),
+                                             ("--orders", "-1")])
+    def test_atom_list_out_of_range(self, flag, value, capsys):
+        assert run(["atoms", *BASE, flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and flag in err
+
+    @pytest.mark.parametrize("command", ["hardy", "report", "freeze"])
+    def test_one_dimensional_commands_refuse_dim_2(self, command, tmp_path, capsys):
+        code = run([command, "--dim", "2", "--L", "4", "--n", "32",
+                    "--frozen", str(tmp_path / "store.json")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and "one-dimensional" in err
+        assert not (tmp_path / "store.json").exists()
+
+    @pytest.mark.parametrize("command", ["report", "atoms"])
+    def test_assert_without_store(self, command, tmp_path, capsys):
+        out_path = tmp_path / "r.json"
+        code = run([command, *BASE, "--assert", "--frozen", str(tmp_path / "missing.json"),
+                    "--out", str(out_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("usage error:") and "missing.json" in err
+        assert not out_path.exists()
+
+
+class TestOutDirectory:
+    # --out may name a directory that does not exist yet: it is created
+    # before the command runs, so the report and every sibling land there
+    @pytest.mark.parametrize("argv, siblings", [
+        (["norm"], []),
+        (["transform", "--function", "bandlimited_random:seed=1,lo=0.5,hi=2"], ["r.grid"]),
+        (["extend"], ["r.stack", "r_slices.csv"]),
+        (["cr-check"], ["r_residuals.csv"]),
+        (["hardy"], ["r_riesz_scale.csv"]),
+        (["atoms", "--orders", "0", "--sides", "1"], ["r_atoms.csv"]),
+        (["report"], ["r_ratios.csv"]),
+    ], ids=["norm", "transform", "extend", "cr-check", "hardy", "atoms", "report"])
+    def test_writes_into_new_directory(self, argv, siblings, tmp_path):
+        out = tmp_path / "a" / "b" / "r.json"
+        # report reads no store: the default one holds no constants for this grid
+        code = run([*argv, *BASE, "--out", str(out), "--frozen", str(tmp_path / "none.json")])
+        assert code == 0
+        assert read_report(out)["status"] == "pass"
+        for name in siblings:
+            assert (out.parent / name).exists(), name
+
+
 class TestStrictJson:
     def test_nonfinite_result_is_refused(self):
         with pytest.raises(ValueError, match="JSON"):
@@ -157,6 +233,12 @@ class TestConfigFile:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["q"] == 3.0
         assert doc["config"]["p"] == 2.0
+
+    def test_int_for_float_field_and_null_path(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"L": 8, "n": 512, "p": 2, "tmax": 8, "frozen": None}))
+        assert run(["norm", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["p"] == 2
 
 
 class TestCrCheck:

@@ -6,19 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgam.grid import (
+    FUNCTION_FAMILIES,
     FunctionSpec,
     GridFunction,
-    SpectralFunction,
     apply_symbols,
     bandlimited_random,
-    forward,
-    inverse,
     lp_norm,
     make_grid,
     read_grid_function,
     sample,
     write_grid_function,
 )
+from amalgam.oracle import SpectralFunction, forward, inverse
 
 
 class TestMakeGrid:
@@ -87,6 +86,50 @@ class TestSample:
     def test_parse_rejects(self, text, message):
         with pytest.raises(ValueError, match=message):
             FunctionSpec.parse(text)
+
+    @pytest.mark.parametrize("text", ["gaussian:widht=3", "gaussian:=1", "gaussian:seed=1",
+                                      "from_file:path=f.grid,width=2", "indicator: lo=0"])
+    def test_parse_rejects_unknown_parameter(self, text):
+        # a misspelt key used to be dropped, so the family ran with its default
+        with pytest.raises(ValueError, match="unknown parameter"):
+            FunctionSpec.parse(text)
+
+
+_SPEC_TEXT = st.text(alphabet=st.sampled_from("gaussian_:=,.-+e0123456789 pathwidhseedtlocorner"),
+                     max_size=40)
+
+
+class TestFunctionSpecProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(max_size=40), _SPEC_TEXT,
+                          st.sampled_from(sorted(FUNCTION_FAMILIES)).flatmap(
+                              lambda name: _SPEC_TEXT.map(lambda rest: f"{name}:{rest}"))))
+    def test_parse_accepts_or_raises_value_error(self, text):
+        # any text parses to a known family with documented keys, or is refused
+        # with a ValueError, never another exception
+        try:
+            spec = FunctionSpec.parse(text)
+        except ValueError:
+            return
+        assert spec.family in FUNCTION_FAMILIES
+        assert set(spec.params) <= set(FUNCTION_FAMILIES[spec.family])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(FUNCTION_FAMILIES)))
+    def test_well_formed_spec_round_trips(self, data, name):
+        keys = data.draw(st.lists(st.sampled_from(FUNCTION_FAMILIES[name]), unique=True,
+                                  min_size=name == "from_file"))
+        params = {}
+        for key in keys:
+            if key == "path":
+                params[key] = data.draw(st.text(alphabet="abc_./-0123456789", min_size=1))
+            elif key == "seed":
+                params[key] = data.draw(st.integers(-2**40, 2**40))
+            else:
+                params[key] = data.draw(st.floats(allow_nan=False))
+        items = ",".join(f"{k}={v if k == 'path' else repr(v)}" for k, v in params.items())
+        text = f"{name}:{items}" if items else name
+        assert FunctionSpec.parse(text) == FunctionSpec(name, params)
 
 
 class TestFourier:

@@ -138,7 +138,7 @@ class TestQuantities:
 
 
 def convolve_with_heat(f, t):
-    from amalgam.grid import SpectralFunction, forward, inverse
+    from amalgam.oracle import SpectralFunction, forward, inverse
 
     sym = np.exp(-4 * np.pi**2 * t**2 * f.spec.freq_norm() ** 2)
     return inverse(SpectralFunction(f.spec, sym * forward(f).coeffs))

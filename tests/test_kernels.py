@@ -203,7 +203,7 @@ class TestDecayCertificates:
         # Dawson-form pointwise values against the lattice symbol route; the
         # lattice route is periodized, so add the far-field image sum
         # (asymptotically i/(pi y^2), with closed lattice form) to the target
-        from amalgam.grid import SpectralFunction, inverse
+        from amalgam.oracle import SpectralFunction, inverse
 
         t = 0.5
         xi = desk1.axis_freqs()

@@ -7,16 +7,71 @@ from amalgam.crsys import ConjugateField, caloric_cr_residual, harmonic_cr_resid
 from amalgam.extension import TimeGrid
 from amalgam.grid import GridFunction, bandlimited_random, make_grid, sample
 from amalgam.hardy import caloric_lift, harmonic_lift
+from amalgam.extension import _extension_rate, extend
+from amalgam.kernels import caloric_conjugate_kernel, conjugate_poisson_kernel, poisson_kernel
 from amalgam.oracle import (
+    SpectralFunction,
     caloric_cr_residual_direct,
     convolve_direct,
+    forward,
     harmonic_cr_residual_direct,
+    inverse,
     riesz_direct_pv,
     weyl_direct,
 )
-from amalgam.spectral import convolve, riesz
+from amalgam.spectral import convolve, riesz, riesz_multiplier
+from amalgam.weyl import time_derivative
 
 from conftest import rel_l2
+
+
+GRIDS = [(1, 32, 4096), (2, 4, 64), (2, 8, 256)]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestForwardInverseRoute:
+    """Single multiplier passes against the forward/inverse reference, bit for bit."""
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "d%d-L%d-n%d" % g)
+    def test_convolve(self, grid):
+        spec = make_grid(*grid)
+        f, g = bandlimited_random(spec, 3, 0.25, 2.0), sample("gaussian:width=1", spec)
+        want = inverse(SpectralFunction(spec, forward(f).coeffs * forward(g).coeffs)).values
+        assert same_bits(convolve(f, g).values, want)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "d%d-L%d-n%d" % g)
+    @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
+    def test_spectral_kernels(self, grid, t):
+        spec = make_grid(*grid)
+        xi = spec.freq_norm()
+        heat, poisson = np.exp(-4.0 * np.pi**2 * t * xi**2), np.exp(-2.0 * np.pi * t * xi)
+        pairs = [(caloric_conjugate_kernel(spec, t, j), riesz_multiplier(spec, [j]) * heat)
+                 for j in range(1, spec.d + 1)]
+        if spec.d == 2:
+            pairs.append((poisson_kernel(spec, t), poisson))
+            pairs += [(conjugate_poisson_kernel(spec, t, j), riesz_multiplier(spec, [j]) * poisson)
+                      for j in (1, 2)]
+        for got, symbol in pairs:
+            assert same_bits(got.values, inverse(SpectralFunction(spec, symbol)).values)
+
+    @pytest.mark.parametrize("grid", GRIDS[:2], ids=lambda g: "d%d-L%d-n%d" % g)
+    def test_time_derivative(self, grid):
+        spec = make_grid(*grid)
+        xi = spec.freq_norm()
+        stacks = {k: extend(bandlimited_random(spec, 4, 0.25, 2.0), k, TimeGrid(1e-3, 8.0, 6))
+                  for k in ("heat", "poisson")}
+        for kernel, symbol in (("heat", -4.0 * np.pi**2 * xi**2), ("poisson", -2.0 * np.pi * xi)):
+            # the generator c b of exp(c t b), the symbol harmonic_cr_residual takes d/dt by
+            assert same_bits(np.multiply(*_extension_rate(kernel, spec)), symbol)
+            stack = stacks[kernel]
+            got = time_derivative(stack).values
+            for i in range(stack.tgrid.count):
+                want = inverse(SpectralFunction(spec, symbol * forward(stack.slice(i)).coeffs))
+                assert same_bits(got[i], want.values)
 
 
 class TestConvolveDirect:

@@ -295,7 +295,7 @@ class TestTimeDerivative:
         f = bandlimited_random(desk1, 4, 0.25, 2.0)
         stack = extend(f, "heat", tg48)
         td = time_derivative(stack)
-        from amalgam.grid import SpectralFunction, forward, inverse
+        from amalgam.oracle import SpectralFunction, forward, inverse
 
         xi = desk1.freq_norm()
         for i in (0, 10, 30):
@@ -308,7 +308,7 @@ class TestTimeDerivative:
         f = bandlimited_random(desk1, 5, 0.25, 2.0)
         stack = extend(f, "poisson", tg48)
         dtt = time_derivative(time_derivative(stack))
-        from amalgam.grid import SpectralFunction, forward, inverse
+        from amalgam.oracle import SpectralFunction, forward, inverse
 
         xi = desk1.freq_norm()
         for i in (0, 10, 30):
