@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__
 from .crsys import caloric_cr_residual, harmonic_cr_residual
-from .extension import TimeGrid, extend, write_stack
+from .extension import TimeGrid, extend, grid_run_id, write_stack
 from .frozen import FrozenStore, default_store_path
 from .grid import FunctionSpec, GridFunction, GridSpec, lp_norm, sample, write_grid_function
 from .hardy import (
@@ -35,7 +35,6 @@ from .hardy import (
     default_multiplier_family,
     equivalence_report,
     freeze_constants,
-    grid_run_id,
     harmonic_lift,
     hardy_norm_maximal,
     hardy_quantity_multiplier,
@@ -158,14 +157,21 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
+def _write(path: Path, write) -> None:
+    """write(path), an output of the run; an OSError is a usage error naming the path."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def _write_csv(cfg: RunConfig, suffix: str, header, rows):
     """Write the CSV sibling <stem>_<suffix>.csv of the --out report."""
+    lines = [header] + [[repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v)
+                         for v in row] for row in rows]
     out = Path(cfg.out)
-    with open(out.with_name(f"{out.stem}_{suffix}.csv"), "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
+    _write(out.with_name(f"{out.stem}_{suffix}.csv"),
+           lambda p: p.write_text("".join(",".join(line) + "\n" for line in lines)))
 
 
 def _jsonable(obj):
@@ -191,12 +197,12 @@ def _emit(cfg: RunConfig, command: str, results: dict, status: str = "pass") -> 
         "results": _jsonable(results),
         "status": status,
     }
-    body = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
     if cfg.out:
         stamped = {**payload, "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-        Path(cfg.out).write_text(json.dumps(stamped, sort_keys=True, indent=1, allow_nan=False) + "\n")
+        text = json.dumps(stamped, sort_keys=True, indent=1, allow_nan=False) + "\n"
+        _write(Path(cfg.out), lambda p: p.write_text(text))
     else:
-        print(body)
+        print(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False))
     return payload
 
 
@@ -210,13 +216,15 @@ def _require_d1(cfg: RunConfig, command: str) -> None:
 
 
 def _frozen_store(cfg: RunConfig) -> FrozenStore | None:
-    """The --frozen store; a missing one is None, or under --assert a usage error."""
+    """The --frozen store; None if missing, a usage error if unusable (or missing under --assert)."""
     try:
         return FrozenStore.load(cfg.frozen)
     except FileNotFoundError as exc:
         if cfg.do_assert:
             raise UsageError(str(exc)) from exc
         return None
+    except (OSError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_norm(cfg: RunConfig, args) -> None:
@@ -248,7 +256,7 @@ def _cmd_transform(cfg: RunConfig, args) -> None:
     results = {"op": args.op, "input_l2": lp_norm(f, 2), "output_l2": lp_norm(g, 2)}
     if cfg.out:
         data_path = Path(cfg.out).with_suffix(".grid")
-        write_grid_function(g, data_path)
+        _write(data_path, lambda p: write_grid_function(g, p))
         results["data_file"] = data_path.name
     _emit(cfg, "transform", results)
 
@@ -262,7 +270,7 @@ def _cmd_extend(cfg: RunConfig, args) -> None:
     results = {"kernel": args.kernel, "t": list(ts), "sup": sups, "l2": l2s}
     if cfg.out:
         stack_path = Path(cfg.out).with_suffix(".stack")
-        write_stack(stack, stack_path)
+        _write(stack_path, lambda p: write_stack(stack, p))
         results["stack_file"] = stack_path.name
         _write_csv(cfg, "slices", ["t", "sup", "l2"], zip(ts, sups, l2s))
     _emit(cfg, "extend", results)
@@ -352,7 +360,8 @@ def _cmd_freeze(cfg: RunConfig, args) -> None:
     _require_d1(cfg, "freeze")
     store = FrozenStore()
     frozen = freeze_constants(cfg.grid(), cfg.timegrid(), store)
-    path = store.save(cfg.frozen if cfg.frozen else default_store_path())
+    path = Path(cfg.frozen or default_store_path())
+    _write(path, store.save)
     _emit(cfg, "freeze", {"store": str(path), "constants": frozen})
 
 
@@ -439,6 +448,8 @@ def run(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _build_config(args)
         if cfg.out:  # the report and its siblings are written there
+            if Path(cfg.out).is_dir():
+                raise UsageError(f"--out {cfg.out!r} is a directory")
             Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import _extension_rate, kernel_block
+from .extension import _extension_rate, grid_run_id, kernel_block
 from .grid import _fftn, _run_parts, _slice_parts, apply_symbols
 from .norms import _slice_norms
-from .weyl import _log_grid_derivative, _weyl_matrix
+from .weyl import _half_symbol, _log_grid_derivative, _weyl_matrix
 
 __all__ = [
     "ConjugateField",
@@ -43,6 +43,16 @@ __all__ = [
 
 CHUNK = 2  # time slices in flight, over all parts: a residual call never holds a whole stack
 QUAD_ROWS = 4 * CHUNK  # quadrature half-derivative slices formed per matrix product
+# the quadrature residual, here and in amalgam.oracle, reads the slices in the
+# QUAD_WINDOW fraction of [t_min, t_max] (the integral needs headroom above t)
+QUAD_WINDOW = (0.0, 0.5)
+QUAD_NODES = 401  # Simpson nodes of the quadrature
+
+
+def _quadrature_tail(spec) -> tuple:
+    """The quadrature's tail model: profiles settle exponentially no slower
+    than the box fundamental mode, at the rate (pi / L)^2."""
+    return "exp_decay", (np.pi / spec.L) ** 2
 
 
 @dataclass(frozen=True)
@@ -183,27 +193,25 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
     return ResidualReport(
         "harmonic", "spectral", _sweep(F, range(nt), ("sym_res", "div_res"), lambda: defects),
         F.tgrid.values, "exact-symbol" if exact else "log-grid-differences",
-        grid_id=f"{spec.grid_id()}-{F.tgrid.grid_id()}",
+        grid_id=grid_run_id(spec, F.tgrid),
     )
 
 
-def _quadrature_half(F: ConjugateField, window: tuple) -> tuple:
-    """The slices whose t lies in the fraction window of [t_min, t_max], as a
-    range, and new_half(): for one part of a sweep, half(a, U, lo, hi), the
-    coefficients of the quadrature half-derivative of component a on the
+def _quadrature_half(F: ConjugateField) -> tuple:
+    """The slices whose t lies in the QUAD_WINDOW fraction of [t_min, t_max],
+    as a range, and new_half(): for one part of a sweep, half(a, U, lo, hi),
+    the coefficients of the quadrature half-derivative of component a on the
     slices lo:hi of that range, formed on demand as rows of W @ values."""
     ts = F.tgrid.values
-    lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in window)
+    lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in QUAD_WINDOW)
     idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
     if not idx:
         raise ValueError("quadrature window selects no slices")
     rows = range(idx[0], idx[-1] + 1)
-    # profiles settle exponentially no slower than the box fundamental
-    # mode; strip the exact t-constant part (spatial mean) and hand the
-    # rest to the quadrature with that decay rate as its tail model.  W is
-    # linear, so W @ (v - dc) = W @ v - dc (W @ 1) needs no shifted copy.
-    lam_min = (np.pi / F.spec.L) ** 2
-    W = _weyl_matrix(ts, ts[rows.start:rows.stop], ("exp_decay", lam_min), 401)
+    # strip the exact t-constant part (spatial mean) and hand the rest to
+    # the quadrature.  W is linear, so W @ (v - dc) = W @ v - dc (W @ 1)
+    # needs no shifted copy.
+    W = _weyl_matrix(ts, ts[rows.start:rows.stop], _quadrature_tail(F.spec), QUAD_NODES)
     W1 = W.sum(axis=1)
     flat = [c.values.reshape(len(ts), -1) for c in F.components]
     dc = [complex(np.mean(c.values[0])) for c in F.components]
@@ -229,14 +237,12 @@ def _quadrature_half(F: ConjugateField, window: tuple) -> tuple:
     return rows, new_half
 
 
-def caloric_cr_residual(F: ConjugateField, mode: str = "spectral",
-                        quadrature_time_window: tuple = (0.0, 0.5)) -> ResidualReport:
+def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualReport:
     """Temperature-system defects (a), (b), (c) of a caloric candidate field.
 
     mode 'spectral' uses the per-slice half-derivative symbol and needs
     heat-built stacks; 'quadrature' evaluates the defining integral per node
-    on the slices whose t lies in the given fraction window of [t_min, t_max]
-    (the integral needs headroom above t, so late slices are excluded).
+    on the slices whose t lies in the QUAD_WINDOW fraction of [t_min, t_max].
     """
     if F.flavor != "caloric":
         raise ValueError("caloric residual of a non-caloric field")
@@ -249,12 +255,12 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral",
     if mode == "spectral":
         if any(c.kernel != "heat" for c in F.components):
             raise ValueError("spectral mode needs heat-built stacks")
-        rows, half_symbol = range(F.tgrid.count), -2j * np.pi * spec.freq_norm()
+        rows, half_symbol = range(F.tgrid.count), _half_symbol(spec)
 
         def new_half():
             return lambda a, U, lo, hi: half_symbol * U[a]
     else:
-        rows, new_half = _quadrature_half(F, quadrature_time_window)
+        rows, new_half = _quadrature_half(F)
 
     def part_defects():
         half = new_half()
@@ -272,7 +278,7 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral",
     return ResidualReport(
         "caloric", mode, _sweep(F, rows, ("a_res", "b_res", "c_res"), part_defects, align),
         F.tgrid.values[rows.start:rows.stop], f"half-derivative-{mode}",
-        grid_id=f"{spec.grid_id()}-{F.tgrid.grid_id()}",
+        grid_id=grid_run_id(spec, F.tgrid),
     )
 
 

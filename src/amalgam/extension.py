@@ -16,13 +16,12 @@ import numpy as np
 
 from .grid import (GridFunction, GridSpec, _read_binary, _run_parts, _slice_parts, _write_binary,
                    apply_symbols)
-from .norms import Exponents, slice_norms
+from .norms import _as_exponents, slice_norms
 
 __all__ = [
     "TimeGrid",
     "ExtensionStack",
-    "DilationFamily",
-    "heat_profile",
+    "grid_run_id",
     "extend",
     "extension_symbol",
     "kernel_block",
@@ -30,7 +29,6 @@ __all__ = [
     "nontangential_max",
     "hl_maximal",
     "AnnularWindow",
-    "annular_window",
     "area_integral",
     "tpq_norm",
     "h1_certificate",
@@ -71,11 +69,13 @@ class TimeGrid:
         w[-1] = 0.5 * (t[-1] - t[-2])
         return w
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.t_min, self.t_max, factor * (self.count - 1) + 1)
-
     def grid_id(self) -> str:
         return f"t{self.count}x{self.t_min:g}-{self.t_max:g}"
+
+
+def grid_run_id(spec: GridSpec, tg: TimeGrid) -> str:
+    """The run id that reports and the frozen store record."""
+    return f"{spec.grid_id()}-{tg.grid_id()}"
 
 
 @dataclass(frozen=True)
@@ -210,29 +210,15 @@ def extend(f: GridFunction, kernel: str, tg: TimeGrid) -> ExtensionStack:
 # -- radial maximal function --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DilationFamily:
-    """Dilation family phi_t(x) = t^-d phi(x/t) of phi = K_1, the heat or
-    Poisson kernel at time 1, given through the exact transform relation
-    phi_t^(xi) = phi^(t xi): the kernel's symbol at time t^2 (heat) or t
-    (Poisson)."""
-
-    name: str  # "heat" or "poisson"
-
-    def block(self, spec: GridSpec, ts) -> np.ndarray:
-        """phi_t^ over the times ts (see kernel_block)."""
-        ts = np.asarray(ts, dtype=float)
-        return kernel_block(self.name, spec, ts**2 if self.name == "heat" else ts)
+def _dilation_block(spec: GridSpec, ts) -> np.ndarray:
+    """phi_t^ over the times ts for the maximal profile phi = W_1: by
+    phi_t^(xi) = phi^(t xi), phi_t is the heat kernel at t^2 (see kernel_block)."""
+    return kernel_block("heat", spec, np.asarray(ts, dtype=float) ** 2)
 
 
-def heat_profile() -> DilationFamily:
-    """phi = W_1 (smooth, unit mass); dilation by t is the heat kernel at t^2."""
-    return DilationFamily("heat")
-
-
-def radial_maximal(f: GridFunction, family: DilationFamily, tg: TimeGrid) -> GridFunction:
+def radial_maximal(f: GridFunction, tg: TimeGrid) -> GridFunction:
     """Pointwise max over the time grid of |f * phi_t|, one multiplier pass."""
-    sym = family.block(f.spec, tg.values)
+    sym = _dilation_block(f.spec, tg.values)
     return GridFunction(f.spec, np.abs(apply_symbols(f.spec, f.values, sym)).max(axis=0))
 
 
@@ -321,9 +307,10 @@ def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunct
     row chord, one in-place fold per row offset), or the slice's global max
     once the disc covers the whole wrapped box.  Only maxima are taken, so
     the result is exact: the same bits in any order of evaluation.  The
-    slices are dealt out in turn to the CPUs (late slices only take a
-    global max, so contiguous parts would be unequal), each part keeps its
-    own maximum, and the parts' maxima are folded at the end.
+    slices are dealt out in turn to as many parts as _slice_parts gives
+    (late slices only take a global max, so contiguous parts would be
+    unequal), each part keeps its own maximum, and the parts' maxima are
+    folded at the end.
     """
     if aperture <= 0:
         raise ValueError(f"aperture must be positive, got {aperture}")
@@ -346,7 +333,8 @@ def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunct
             np.maximum(acc, cand, out=acc)
         return acc
 
-    accs = _run_parts(part_max, _slice_parts(spec, len(ts), interleave=True))
+    k = len(_slice_parts(spec, len(ts)))
+    accs = _run_parts(part_max, [range(i, len(ts), k) for i in range(k)])
     return GridFunction(spec, reduce(np.maximum, accs))
 
 
@@ -422,10 +410,6 @@ class AnnularWindow:
         return out
 
 
-def annular_window() -> AnnularWindow:
-    return AnnularWindow()
-
-
 def area_integral(f: GridFunction, window: AnnularWindow | None, tg: TimeGrid) -> GridFunction:
     """Discrete cone square function
 
@@ -445,7 +429,7 @@ def area_integral(f: GridFunction, window: AnnularWindow | None, tg: TimeGrid) -
     (1e-12 relative).
     """
     if window is None:
-        window = annular_window()
+        window = AnnularWindow()
     spec = f.spec
     n, h = spec.n, spec.h
     ts, dts = [], []
@@ -501,8 +485,7 @@ def _h1_certificate(spec: GridSpec, ts: np.ndarray, mag: np.ndarray, e) -> H1Cer
     """h1_certificate of a stack over the times ts from its magnitude mag =
     |u|, so that several exponent pairs can share one magnitude (slice_norms
     of a nonnegative real block is the same bits as of the complex one)."""
-    if not isinstance(e, Exponents):
-        e = Exponents(*e)
+    e = _as_exponents(e)
     tpq = float(slice_norms(spec, mag, e).max())
     if tpq == 0:
         raise ValueError("zero stack has no certificate")

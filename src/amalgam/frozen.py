@@ -51,10 +51,15 @@ class FrozenStore:
             raise FileNotFoundError(
                 f"frozen-constant store not found at {path}; run the 'freeze' command first"
             )
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("version") != STORE_VERSION:
-            raise ValueError(f"unsupported store version {doc.get('version')!r}")
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
+                raise ValueError("not a JSON object with an 'entries' object")
+            if doc.get("version") != STORE_VERSION:
+                raise ValueError(f"unsupported store version {doc.get('version')!r}")
+        except ValueError as exc:  # not JSON (or not text), or not a store
+            raise ValueError(f"frozen-constant store {path}: {exc}") from exc
         return FrozenStore(doc["entries"])
 
     def save(self, path=None) -> Path:

@@ -202,16 +202,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _slice_parts(spec: GridSpec, n: int, align: int = 1, interleave: bool = False) -> list:
-    """range(n), n slices on the grid spec, as parts for _run_parts: one part
-    when a complex slice is below SPLIT_BYTES or there is one CPU, else one
-    per CPU (at most one per slice).  Parts are contiguous with boundaries
-    at multiples of align, or, with interleave, every k-th slice, for passes
-    whose late slices are cheap."""
+def _slice_parts(spec: GridSpec, n: int, align: int = 1) -> list:
+    """range(n), n slices on the grid spec, as contiguous parts for
+    _run_parts, with boundaries at multiples of align: one part when a
+    complex slice is below SPLIT_BYTES or there is one CPU, else one per CPU
+    (at most one per slice)."""
     units = -(-n // align)
     k = max(min(_cpus(), units), 1) if spec.size * 16 >= SPLIT_BYTES else 1
-    if interleave:
-        return [range(i, n, k) for i in range(k)]
     bounds = [align * (units * i // k) for i in range(k)] + [n]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -491,7 +488,7 @@ def read_grid_function(path) -> GridFunction:
         meta = dict(item.split("=") for item in first.lstrip("# ").split(","))
         spec = GridSpec(int(meta["dim"]), int(meta["L"]), int(meta["n"]))
         rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-        values = rows[:, -2] + 1j * rows[:, -1]
+        values = np.ascontiguousarray(rows[:, -2:]).view(complex)[:, 0]  # keeps im = -0.0
         return GridFunction(spec, values)
     _, spec, values = _read_binary(path)
     return GridFunction(spec, values)

@@ -23,11 +23,11 @@ import numpy as np
 
 from . import kernels
 from .crsys import ConjugateField, sup_vector_amalgam_norms
-from .extension import (ExtensionStack, TimeGrid, _h1_certificate, extend, heat_profile,
-                        kernel_block, nontangential_max, radial_maximal)
+from .extension import (ExtensionStack, TimeGrid, _dilation_block, _h1_certificate, extend,
+                        grid_run_id, kernel_block, nontangential_max, radial_maximal)
 from .frozen import FrozenStore
 from .grid import GridFunction, GridSpec, apply_symbols, sample, sup_norm
-from .norms import Exponents, amalgam_norm, slice_norms
+from .norms import Exponents, _as_exponents, amalgam_norm, slice_norms
 from .spectral import (
     MultiplierFamily,
     SphereSymbol,
@@ -58,6 +58,7 @@ __all__ = [
 
 ATOM_SIDES = (0.25, 0.5, 1.0, 2.0, 4.0)
 SLACK = 1.1  # a measured spread or band passes within SLACK times its frozen value
+REFERENCE_ID = "reference-d1"  # the store family of the reference family's constants
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def make_atom(a: AtomSpec, spec: GridSpec) -> GridFunction:
 
 def atom_probe(spec: GridSpec, e, tg: TimeGrid, orders=(0, 1), sides=ATOM_SIDES) -> list:
     """(m, side, maximal norm) of the cube atom at the origin per moment order m and side."""
-    e = e if isinstance(e, Exponents) else Exponents(*e)
+    e = _as_exponents(e)
     return [(m, side, hardy_norm_maximal(make_atom(AtomSpec((0.0,) * spec.d, side, m, e.p, e.q),
                                                    spec), e, tg))
             for m in orders for side in sides]
@@ -145,7 +146,7 @@ def atom_probe(spec: GridSpec, e, tg: TimeGrid, orders=(0, 1), sides=ATOM_SIDES)
 
 def hardy_norm_maximal(f: GridFunction, e, tg: TimeGrid) -> float:
     """Amalgam norm of the radial maximal function of the unit-mass heat bump."""
-    return amalgam_norm(radial_maximal(f, heat_profile(), tg), e)
+    return amalgam_norm(radial_maximal(f, tg), e)
 
 
 def _riesz_compositions(spec: GridSpec, order: int):
@@ -166,13 +167,13 @@ class QuantityResult:
 
 
 def _mollified_blocks(f: GridFunction, tg: TimeGrid, order: int):
-    """(level, block) pairs: f * phi_t of the heat profile over the time grid
-    (level 0), then each Riesz composition of it up to the given order, in
+    """(level, block) pairs: f * phi_t of the maximal profile over the time
+    grid (level 0), then each Riesz composition of it up to the given order, in
     the order of _riesz_compositions.  Each block is built by one pass, and
     the caller drops it before asking for the next, so one stack is alive at
     a time."""
     spec = f.spec
-    moll = heat_profile().block(spec, tg.values)
+    moll = _dilation_block(spec, tg.values)
     for idx in [(), *_riesz_compositions(spec, order)]:
         # the identity symbol is complex (1 + 0j) too: its block becomes the output
         m = riesz_multiplier(spec, idx) if idx else 1 + 0j
@@ -187,7 +188,7 @@ def hardy_quantity_riesz(f: GridFunction, e, eps_grid: TimeGrid, order: int = 1)
     threshold_ok records min{p,q} > (d-1)/(d+order-1); below it the value is
     still computed but the characterization does not back it.
     """
-    e = e if isinstance(e, Exponents) else Exponents(*e)
+    e = _as_exponents(e)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     per_scale = np.zeros(eps_grid.count)
@@ -211,7 +212,7 @@ def hardy_quantity_multiplier(f: GridFunction, theta: MultiplierFamily, e) -> Qu
     threshold_ok records the rank-2 hypothesis check; mean of f should be
     zero under the dc convention (a nonzero mean only lowers the value).
     """
-    e = e if isinstance(e, Exponents) else Exponents(*e)
+    e = _as_exponents(e)
     vals = [amalgam_norm(apply_multiplier(f, s), e) for s in theta.symbols]
     return QuantityResult(float(sum(vals)), rank2_check(theta).ok, np.asarray(vals))
 
@@ -301,10 +302,6 @@ def reference_family(spec: GridSpec) -> list:
 # ---------------------------------------------------------------------------
 
 
-def grid_run_id(spec: GridSpec, tg: TimeGrid) -> str:
-    return f"{spec.grid_id()}-{tg.grid_id()}"
-
-
 EQUIVALENCE_METHODS = ("maximal", "riesz1", "riesz2", "multiplier", "nontangential", "caloric_sup")
 
 
@@ -381,23 +378,17 @@ def _member_values(f: GridFunction, es, tg: TimeGrid, methods, on_caloric=None) 
 
 
 def equivalence_reports(members, exponents, tg: TimeGrid, methods=EQUIVALENCE_METHODS,
-                        family_id: str = "reference-d1", store: FrozenStore | None = None,
-                        slack: float = SLACK) -> list:
+                        store: FrozenStore | None = None, on_caloric=None) -> list:
     """Pairwise ratio spreads of the selected quantities over a family, one
     EquivalenceReport per exponent pair, from one sweep of the family.
 
     Ratios are only formed where both quantities are positive; zero values on
     nonzero members are flagged and excluded.  When a store is given, each
-    pair's spread is compared against its frozen constant times the slack;
-    pairs without a frozen entry get ok = None.
+    pair's spread is compared against its REFERENCE_ID constant times SLACK;
+    pairs without a frozen entry get ok = None.  on_caloric, if given, is
+    handed to every member's step (see _member_values).
     """
-    return _equivalence_reports(members, exponents, tg, methods, family_id, store, slack)
-
-
-def _equivalence_reports(members, exponents, tg, methods, family_id, store, slack,
-                         on_caloric=None) -> list:
-    """equivalence_reports, with on_caloric handed to every member's step."""
-    es = [e if isinstance(e, Exponents) else Exponents(*e) for e in exponents]
+    es = [_as_exponents(e) for e in exponents]
     if not members:
         raise ValueError("empty family")
     methods = tuple(methods)
@@ -429,21 +420,20 @@ def _equivalence_reports(members, exponents, tg, methods, family_id, store, slac
                 spread = max(ratios) / min(ratios)
                 info = {"spread": spread, "min": min(ratios), "max": max(ratios),
                         "frozen": None, "ok": None}
-                if store is not None and store.has(family_id, key, e.p, e.q):
-                    frozen = store.get(family_id, key, e.p, e.q, gid)
+                if store is not None and store.has(REFERENCE_ID, key, e.p, e.q):
+                    frozen = store.get(REFERENCE_ID, key, e.p, e.q, gid)
                     info["frozen"] = frozen
-                    info["ok"] = bool(spread <= frozen * slack)
+                    info["ok"] = bool(spread <= frozen * SLACK)
                 pairs[key] = info
-        reports.append(EquivalenceReport(family_id, e.p, e.q, gid, methods, vals, pairs,
-                                         excluded, slack))
+        reports.append(EquivalenceReport(REFERENCE_ID, e.p, e.q, gid, methods, vals, pairs,
+                                         excluded, SLACK))
     return reports
 
 
 def equivalence_report(members, e, tg: TimeGrid, methods=EQUIVALENCE_METHODS,
-                       family_id: str = "reference-d1", store: FrozenStore | None = None,
-                       slack: float = SLACK) -> EquivalenceReport:
+                       store: FrozenStore | None = None) -> EquivalenceReport:
     """The equivalence report of one exponent pair (see equivalence_reports)."""
-    return equivalence_reports(members, [e], tg, methods, family_id, store, slack)[0]
+    return equivalence_reports(members, [e], tg, methods, store)[0]
 
 
 def freeze_constants(spec: GridSpec, tg: TimeGrid, store: FrozenStore) -> dict:
@@ -467,14 +457,13 @@ def freeze_constants(spec: GridSpec, tg: TimeGrid, store: FrozenStore) -> dict:
                 rb[pq] = max(rb[pq], amalgam_norm(rs[0], pq) / denom)
 
     # one sweep; at the p > q sample point (1.2, 0.9) only the nontangential leg is frozen
-    reps = _equivalence_reports(members, ((1.0, 1.0), (2.0, 3.0), (1.2, 0.9)), tg,
-                                EQUIVALENCE_METHODS, "reference-d1", None, SLACK,
-                                on_caloric=reduce_member)
+    reps = equivalence_reports(members, ((1.0, 1.0), (2.0, 3.0), (1.2, 0.9)), tg,
+                               on_caloric=reduce_member)
     legs = [(rep, pair) for rep in reps[:2] for pair in rep.pairs]
     for rep, pair in legs + [(reps[2], "maximal/nontangential")]:
         spread = rep.pairs[pair]["spread"]
-        store.put("reference-d1", pair, rep.p, rep.q, gid, spread)
-        frozen[f"reference-d1|{pair}|{rep.p:g},{rep.q:g}"] = spread
+        store.put(REFERENCE_ID, pair, rep.p, rep.q, gid, spread)
+        frozen[f"{REFERENCE_ID}|{pair}|{rep.p:g},{rep.q:g}"] = spread
 
     # atom probe band
     vals = [v for _, _, v in atom_probe(spec, (1.0, 1.0), tg)]
@@ -482,7 +471,7 @@ def freeze_constants(spec: GridSpec, tg: TimeGrid, store: FrozenStore) -> dict:
     store.put("atoms-d1", "band_high", 1.0, 1.0, gid, max(vals))
     frozen["atoms-d1|band"] = [min(vals), max(vals)]
 
-    for family, key, consts in (("reference-d1", "h1_ratio", h1),
+    for family, key, consts in ((REFERENCE_ID, "h1_ratio", h1),
                                 ("riesz-bound-d1", "ratio_max", rb)):
         for (p, q), c in consts.items():
             store.put(family, key, p, q, gid, c)

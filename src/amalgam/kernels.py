@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
+from .extension import extension_symbol
 from .grid import GridFunction, GridSpec, apply_symbols
 from .spectral import riesz_multiplier
 
@@ -51,11 +52,6 @@ def _require_t(t) -> float:
     if t is None or t <= 0:
         raise ValueError(f"kernel time parameter must be positive, got {t}")
     return float(t)
-
-
-def _check_axis(spec: GridSpec, j: int):
-    if not 1 <= j <= spec.d:
-        raise ValueError(f"axis j={j} out of range for d={spec.d}")
 
 
 # -- periodized closed forms -------------------------------------------------
@@ -91,16 +87,16 @@ def poisson_kernel(spec: GridSpec, t) -> GridFunction:
     t = _require_t(t)
     if spec.d == 1:
         return GridFunction(spec, _cot_periodic_1d(spec.axis_nodes(), t, spec.L)[0])
-    return _spectral_kernel(spec, np.exp(-2.0 * np.pi * t * spec.freq_norm()))
+    return _spectral_kernel(spec, extension_symbol("poisson", spec, t))
 
 
 def conjugate_poisson_kernel(spec: GridSpec, t, j: int = 1) -> GridFunction:
     t = _require_t(t)
-    _check_axis(spec, j)
+    if not 1 <= j <= spec.d:  # the d=1 closed form never reaches riesz_multiplier's check
+        raise ValueError(f"axis j={j} out of range for d={spec.d}")
     if spec.d == 1:
         return GridFunction(spec, _cot_periodic_1d(spec.axis_nodes(), t, spec.L)[1])
-    radial = np.exp(-2.0 * np.pi * t * spec.freq_norm())
-    return _spectral_kernel(spec, riesz_multiplier(spec, [j]) * radial)
+    return _spectral_kernel(spec, riesz_multiplier(spec, [j]) * extension_symbol("poisson", spec, t))
 
 
 def heat_kernel(spec: GridSpec, t) -> GridFunction:
@@ -114,9 +110,7 @@ def heat_kernel(spec: GridSpec, t) -> GridFunction:
 def caloric_conjugate_kernel(spec: GridSpec, t, j: int = 1) -> GridFunction:
     """S_j(., t): the Riesz transform of the heat kernel, built spectrally."""
     t = _require_t(t)
-    _check_axis(spec, j)
-    radial = np.exp(-4.0 * np.pi**2 * t * spec.freq_norm() ** 2)
-    return _spectral_kernel(spec, riesz_multiplier(spec, [j]) * radial)
+    return _spectral_kernel(spec, riesz_multiplier(spec, [j]) * extension_symbol("heat", spec, t))
 
 
 def riesz_kernel_split(j: int, spec: GridSpec) -> dict:
@@ -125,7 +119,6 @@ def riesz_kernel_split(j: int, spec: GridSpec) -> dict:
     Pointwise values with the principal-value convention K_j(0) = 0; the near
     part is supported strictly inside the unit ball.
     """
-    _check_axis(spec, j)
     axes = spec.nodes()
     K = analytic.riesz_kernel(axes, j)
     r2 = sum(np.asarray(a, dtype=float) ** 2 for a in axes)

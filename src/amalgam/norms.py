@@ -81,12 +81,6 @@ class Exponents:
         Riesz-composition characterization."""
         return self.min_exp > (d - 1) / (d + order - 1)
 
-    def multiplier_threshold_ok(self, p0: float = 0.75) -> bool:
-        """min{p,q} > p0 for a configurable p0 in (1/2, 1)."""
-        if not 0.5 < p0 < 1.0:
-            raise ValueError(f"p0 must lie in (1/2, 1), got {p0}")
-        return self.min_exp > p0
-
 
 def _as_exponents(e) -> Exponents:
     if isinstance(e, Exponents):

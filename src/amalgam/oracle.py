@@ -22,6 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import analytic
+from .crsys import QUAD_NODES, QUAD_WINDOW, _quadrature_tail
 from .grid import GridFunction, GridSpec, _as_values, _fftn, _ifftn, _lattice, apply_symbols
 from .kernels import riesz_kernel_split
 from .weyl import half_derivative_spectral, half_derivative_stack_quadrature, time_derivative
@@ -172,24 +173,22 @@ def _gradient(stack) -> list:
     return [apply_symbols(stack.spec, stack.values, 2j * np.pi * xi) for xi in stack.spec.freqs()]
 
 
-def _quadrature_half(F, window: tuple) -> tuple:
-    """The slices whose t lies in the fraction window of [t_min, t_max], as a
-    range, and the quadrature half-derivative stack of every component on
-    them, each taken of the component minus its spatial mean at t_min, with
-    the box fundamental mode's decay rate as the tail model."""
+def _quadrature_half(F) -> tuple:
+    """The slices whose t lies in the QUAD_WINDOW fraction of [t_min, t_max],
+    as a range, and the quadrature half-derivative stack of every component
+    on them, each taken of the component minus its spatial mean at t_min."""
     ts = F.tgrid.values
-    lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in window)
+    lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in QUAD_WINDOW)
     idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
     if not idx:
         raise ValueError("quadrature window selects no slices")
     rows = range(idx[0], idx[-1] + 1)
-    lam_min = (np.pi / F.spec.L) ** 2
     half = []
     for c in F.components:
         dc = complex(np.mean(c.values[0]))
         shifted = c.map_values(lambda v: v - dc)
         half.append(half_derivative_stack_quadrature(
-            shifted, ts[rows.start:rows.stop], tail=("exp_decay", lam_min), n_quad=401))
+            shifted, ts[rows.start:rows.stop], tail=_quadrature_tail(F.spec), n_quad=QUAD_NODES))
     return rows, half
 
 
@@ -203,14 +202,14 @@ def harmonic_cr_residual_direct(F) -> dict:
     return {"sym_res": np.max(sym, axis=0) / scale, "div_res": div / scale}
 
 
-def caloric_cr_residual_direct(F, mode: str = "spectral", quadrature_time_window=(0.0, 0.5)) -> dict:
+def caloric_cr_residual_direct(F, mode: str = "spectral") -> dict:
     """Per-slice a_res, b_res and c_res of a caloric field from its
     half-derivative and gradient stacks."""
     d, scale = F.spec.d, _field_scale(F)
     if mode == "spectral":
         rows, half = range(F.tgrid.count), [half_derivative_spectral(c).values for c in F.components]
     else:
-        rows, half = _quadrature_half(F, quadrature_time_window)
+        rows, half = _quadrature_half(F)
     grad = [[g[rows.start:rows.stop] for g in _gradient(c)] for c in F.components]
     scale = scale[rows.start:rows.stop]
     a = _slice_l2(sum(grad[j][j] for j in range(d)) - 1j * half[d], F.spec)

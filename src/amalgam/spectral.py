@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 MIN_ANGLE_SAMPLES = 64
+ANGLE_SAMPLES = 128  # uniform angles a d=2 symbol is sampled on by from_function
+RANK2_SAMPLES = 64  # directions y on the half circle that rank2_check samples at d=2
+RANK2_TOL = 1e-8  # a second singular value at or below it counts as rank 1
 
 
 @dataclass(frozen=True)
@@ -85,20 +88,10 @@ class SphereSymbol:
                             dc_value=complex(dc_value))
 
     @staticmethod
-    def from_function(fn, M: int = 128, dc_value: complex = 0.0) -> "SphereSymbol":
-        """d=2 symbol by sampling fn(angle) on M uniform angles."""
-        phi = 2.0 * np.pi * np.arange(M) / M
+    def from_function(fn, dc_value: complex = 0.0) -> "SphereSymbol":
+        """d=2 symbol by sampling fn(angle) on ANGLE_SAMPLES uniform angles."""
+        phi = 2.0 * np.pi * np.arange(ANGLE_SAMPLES) / ANGLE_SAMPLES
         return SphereSymbol.from_samples(np.asarray(fn(phi), dtype=complex), dc_value)
-
-    @staticmethod
-    def from_trig(coeffs: dict, dc_value: complex = 0.0) -> "SphereSymbol":
-        """d=2 symbol from trig-polynomial coefficients {k: c_k} for sum c_k e^{i k phi}."""
-        def fn(phi):
-            out = np.zeros_like(phi, dtype=complex)
-            for k, c in coeffs.items():
-                out += c * np.exp(1j * int(k) * phi)
-            return out
-        return SphereSymbol.from_function(fn, dc_value=dc_value)
 
     @staticmethod
     def riesz_axis(j: int, d: int) -> "SphereSymbol":
@@ -182,13 +175,7 @@ class MultiplierFamily:
 
 def apply_multiplier(f: GridFunction, theta: SphereSymbol) -> GridFunction:
     """Multiply the spectrum of f by theta(xi/|xi|)."""
-    m = theta.multiplier(f.spec)
-    return inverse_with(f, m)
-
-
-def inverse_with(f: GridFunction, multiplier: np.ndarray) -> GridFunction:
-    """One multiplier pass: inverse(multiplier * forward(f))."""
-    return GridFunction(f.spec, apply_symbols(f.spec, f.values, multiplier))
+    return GridFunction(f.spec, apply_symbols(f.spec, f.values, theta.multiplier(f.spec)))
 
 
 def riesz_multiplier(spec: GridSpec, indices) -> np.ndarray:
@@ -211,19 +198,20 @@ def riesz_multiplier(spec: GridSpec, indices) -> np.ndarray:
 
 def riesz(f: GridFunction, j: int = 1) -> GridFunction:
     """Riesz transform along axis j (the Hilbert transform for d=1)."""
-    return inverse_with(f, riesz_multiplier(f.spec, [j]))
+    return GridFunction(f.spec, apply_symbols(f.spec, f.values, riesz_multiplier(f.spec, [j])))
 
 
 MAX_COMPOSITION_ORDER = 3
 
 
-def riesz_compose(f: GridFunction, indices, max_order: int = MAX_COMPOSITION_ORDER) -> GridFunction:
+def riesz_compose(f: GridFunction, indices) -> GridFunction:
     """Composition R_{j_1}...R_{j_k} as a single fused multiplier pass,
-    1 <= k <= max_order."""
+    1 <= k <= MAX_COMPOSITION_ORDER."""
     indices = list(indices)
-    if len(indices) > max_order:
-        raise ValueError(f"composition of {len(indices)} transforms exceeds max_order={max_order}")
-    return inverse_with(f, riesz_multiplier(f.spec, indices))
+    if len(indices) > MAX_COMPOSITION_ORDER:
+        raise ValueError(f"composition of {len(indices)} transforms exceeds "
+                         f"MAX_COMPOSITION_ORDER={MAX_COMPOSITION_ORDER}")
+    return GridFunction(f.spec, apply_symbols(f.spec, f.values, riesz_multiplier(f.spec, indices)))
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -244,7 +232,7 @@ class Rank2Result:
     reason: str = ""
 
 
-def rank2_check(theta: MultiplierFamily, samples: int = 64, tol: float = 1e-8) -> Rank2Result:
+def rank2_check(theta: MultiplierFamily) -> Rank2Result:
     """Smallest second singular value of [theta_i(y); theta_i(-y)] over sampled y.
 
     ok means the 2 x m matrix has (numerical) rank 2 at every sampled y.
@@ -255,10 +243,8 @@ def rank2_check(theta: MultiplierFamily, samples: int = 64, tol: float = 1e-8) -
     if theta.d == 1:
         ys = np.array([1.0])
     else:
-        if samples < 2:
-            raise ValueError(f"need at least 2 sphere samples, got {samples}")
         # y and -y give the same two rows swapped; half the circle suffices
-        phi = np.pi * np.arange(samples) / samples
+        phi = np.pi * np.arange(RANK2_SAMPLES) / RANK2_SAMPLES
         ys = np.column_stack([np.cos(phi), np.sin(phi)])
     sigma_min = np.inf
     for y in ys:
@@ -266,8 +252,9 @@ def rank2_check(theta: MultiplierFamily, samples: int = 64, tol: float = 1e-8) -
                        dtype=complex)
         sigma = np.linalg.svd(mat, compute_uv=False)
         sigma_min = min(sigma_min, float(sigma[1]))
-    ok = sigma_min > tol
-    return Rank2Result(ok, sigma_min, "" if ok else f"second singular value {sigma_min:.3e} <= {tol}")
+    ok = sigma_min > RANK2_TOL
+    reason = "" if ok else f"second singular value {sigma_min:.3e} <= {RANK2_TOL}"
+    return Rank2Result(ok, sigma_min, reason)
 
 
 # ---------------------------------------------------------------------------

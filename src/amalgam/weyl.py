@@ -44,7 +44,7 @@ __all__ = [
     "time_derivative",
 ]
 
-DEFAULT_TAIL_TOL = 1e-6
+TAIL_TOL = 1e-6  # an untagged profile's |g'(t_max)| must be at most TAIL_TOL times its peak
 DEFAULT_QUAD_POINTS = 801
 
 
@@ -133,17 +133,17 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w / 3.0
 
 
-def _decay_end(ts: np.ndarray, values: np.ndarray, tail_tol: float) -> float:
+def _decay_end(ts: np.ndarray, values: np.ndarray) -> float:
     """|g'(t_max)| of the data spline of a (nt, ...) block of untagged profiles;
     the operator integrates g', so it must have died out by t_max."""
     M, D = _spline_slopes(ts)
     dg = M @ (D @ values)
     end = np.max(np.abs(dg[-1]))
     peak = max(np.max(np.abs(dg)), 1e-300)
-    if end > tail_tol * peak:
+    if end > TAIL_TOL * peak:
         raise ValueError(
             "profile derivative has not decayed by t_max "
-            f"(|g'(t_max)| = {end:.3e} > {tail_tol:g} * {peak:.3e}); supply a tail tag"
+            f"(|g'(t_max)| = {end:.3e} > {TAIL_TOL:g} * {peak:.3e}); supply a tail tag"
         )
     return float(end)
 
@@ -169,9 +169,7 @@ def _weyl_matrix(ts: np.ndarray, times, tail, n_quad: int) -> np.ndarray:
     return W
 
 
-def half_derivative_quadrature(prof: TimeProfile, t: float,
-                               tail_tol: float = DEFAULT_TAIL_TOL,
-                               n_quad: int = DEFAULT_QUAD_POINTS,
+def half_derivative_quadrature(prof: TimeProfile, t: float, n_quad: int = DEFAULT_QUAD_POINTS,
                                return_bound: bool = False):
     """Quadrature evaluation of the half-derivative of a profile at t.
 
@@ -182,7 +180,7 @@ def half_derivative_quadrature(prof: TimeProfile, t: float,
     boundary value for another grid span.
     """
     ts = prof.tgrid.values
-    end = _decay_end(ts, prof.values, tail_tol) if prof.tail is None else None
+    end = _decay_end(ts, prof.values) if prof.tail is None else None
     val = complex(_weyl_matrix(ts, [float(t)], prof.tail, n_quad)[0] @ prof.values)
     if not return_bound:
         return val
@@ -191,9 +189,7 @@ def half_derivative_quadrature(prof: TimeProfile, t: float,
     return val, (2.0 / math.sqrt(math.pi)) * end * math.sqrt(ts[-1] - t)
 
 
-def half_derivative_stack_quadrature(stack: ExtensionStack, t,
-                                     tail_tol: float = DEFAULT_TAIL_TOL,
-                                     n_quad: int = DEFAULT_QUAD_POINTS,
+def half_derivative_stack_quadrature(stack: ExtensionStack, t, n_quad: int = DEFAULT_QUAD_POINTS,
                                      tail=None) -> np.ndarray:
     """Quadrature half-derivative of every node profile of a stack.
 
@@ -202,7 +198,7 @@ def half_derivative_stack_quadrature(stack: ExtensionStack, t,
     """
     flat = stack.values.reshape(stack.tgrid.count, -1)
     if tail is None:
-        _decay_end(stack.times, flat, tail_tol)
+        _decay_end(stack.times, flat)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     out = (_weyl_matrix(stack.times, times, tail, n_quad) @ flat).reshape((times.size,) + stack.spec.shape)
     return out[0] if np.ndim(t) == 0 else out
@@ -216,12 +212,12 @@ def half_derivative_spectral(stack: ExtensionStack) -> ExtensionStack:
     """
     if stack.kernel != "heat":
         raise ValueError("spectral half-derivative needs a heat-built stack")
-    sym = -2j * np.pi * stack.spec.freq_norm()
-    return _apply_symbol(stack, sym)
+    return stack.map_values(lambda v: apply_symbols(stack.spec, v, _half_symbol(stack.spec)))
 
 
-def _apply_symbol(stack: ExtensionStack, sym: np.ndarray) -> ExtensionStack:
-    return stack.map_values(lambda v: apply_symbols(stack.spec, v, sym))
+def _half_symbol(spec) -> np.ndarray:
+    """-2 pi i |xi|, the half-derivative's multiplier on heat-built stacks."""
+    return -2j * np.pi * spec.freq_norm()
 
 
 def _log_grid_derivative(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -247,6 +243,6 @@ def time_derivative(stack: ExtensionStack) -> ExtensionStack:
         raise ValueError("time derivative needs at least 3 slices")
     if stack.kernel in ("heat", "poisson"):
         c, b = _extension_rate(stack.kernel, stack.spec)
-        return _apply_symbol(stack, c * b)
+        return stack.map_values(lambda v: apply_symbols(stack.spec, v, c * b))
     dv = _log_grid_derivative(stack.values, stack.times)
     return ExtensionStack(stack.spec, stack.tgrid, dv, "custom")

@@ -196,6 +196,58 @@ class TestUsageErrors:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize("command", ["norm", "transform", "freeze"])
+    def test_out_names_a_directory(self, command, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        assert run([command, *BASE, "--out", str(tmp_path), "--frozen", str(store)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and f"--out {str(tmp_path)!r}" in err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("argv, target", [
+        (["transform"], "r.grid"),
+        (["extend"], "r.stack"),
+        (["hardy"], "r_riesz_scale.csv"),
+        (["freeze", "--frozen"], "store"),
+    ], ids=["grid", "stack", "csv", "store"])
+    def test_unwritable_output(self, argv, target, tmp_path, capsys):
+        # a directory where the command writes a file
+        path = tmp_path / target
+        path.mkdir()
+        argv = [*argv, str(path)] if argv[-1] == "--frozen" else argv
+        assert run([*argv, *BASE, "--out", str(tmp_path / "r.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: cannot write {str(path)!r}")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_report_write_fails(self, capsys):
+        # every write to /dev/full fails with ENOSPC once the file is open
+        assert run(["norm", *BASE, "--out", "/dev/full"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: cannot write '/dev/full'")
+
+    @pytest.mark.parametrize("content", [
+        "{bad",                              # not JSON
+        '{"version": 9, "entries": {}}',     # an unsupported version
+        "[1, 2]",                            # not an object
+        '{"version": 1}',                    # no entries
+    ], ids=["not-json", "version", "not-object", "no-entries"])
+    @pytest.mark.parametrize("argv", [["report"], ["report", "--assert"], ["atoms", "--assert"]],
+                             ids=["report", "report-assert", "atoms-assert"])
+    def test_unusable_store(self, argv, content, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        store.write_text(content)
+        out_path = tmp_path / "r.json"
+        assert run([*argv, *BASE, "--frozen", str(store), "--out", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and str(store) in err
+        assert not out_path.exists()
+
+
 class TestOutDirectory:
     # --out may name a directory that does not exist yet: it is created
     # before the command runs, so the report and every sibling land there

@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 from amalgam.extension import (
     BLOCK_BYTES,
     CACHED_BLOCKS,
-    DilationFamily,
+    AnnularWindow,
     ExtensionStack,
     TimeGrid,
     _cached_block,
+    _dilation_block,
     _disc_mask,
     _disc_offsets_maxfilter,
-    annular_window,
     area_integral,
     extend,
     extension_symbol,
     h1_certificate,
-    heat_profile,
     hl_maximal,
     kernel_block,
     nontangential_max,
@@ -156,13 +155,12 @@ class TestKernelBlock:
         assert kernel_block(kernel, desk1, tg48.values) is block
         np.testing.assert_array_equal(block, self.per_slice(kernel, desk1, tg48.values))
 
-    def test_dilation_family_blocks(self, desk1, tg48):
+    def test_dilation_block(self, desk1, tg48):
+        # the maximal profile dilated by t is the heat kernel at t^2
         ts = tg48.values
-        np.testing.assert_array_equal(heat_profile().block(desk1, ts),
+        np.testing.assert_array_equal(_dilation_block(desk1, ts),
                                       self.per_slice("heat", desk1, [t**2 for t in ts]))
-        np.testing.assert_array_equal(DilationFamily("poisson").block(desk1, ts),
-                                      self.per_slice("poisson", desk1, ts))
-        assert heat_profile().block(desk1, ts) is kernel_block("heat", desk1, ts**2)
+        assert _dilation_block(desk1, ts) is kernel_block("heat", desk1, ts**2)
 
     def test_desk_d2_block_not_retained(self, desk2, tg48):
         hits = _cached_block.cache_info().hits
@@ -203,7 +201,7 @@ class TestKernelBlock:
 class TestRadialMaximal:
     def test_dominates_members(self, desk1, tg48):
         f = sample("gaussian:width=1", desk1)  # nonnegative
-        M = radial_maximal(f, heat_profile(), tg48)
+        M = radial_maximal(f, tg48)
         t_mid = float(tg48.values[tg48.count // 2])
         from amalgam.oracle import SpectralFunction, forward, inverse
 
@@ -213,17 +211,28 @@ class TestRadialMaximal:
 
     def test_indicator_center_value(self, desk1, tg48):
         f = sample("indicator:lo=0,hi=1", desk1)
-        M = radial_maximal(f, heat_profile(), tg48)
+        M = radial_maximal(f, tg48)
         # small dilations reproduce the plateau: the recorded constant is ~1
         assert M.at(0.5).real >= 0.9
 
     def test_supersets_never_decrease(self, desk1):
         f = sample("gaussian:width=1", desk1)
-        M1 = radial_maximal(f, heat_profile(), TimeGrid(0.01, 4.0, 16))
-        M2 = radial_maximal(f, heat_profile(), TimeGrid(0.01, 16.0, 32))
+        M1 = radial_maximal(f, TimeGrid(0.01, 4.0, 16))
+        M2 = radial_maximal(f, TimeGrid(0.01, 16.0, 32))
         # M2's grid is not a superset, so compare against an actual refinement
-        M3 = radial_maximal(f, heat_profile(), TimeGrid(0.01, 4.0, 31))
+        M3 = radial_maximal(f, TimeGrid(0.01, 4.0, 31))
         assert np.all(M3.values.real >= M1.values.real - 1e-12)
+
+    @pytest.mark.parametrize("grid", ["small1", "small2"])
+    def test_level_zero_of_the_mollified_blocks(self, grid, request):
+        # the maximal quantity of the equivalence sweep reads the same profile
+        from amalgam.hardy import _mollified_blocks
+
+        spec = request.getfixturevalue(grid)
+        f, tg = bandlimited_random(spec, 4, 0.25, 2.0), TimeGrid(1e-3, 16.0, 12)
+        ((level, block),) = _mollified_blocks(f, tg, 0)
+        assert level == 0
+        np.testing.assert_array_equal(radial_maximal(f, tg).values, np.abs(block).max(axis=0))
 
 
 class TestNontangential:
@@ -351,7 +360,7 @@ class TestAreaIntegral:
         np.testing.assert_allclose(S2.values.real, 3.0 * S1.values.real, atol=1e-12)
 
     def test_window_bounds(self):
-        win = annular_window()
+        win = AnnularWindow()
         rho = np.linspace(0, 10, 2001)
         prof = win.profile(rho)
         assert np.all(prof[(rho >= 2) & (rho <= 4)] >= 1.0 - 1e-12)
@@ -363,7 +372,7 @@ class TestAreaIntegral:
         f = bandlimited_random(spec, 6, 2.5, 3.5)  # spectrum inside the annulus at t=1
         tg = TimeGrid(0.25, 4.0, 12)
         S = area_integral(f, None, tg)
-        win = annular_window()
+        win = AnnularWindow()
         from amalgam.oracle import SpectralFunction, forward, inverse
 
         F = forward(f)
@@ -386,7 +395,7 @@ class TestAreaIntegral:
         f = bandlimited_random(spec, 3, 1.5, 3.5)
         tg = TimeGrid(0.25, 2.0, 6)
         S = area_integral(f, None, tg)
-        win = annular_window()
+        win = AnnularWindow()
         from amalgam.oracle import SpectralFunction, forward, inverse
 
         F = forward(f)
@@ -411,7 +420,7 @@ class TestAreaIntegral:
 
     def test_multiplier_is_profile_on_lattice(self, desk1, desk2, tg48):
         # the profile is evaluated only off its exact 0 and 1 plateaus
-        win = annular_window()
+        win = AnnularWindow()
         for spec in (desk1, desk2, make_grid(2, 2, 16)):
             for t in list(tg48.values) + [0.25, 0.5, 1.0, 2.0, 4.0]:
                 np.testing.assert_array_equal(win.multiplier(spec, float(t)),
@@ -426,7 +435,7 @@ class TestAreaIntegral:
         assert ts[0] < spec.h and ts[-1] / spec.h > math.sqrt(2.0) * spec.n / 2
         f = bandlimited_random(spec, 4, 0.5, 3.5)
         S = area_integral(f, None, tg)
-        win = annular_window()
+        win = AnnularWindow()
         n, h, L = spec.n, spec.h, spec.L
         x = spec.axis_nodes()
         dx = np.abs(x[:, None] - x[None, :])
@@ -443,7 +452,7 @@ class TestAreaIntegral:
         # each slice's ball sum inverted on its own, with three complex
         # transforms, against one real inverse of the summed products
         f = bandlimited_random(desk2, 12, 0.25, 2.0)
-        win = annular_window()
+        win = AnnularWindow()
         n, h = desk2.n, desk2.h
         S2 = np.zeros(desk2.shape)
         for t, dt in zip(tg48.values, tg48.trapezoid_weights()):
@@ -458,7 +467,7 @@ class TestAreaIntegral:
     def test_in_band_content_passes_at_unit_time(self):
         spec = make_grid(1, 4, 128)
         f = bandlimited_random(spec, 6, 2.5, 3.5)
-        win = annular_window()
+        win = AnnularWindow()
         mult = win.multiplier(spec, 1.0)
         from amalgam.oracle import forward
 
@@ -544,19 +553,3 @@ class TestStackDump:
         np.testing.assert_array_equal(back.values, stack.values)
 
 
-class TestPoissonProfile:
-    def test_radial_maximal_with_poisson_dilations(self, desk1, tg48):
-        from amalgam.kernels import poisson_kernel
-
-        f = sample("gaussian:width=1", desk1)
-        M = radial_maximal(f, DilationFamily("poisson"), tg48)
-        # must dominate any member at a grid time, computable independently
-        t_mid = float(tg48.values[tg48.count // 2])
-        member = np.abs(convolve_vals(f, poisson_kernel(desk1, t_mid)))
-        assert np.all(M.values.real >= member - 1e-10)
-
-
-def convolve_vals(f, g):
-    from amalgam.spectral import convolve
-
-    return convolve(f, g).values

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from amalgam.extension import ExtensionStack, TimeGrid, read_stack, write_stack
 from amalgam.grid import (
     FUNCTION_FAMILIES,
     FunctionSpec,
@@ -18,6 +20,7 @@ from amalgam.grid import (
     write_grid_function,
 )
 from amalgam.oracle import SpectralFunction, forward, inverse
+from amalgam.spectral import SphereSymbol, read_symbol, write_symbol
 
 
 class TestMakeGrid:
@@ -370,6 +373,68 @@ class TestFileFormat:
         write_grid_function(f, path)
         g = sample(f"from_file:path={path}", small1)
         np.testing.assert_array_equal(g.values, f.values)
+
+
+_FINITE = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.atleast_1d(np.asarray(a, dtype=complex)), np.atleast_1d(np.asarray(b, dtype=complex))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFileRoundTripProperties:
+    """.grid, CSV grid, .stack and symbol files give back every bit written,
+    signed zeros and subnormals included."""
+
+    @staticmethod
+    def grid(d, log_n, log_l):
+        n = 2 ** (log_n + (d == 1) * 2)
+        return make_grid(d, min(2**log_l, n // 2), n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([1, 2]), log_n=st.integers(1, 4),
+           log_l=st.integers(0, 3), suffix=st.sampled_from([".grid", ".csv"]))
+    def test_grid_file(self, tmp_path_factory, data, d, log_n, log_l, suffix):
+        spec = self.grid(d, log_n, log_l)
+        f = GridFunction(spec, data.draw(arrays(complex, spec.shape, elements=_FINITE)))
+        path = tmp_path_factory.mktemp("grid") / f"f{suffix}"
+        write_grid_function(f, path)
+        g = read_grid_function(path)
+        assert g.spec == spec and _same_bits(g.values, f.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([1, 2]), log_n=st.integers(1, 4),
+           log_l=st.integers(0, 3), tcount=st.integers(2, 5),
+           t_min=st.floats(1e-4, 1e3), span=st.floats(1e-6, 1e3),
+           kernel=st.sampled_from(["poisson", "heat", "custom"]))
+    def test_stack_file(self, tmp_path_factory, data, d, log_n, log_l, tcount, t_min, span, kernel):
+        spec = self.grid(d, log_n, log_l)
+        tg = TimeGrid(t_min, t_min * (1.0 + span), tcount)
+        values = data.draw(arrays(complex, (tcount,) + spec.shape, elements=_FINITE))
+        stack = ExtensionStack(spec, tg, values, kernel)
+        path = tmp_path_factory.mktemp("stack") / "u.stack"
+        write_stack(stack, path)
+        back = read_stack(path)
+        assert (back.spec, back.tgrid, back.kernel) == (spec, tg, kernel)
+        assert _same_bits(back.values, stack.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([1, 2]), dc=_FINITE)
+    def test_symbol_file(self, tmp_path_factory, data, d, dc):
+        if d == 1:
+            theta = SphereSymbol.from_pair(data.draw(_FINITE), data.draw(_FINITE), dc)
+        else:
+            samples = data.draw(st.integers(64, 160))
+            theta = SphereSymbol.from_samples(data.draw(arrays(complex, samples, elements=_FINITE)), dc)
+        path = tmp_path_factory.mktemp("symbol") / "theta.json"
+        write_symbol(theta, path)
+        back = read_symbol(path)
+        assert back.d == d and _same_bits(back.dc_value, theta.dc_value)
+        if d == 1:
+            assert _same_bits([back.plus, back.minus], [theta.plus, theta.minus])
+        else:
+            assert _same_bits(back.angle_samples, theta.angle_samples)
 
 
 class TestGridFunction:

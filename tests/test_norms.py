@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalgam.grid import GridFunction, bandlimited_random, lp_norm, make_grid, sample
 from amalgam.norms import (
@@ -34,8 +36,6 @@ class TestExponents:
         assert Exponents(0.6, 2.0).riesz_threshold_ok(d=1)
         assert not Exponents(0.4, 2.0).riesz_threshold_ok(d=2)  # (d-1)/d = 1/2
         assert Exponents(0.4, 2.0).riesz_threshold_ok(d=2, order=3)  # 1/4 threshold
-        assert Exponents(0.9, 2.0).multiplier_threshold_ok(0.75)
-        assert not Exponents(0.7, 2.0).multiplier_threshold_ok(0.75)
 
 
 class TestDiscreteWindow:
@@ -103,6 +103,29 @@ class TestSliceNorms:
         assert got.shape == (5,)
         assert got.tolist() == [amalgam_norm(GridFunction(spec, g), pq) for g in block]
         assert got.tolist() == [self.cube_sum_norm(spec, g, *pq) for g in block]
+
+
+class TestSliceNormsProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.sampled_from([1, 2]), log_n=st.integers(1, 7), log_l=st.integers(0, 3),
+           p=st.floats(0.05, 20.0), q=st.floats(0.05, 20.0), slices=st.integers(1, 4),
+           complex_values=st.booleans(), seed=st.integers(0, 2**16))
+    def test_each_slice_is_the_discrete_norm(self, d, log_n, log_l, p, q, slices,
+                                             complex_values, seed):
+        # a one-slice block, and each slice of a taller one, gives the bits of
+        # amalgam_norm(..., "discrete") of that slice
+        n = 2 ** (log_n + (d == 1) * 3)
+        spec = make_grid(d, min(2**log_l, n // 2), n)
+        rng = np.random.default_rng(seed)
+        shape = (slices,) + spec.shape
+        block = rng.standard_normal(shape) * np.exp(rng.uniform(-12.0, 3.0, size=shape))
+        if complex_values:
+            block = block + 1j * rng.standard_normal(shape)
+        want = np.array([amalgam_norm(GridFunction(spec, g), (p, q), "discrete") for g in block])
+        for got in (slice_norms(spec, block, (p, q)),
+                    np.concatenate([slice_norms(spec, g[None], (p, q)) for g in block])):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestBallWindow:

@@ -112,10 +112,9 @@ class TestRieszCompose:
 
     def test_order_cap(self, desk1):
         f = sample("gaussian", desk1)
-        with pytest.raises(ValueError, match="max_order"):
+        assert np.all(np.isfinite(riesz_compose(f, [1, 1, 1]).values))
+        with pytest.raises(ValueError, match="MAX_COMPOSITION_ORDER=3"):
             riesz_compose(f, [1, 1, 1, 1])
-        out = riesz_compose(f, [1, 1, 1, 1], max_order=4)  # raising the cap works
-        assert np.all(np.isfinite(out.values))
 
 
 class TestConvolve:
@@ -164,7 +163,7 @@ class TestSphereSymbol2d:
         assert np.max(np.abs(got.values - want.values)) <= 1e-8
 
     def test_trig_constructor(self):
-        s = SphereSymbol.from_trig({1: 1.0})
+        s = SphereSymbol.from_function(lambda phi: np.exp(1j * phi))
         phi = np.linspace(0, 2 * np.pi, 7)[:-1]
         np.testing.assert_allclose(s.at_angles(phi), np.exp(1j * phi), atol=1e-9)
 
@@ -193,13 +192,13 @@ class TestRank2Check:
             SphereSymbol.riesz_axis(1, 2),
             SphereSymbol.riesz_axis(2, 2),
         ))
-        assert rank2_check(full, samples=64).ok
+        assert rank2_check(full).ok
         # ... but dropping one direction loses rank at its zero meridian
         partial = MultiplierFamily((
             SphereSymbol.constant(1.0, 2),
             SphereSymbol.riesz_axis(1, 2),
         ))
-        assert not rank2_check(partial, samples=64).ok
+        assert not rank2_check(partial).ok
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from amalgam import grid
+from amalgam import extension, grid
 from amalgam.crsys import (
     ConjugateField,
     _parseval_norms,
@@ -85,10 +85,19 @@ class TestParts:
         assert _slice_parts(GATE, 5, align=8) == [range(5)]
         assert _slice_parts(GATE, 0) == [range(0)]
 
-    def test_interleaved_parts_cover_every_slice_once(self, monkeypatch):
+    def test_nontangential_parts_interleave_every_slice_once(self, monkeypatch, f2, tg7):
+        # late slices only take a global max, so they are dealt out in turn
+        stack = extend(f2, "poisson", tg7)
+        seen = []
+
+        def record(fn, parts):
+            seen.append(parts)
+            return _run_parts(fn, parts)
+
         monkeypatch.setattr(grid, "_cpus", lambda: 3)
-        parts = _slice_parts(GATE, 7, interleave=True)
-        assert parts == [range(0, 7, 3), range(1, 7, 3), range(2, 7, 3)]
+        monkeypatch.setattr(extension, "_run_parts", record)
+        nontangential_max(stack)
+        assert seen == [[range(0, 7, 3), range(1, 7, 3), range(2, 7, 3)]]
 
     def test_results_in_part_order(self, monkeypatch):
         monkeypatch.setattr(grid, "_cpus", lambda: 3)
