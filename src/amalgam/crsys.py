@@ -224,12 +224,14 @@ def _quadrature_half(F: ConjugateField) -> tuple:
             # formed QUAD_ROWS slices at a time, aligned like the sweep's parts
             start = lo - lo % QUAD_ROWS
             b, e = max(start, rows.start), min(start + QUAD_ROWS, rows.stop)
-            first, block = formed.get(a, (None, None))
+            first, block = formed.pop(a, (None, None))
             if first != b:
-                k = slice(b - rows.start, e - rows.start)
-                block = W[k] @ flat[a]
+                block = None  # the component's old rows go before its new ones come
+                k, v = slice(b - rows.start, e - rows.start), flat[a]
+                # W is purely imaginary: a real stack is not copied to complex
+                block = W[k] @ v if np.iscomplexobj(v) else 1j * (W[k].imag @ v)
                 block -= dc[a] * W1[k, None]
-                formed[a] = b, block
+            formed[a] = b, block
             return _fftn(block[lo - b:hi - b].reshape((hi - lo,) + F.spec.shape), F.spec.d)
 
         return half
@@ -326,7 +328,7 @@ def majorization_report(F: ConjugateField) -> MajorizationReport:
     ts = F.tgrid.values
     mag = np.sqrt(sum(np.abs(c.values) ** 2 for c in F.components))
     sym = kernel_block("poisson", spec, ts[1:] - ts[0])
-    dominating = apply_symbols(spec, mag[0], sym).real
+    dominating = apply_symbols(spec, mag[0], sym)
     defect = (mag[1:] - dominating).reshape(F.tgrid.count - 1, -1)
     worst = np.max(defect, axis=1)
     return MajorizationReport(float(np.max(worst)), float(np.max(mag)), worst)

@@ -8,14 +8,13 @@ windows wrap periodically at the box boundary.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .grid import (GridFunction, GridSpec, _read_binary, _run_parts, _slice_parts, _write_binary,
-                   apply_symbols)
+from .grid import (GridFunction, GridSpec, _as_dtype, _half, _mapped, _read_binary, _run_parts,
+                   _slice_parts, _write_binary, apply_symbols)
 from .norms import _as_exponents, slice_norms
 
 __all__ = [
@@ -80,7 +79,8 @@ def grid_run_id(spec: GridSpec, tg: TimeGrid) -> str:
 
 @dataclass(frozen=True)
 class ExtensionStack:
-    """Time-indexed family of slices u(., t), one GridFunction per t.
+    """Time-indexed family of slices u(., t), one GridFunction per t, real
+    (float64) or complex (complex128) like a GridFunction.
 
     kernel records how the slices were produced: 'poisson' and 'heat' stacks
     carry exact per-slice symbols (enabling exact time derivatives), anything
@@ -106,7 +106,7 @@ class ExtensionStack:
         return stack
 
     def _validate(self, scan_finite: bool) -> None:
-        v = np.asarray(self.values, dtype=complex)
+        v = _as_dtype(self.values)
         want = (self.tgrid.count,) + self.spec.shape
         if v.shape != want:
             raise ValueError(f"stack shape {v.shape} does not match {want}")
@@ -148,31 +148,46 @@ def _extension_rate(kernel: str, spec: GridSpec) -> tuple:
 
 # Heat and Poisson blocks of at most BLOCK_BYTES are cached, the
 # CACHED_BLOCKS most recently used, so the cache holds at most 8 MiB.  One
-# freeze run asks for the same three d=1 blocks (48 x 4096 x 8 B = 1.5 MiB
-# each) once per member; a desk-scale d=2 block (48 x 256^2 x 8 B = 24 MiB)
-# is never kept.
+# freeze run asks for the same three d=1 blocks (48 x 2049 x 8 B = 0.75 MiB
+# each) once per member; a desk-scale d=2 block (48 x 256 x 129 x 8 B =
+# 12 MiB) is never kept.
 BLOCK_BYTES = 2 * 2**20
 CACHED_BLOCKS = 4
 
 
 def kernel_block(kernel: str, spec: GridSpec, ts) -> np.ndarray:
-    """extension_symbol(kernel, spec, t) stacked over the times ts.
+    """extension_symbol(kernel, spec, t) over the times ts on the half
+    lattice (grid._half), the same bits: a real block that apply_symbols
+    takes as an even symbol, so a real input gives a real stack.
 
-    A block of at most BLOCK_BYTES is real, read-only and cached: a repeat
-    request returns the same object.  A larger block is complex, writable
-    and fresh on every call, for apply_symbols to consume as its output
-    buffer.  Its rows are split across the CPUs like a multiplier pass, and
-    eight rows are filled at a time over all parts together, so no second
-    full-size array is alive beside it; exp is taken only where its argument
-    exceeds -746: below that exp is exactly 0, which the zeroed block already
-    holds, and numpy reaches that 0 several times slower than a normal
-    result.  The block is the same bits as the per-slice extension_symbol.
+    A block of at most BLOCK_BYTES is read-only and cached (a repeat request
+    returns the same object), a larger one fresh on every call.  Each gets a
+    mapping of its own (grid._mapped): a cached block outlives the stacks
+    freed around it, and a fresh one is freed below a live stack, the
+    pass's output.  Rows are filled eight at a time over the CPU parts
+    (_slice_parts), so no second full-size array is alive beside the block,
+    and exp is taken only where its argument exceeds -746: below that exp is
+    exactly 0, which the zeroed block holds, and numpy reaches that 0
+    several times slower.
     """
     ts = np.asarray(ts, dtype=float)
-    if ts.size * spec.size * 8 <= BLOCK_BYTES:
+    if ts.size * _half(spec, spec.freq_norm()).nbytes <= BLOCK_BYTES:
         return _cached_block(kernel, spec, ts.tobytes())
+    return _fill_block(kernel, spec, ts)
+
+
+@lru_cache(maxsize=CACHED_BLOCKS)
+def _cached_block(kernel: str, spec: GridSpec, ts_bytes: bytes) -> np.ndarray:
+    block = _fill_block(kernel, spec, np.frombuffer(ts_bytes))
+    block.setflags(write=False)
+    return block
+
+
+def _fill_block(kernel: str, spec: GridSpec, ts: np.ndarray) -> np.ndarray:
+    """The block of kernel_block, in a mapping of its own (grid._mapped)."""
     rate, base = _extension_rate(kernel, spec)
-    block = np.zeros((ts.size,) + spec.shape, dtype=complex)
+    base = _half(spec, base)
+    block = _mapped((ts.size,) + base.shape)
     parts = _slice_parts(spec, ts.size)
     step = max(8 // len(parts), 1)
 
@@ -180,23 +195,9 @@ def kernel_block(kernel: str, spec: GridSpec, ts) -> np.ndarray:
         for i in range(part.start, part.stop, step):
             j = min(i + step, part.stop)
             arg = np.multiply.outer(rate * ts[i:j], base)
-            np.exp(arg, out=block[i:j].real, where=arg > -746.0)
+            np.exp(arg, out=block[i:j], where=arg > -746.0)
 
     _run_parts(fill, parts)
-    return block
-
-
-@lru_cache(maxsize=CACHED_BLOCKS)
-def _cached_block(kernel: str, spec: GridSpec, ts_bytes: bytes) -> np.ndarray:
-    ts = np.frombuffer(ts_bytes)
-    rate, base = _extension_rate(kernel, spec)
-    # the block gets an anonymous mapping of its own: a long-lived block on
-    # the malloc heap would keep the freed stacks below it resident
-    block = np.frombuffer(mmap.mmap(-1, ts.size * base.nbytes), dtype=float)
-    block = block.reshape((ts.size,) + base.shape)
-    np.multiply.outer(rate * ts, base, out=block)
-    np.exp(block, out=block)
-    block.setflags(write=False)
     return block
 
 
@@ -399,11 +400,12 @@ class AnnularWindow:
         return _smoothstep(rho - 1.0) * _smoothstep((8.0 - rho) / 4.0)
 
     def multiplier(self, spec: GridSpec, t: float) -> np.ndarray:
-        """profile(t |xi|) on the frequency lattice.  The profile is exactly 0
-        for rho <= 1 and rho >= 8 and exactly 1 on [2, 4], so it is evaluated
-        only on the bands 1 < rho < 2 and 4 < rho < 8; the result is the same
-        bits as evaluating it everywhere."""
-        rho = t * spec.freq_norm()
+        """profile(t |xi|) on the frequency lattice."""
+        return self._at(t * spec.freq_norm())
+
+    def _at(self, rho: np.ndarray) -> np.ndarray:
+        """profile(rho), evaluated only off its exact 0 (rho <= 1, rho >= 8)
+        and 1 (2 <= rho <= 4): the same bits as evaluating it everywhere."""
         out = ((rho >= 2.0) & (rho <= 4.0)).astype(float)
         band = ((rho > 1.0) & (rho < 2.0)) | ((rho > 4.0) & (rho < 8.0))
         out[band] = self.profile(rho[band])
@@ -417,13 +419,15 @@ def area_integral(f: GridFunction, window: AnnularWindow | None, tg: TimeGrid) -
 
     with trapezoidal dt weights on the log grid.
 
-    A slice whose window vanishes on the whole frequency lattice adds exactly
-    0 and is left out of the multiplier pass (with the annular window this is
-    every t <= h, where t |xi| <= sqrt(2)/2 < 1).  At d=1 the ball sum is a
-    wrapped moving sum.  At d=2 it is taken by case: when the open disc of
-    radius t covers the whole wrapped box, (t/h)^2 > 2 (n/2)^2, it is the plain
-    sum of |g|^2; otherwise it is the cyclic convolution of |g|^2 with the 0/1
-    disc mask, whose transform is real because the mask is symmetric.  The
+    The multiplier passes take the radial window on the half lattice (a
+    real f gives real slices), eight slices at a time, so no (time x grid)
+    block is alive, and leave out each slice whose window vanishes on the
+    whole lattice, an exact 0 (with the annular window every t <= h, where
+    t |xi| <= sqrt(2)/2 < 1).  At d=1 the ball sum is a wrapped moving sum.
+    At d=2 it is taken by case: when the open disc of radius t covers the
+    whole wrapped box, (t/h)^2 > 2 (n/2)^2, it is the plain sum of |g|^2;
+    otherwise it is the cyclic convolution of |g|^2 with the 0/1 disc mask,
+    whose transform is real because the mask is symmetric.  The
     weighted products of transforms are summed over the slices and inverted
     once, which agrees with inverting each slice's product to rounding
     (1e-12 relative).
@@ -432,31 +436,24 @@ def area_integral(f: GridFunction, window: AnnularWindow | None, tg: TimeGrid) -
         window = AnnularWindow()
     spec = f.spec
     n, h = spec.n, spec.h
-    ts, dts = [], []
-    sym = np.empty((tg.count,) + spec.shape, dtype=complex)
-    for t, dt in zip(tg.values, tg.trapezoid_weights()):
-        mult = window.multiplier(spec, float(t))
-        if mult.any():
-            sym[len(ts)] = mult
-            ts.append(float(t))
-            dts.append(dt)
-    slices = apply_symbols(spec, f.values, sym[:len(ts)])
-    if spec.d == 1:
-        S2 = np.zeros(spec.shape)
-        for g, t, dt in zip(slices, ts, dts):
-            size = min(2 * _strict_halfwidth(t, h) + 1, n)
-            ball = _moving_mean(np.abs(g) ** 2, size) * size
-            S2 += ball * (h**spec.d) * dt / t ** (spec.d + 1)
-    else:
-        acc = np.zeros((n, n // 2 + 1), dtype=complex)
-        total = 0.0
-        for g, t, dt in zip(slices, ts, dts):
+    xi = _half(spec, spec.freq_norm())
+    times = list(zip(tg.values, tg.trapezoid_weights()))
+    S2, total = np.zeros(spec.shape), 0.0
+    acc = np.zeros((n, n // 2 + 1), dtype=complex) if spec.d == 2 else None
+    for k in range(0, len(times), 8):
+        rows = [(t, dt, m) for t, dt in times[k:k + 8] if (m := window._at(t * xi)).any()]
+        slices = apply_symbols(spec, f.values, np.array([m for *_, m in rows])) if rows else []
+        for g, (t, dt, _) in zip(slices, rows):
             sq = np.abs(g) ** 2
-            c = h * h * dt / t**3
-            if (t / h) ** 2 > 2 * (n // 2) ** 2:
-                total += c * sq.sum()
+            if spec.d == 1:
+                size = min(2 * _strict_halfwidth(t, h) + 1, n)
+                S2 += _moving_mean(sq, size) * size * (h**spec.d) * dt / t ** (spec.d + 1)
+            elif (t / h) ** 2 > 2 * (n // 2) ** 2:
+                total += h * h * dt / t**3 * sq.sum()
             else:
-                acc += c * np.fft.rfft2(sq) * np.fft.rfft2(_disc_mask(n, t / h)).real
+                mask_hat = np.fft.rfft2(_disc_mask(n, t / h)).real
+                acc += h * h * dt / t**3 * np.fft.rfft2(sq) * mask_hat
+    if spec.d == 2:
         S2 = np.fft.irfft2(acc, s=spec.shape) + total
     return GridFunction(spec, np.sqrt(np.maximum(S2, 0.0)))
 

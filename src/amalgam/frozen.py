@@ -58,7 +58,13 @@ class FrozenStore:
                 raise ValueError("not a JSON object with an 'entries' object")
             if doc.get("version") != STORE_VERSION:
                 raise ValueError(f"unsupported store version {doc.get('version')!r}")
-        except ValueError as exc:  # not JSON (or not text), or not a store
+            for key, entry in doc["entries"].items():
+                value = entry.get("value") if isinstance(entry, dict) else None
+                if not (type(value) in (int, float) and math.isfinite(value)
+                        and isinstance(entry.get("grid_id"), str)):
+                    raise ValueError(f"entry {key!r} is not a grid_id text and a finite value: "
+                                     f"{entry!r}")
+        except ValueError as exc:  # not JSON (or not text), not a store, or a malformed entry
             raise ValueError(f"frozen-constant store {path}: {exc}") from exc
         return FrozenStore(doc["entries"])
 

@@ -15,11 +15,17 @@ heat kernel at time t transforms to exp(-4 pi^2 t |xi|^2) and the Poisson
 kernel to exp(-2 pi t |xi|).  Every operator is a multiplier of that
 transform, applied by apply_symbols; the transform itself, as a separate
 forward/inverse pair, is the reference in amalgam.oracle.
+
+Values are float64 or complex128 and keep their dtype: under a real, even
+symbol a real input stays real, through the real-input transforms of
+Sorensen, Jones, Heideman and Burrus (IEEE Trans. ASSP 35, 1987).
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
+import mmap
 import os
 import threading
 from concurrent.futures import wait
@@ -114,8 +120,22 @@ class GridSpec:
         return f"d{self.d}-L{self.L}-n{self.n}"
 
 
+def _mapped(shape) -> np.ndarray:
+    """A zeroed float64 array in an anonymous mapping of its own, returned to
+    the system when freed.  For an array that outlives the stacks allocated
+    after it, or is freed while they live: on the malloc heap the first keeps
+    the memory freed below it resident, and the second leaves a resident
+    hole below them."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+
+
+def _as_dtype(values) -> np.ndarray:
+    """values as float64 when real, else complex128: the two dtypes of grid values."""
+    return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+
+
 def _as_values(spec: GridSpec, values) -> np.ndarray:
-    v = np.asarray(values, dtype=complex)
+    v = _as_dtype(values)
     if v.shape == (spec.size,):
         v = v.reshape(spec.shape)
     if v.shape != spec.shape:
@@ -129,7 +149,8 @@ def _as_values(spec: GridSpec, values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a grid, row-major over axes, immutable."""
+    """Real (float64) or complex (complex128) samples on a grid, row-major
+    over axes, immutable."""
 
     spec: GridSpec
     values: np.ndarray = field(repr=False)
@@ -236,12 +257,15 @@ def _run_parts(fn, parts: list) -> list:
 
 
 def _fftn(a: np.ndarray, d: int, out=None, transform=np.fft.fft) -> np.ndarray:
-    """The DFT of the complex array a over its last d axes, into out (a new
+    """The DFT of the array a over its last d axes, into out (a new complex
     array by default; out may be a itself): one numpy.fft call per axis,
     the first space axis first, the order every stored constant was
     computed in.  numpy.fft.fftn would add about 15 us a call of wrapper
     code, a fifth of a 4096-point transform."""
     out = np.empty(a.shape, complex) if out is None else out
+    if not np.iscomplexobj(a):  # cast into out, where numpy.fft would cast into a new copy
+        out[...] = a
+        a = out
     for axis in range(-d, 0):
         a = transform(a, axis=axis, out=out)
     return out
@@ -252,53 +276,90 @@ def _ifftn(a: np.ndarray, d: int, out=None) -> np.ndarray:
     return _fftn(a, d, out, np.fft.ifft)
 
 
+def _rfftn(a: np.ndarray, d: int, out=None) -> np.ndarray:
+    """_fftn of the real array a on the half lattice, in numpy.fft.rfftn's order."""
+    out = np.fft.rfft(a, axis=-1, out=out)
+    return np.fft.fft(out, axis=-2, out=out) if d == 2 else out
+
+
+def _irfftn(a: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """The inverse of _rfftn, into the real array out; a is overwritten."""
+    if d == 2:
+        np.fft.ifft(a, axis=-2, out=a)
+    return np.fft.irfft(a, n=out.shape[-1], axis=-1, out=out)
+
+
+def _half(spec: GridSpec, a: np.ndarray) -> np.ndarray:
+    """The half lattice, frequencies 0..n/2 of the last axis, of an array
+    over the lattice: all the values of a symbol even in each coordinate."""
+    return a[..., :spec.n // 2 + 1]
+
+
+def _full(spec: GridSpec, half: np.ndarray) -> np.ndarray:
+    """The full-lattice block of a half-lattice one, complex and writable:
+    frequency -k of the last axis takes the value at +k."""
+    out = np.empty(half.shape[:-1] + (spec.n,), dtype=complex)
+    out[..., :half.shape[-1]] = half
+    out[..., half.shape[-1]:] = half[..., -2:0:-1]
+    return out
+
+
 def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
     """One multiplier pass inverse(symbols * forward(values)), as an array.
 
     values or symbols may carry one leading batch axis (time slices).  The
-    (-1)^k phases and h^d factors cancel exactly (h is a power of two), so the
-    pass is fftn, product, ifftn, bit-identical to the forward/inverse route
-    of amalgam.oracle.  The product is formed in place, and ifftn overwrites
-    it, so a pass holds one stack.  When values carry the batch axis, they
-    are copied into a fresh output and transformed there.  When only the
-    symbols carry it, a writable complex symbol block is consumed as the
-    output buffer, while a real or read-only block (such as a cached
-    extension.kernel_block) is left intact and the output is allocated.  The
-    batch rows are split across the CPUs (_slice_parts); each slice's
-    arithmetic is the same in any split.  Non-finite output raises.
+    (-1)^k phases and h^d factors cancel exactly (h is a power of two), so a
+    complex pass is fftn, product in place, ifftn in place, bit-identical to
+    the forward/inverse route of amalgam.oracle, and holds one stack.  A
+    real symbol even in each frequency coordinate may come on the half
+    lattice (_half): on real values the pass is then rfftn, product,
+    irfftn, with a real output and a complex buffer of at most SPLIT_BYTES
+    a part; complex values take the complex pass of the block's full-lattice
+    copy (_full).  A writable complex symbol block with the only
+    batch axis is consumed as the output buffer; a real or read-only one
+    (such as a cached extension.kernel_block) is left intact.  The batch
+    rows are split across the CPUs (_slice_parts); each slice's arithmetic
+    is the same in any split.  Non-finite output raises.
     """
-    if any(np.shape(a)[-spec.d:] != spec.shape or np.ndim(a) > spec.d + 1 for a in (values, symbols)):
+    m = spec.n // 2 + 1
+    half = np.isrealobj(symbols) and np.shape(symbols)[-1:] == (m,) != (spec.n,)
+    lattice = spec.shape[:-1] + (m,) if half else spec.shape
+    if (np.shape(values)[-spec.d:] != spec.shape or np.shape(symbols)[-spec.d:] != lattice
+            or max(np.ndim(values), np.ndim(symbols)) > spec.d + 1):
         raise ValueError(f"shapes {np.shape(values)}, {np.shape(symbols)}: not the grid shape "
                          f"{spec.shape} with at most one batch axis")
-    values = np.asarray(values)
-    spectrum = None
-    if values.ndim > spec.d:
-        if np.ndim(symbols) > spec.d and len(symbols) not in (1, len(values)):
-            raise ValueError(f"{len(values)} value slices but {len(symbols)} symbol slices")
-        out = np.empty(values.shape, dtype=complex)
+    values, sym = np.asarray(values), np.asarray(symbols)
+    batched = values.ndim > spec.d
+    if batched and sym.ndim > spec.d and len(sym) not in (1, len(values)):
+        raise ValueError(f"{len(values)} value slices but {len(sym)} symbol slices")
+    if half and np.iscomplexobj(values):
+        sym, half, lattice = _full(spec, sym), False, spec.shape
+    fwd, inv = (_rfftn, _irfftn) if half else (_fftn, _ifftn)
+    spectrum = None if batched else fwd(values, spec.d)
+    if not (batched or half) and sym.ndim == spec.d:
+        out = spectrum
+    elif not (batched or half) and np.iscomplexobj(sym) and sym.flags.writeable:
+        out = sym
     else:
-        spectrum = _fftn(np.asarray(values, dtype=complex), spec.d)
-        if np.ndim(symbols) == spec.d:
-            out = spectrum
-        elif np.iscomplexobj(symbols) and symbols.flags.writeable:
-            out = symbols
-        else:
-            out = np.empty(np.shape(symbols), dtype=complex)
+        out = np.empty(values.shape if batched else sym.shape[:-spec.d] + spec.shape,
+                       float if half else complex)
     # output and symbols with one batch axis (of length 1 when unbatched)
     rows = out.reshape((-1,) + spec.shape)
-    sym = np.asarray(symbols).reshape((-1,) + spec.shape)
+    sym = sym.reshape((-1,) + lattice)
+    step = max(SPLIT_BYTES // (16 * sym[0].size), 1) if half else len(rows)
 
     def run(part):
-        o = rows[part.start:part.stop]
-        s = sym if len(sym) == 1 else sym[part.start:part.stop]
-        if spectrum is None:
-            o[...] = values[part.start:part.stop]
-            _fftn(o, spec.d, out=o)
-            np.multiply(s, o, out=o)
-        else:
-            np.multiply(s, spectrum, out=o)
-        _ifftn(o, spec.d, out=o)
-        return np.all(np.isfinite(o))
+        work = np.empty((min(step, len(part)),) + lattice, complex) if half else None
+        finite = True
+        for i in range(part.start, part.stop, step):
+            j = min(i + step, part.stop)
+            o, s = rows[i:j], sym if len(sym) == 1 else sym[i:j]
+            w = work[:j - i] if half else o
+            x = fwd(values[i:j], spec.d, w) if spectrum is None else spectrum
+            np.multiply(s, x, out=w)
+            inv(w, spec.d, o)
+            finite = finite and np.all(np.isfinite(o))
+        return finite
 
     if not all(_run_parts(run, _slice_parts(spec, len(rows)))):
         raise ValueError("multiplier pass produced non-finite values")
@@ -458,22 +519,25 @@ def sample(family, spec: GridSpec) -> GridFunction:
 
 # ---------------------------------------------------------------------------
 # File format: text header (key=value lines, blank line) + raw binary samples,
-# or CSV with index columns then re, im.
+# or CSV with index columns then re (and im for complex samples).
 # ---------------------------------------------------------------------------
 
-_HEADER_DTYPE = "complex-float64-little-endian"
+# the header's dtype names, by whether the samples are complex; complex
+# files are the format's original
+_DTYPES = {True: ("complex-float64-little-endian", "<c16"), False: ("float64-little-endian", "<f8")}
 
 
 def write_grid_function(f: GridFunction, path) -> None:
     path = str(path)
     if path.endswith(".csv"):
+        cplx = np.iscomplexobj(f.values)
         with open(path, "w") as fh:
             fh.write(f"# dim={f.spec.d},L={f.spec.L},n={f.spec.n}\n")
-            idx_cols = ["i"] if f.spec.d == 1 else ["i", "j"]
-            fh.write(",".join(idx_cols + ["re", "im"]) + "\n")
+            fh.write(",".join(["i", "j"][:f.spec.d] + ["re", "im"][:1 + cplx]) + "\n")
             for k, z in enumerate(f.values.reshape(-1)):
                 idx = (k,) if f.spec.d == 1 else divmod(k, f.spec.n)
-                fh.write(",".join(map(str, idx)) + f",{float(z.real)!r},{float(z.imag)!r}\n")
+                parts = (z.real, z.imag) if cplx else (z,)
+                fh.write(",".join([*map(str, idx), *(repr(float(x)) for x in parts)]) + "\n")
         return
     _write_binary(path, f.spec, f.values)
 
@@ -483,48 +547,53 @@ def read_grid_function(path) -> GridFunction:
     if path.endswith(".csv"):
         with open(path) as fh:
             first = fh.readline().strip()
+            is_complex = fh.readline().strip().endswith(",im")
         if not first.startswith("#"):
             raise ValueError("CSV is missing its '# dim=..,L=..,n=..' header line")
         meta = dict(item.split("=") for item in first.lstrip("# ").split(","))
         spec = GridSpec(int(meta["dim"]), int(meta["L"]), int(meta["n"]))
         rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-        values = np.ascontiguousarray(rows[:, -2:]).view(complex)[:, 0]  # keeps im = -0.0
-        return GridFunction(spec, values)
+        # a view of the (re, im) columns keeps im = -0.0
+        values = np.ascontiguousarray(rows[:, spec.d:]).view(complex if is_complex else float)
+        return GridFunction(spec, values[:, 0])
     _, spec, values = _read_binary(path)
     return GridFunction(spec, values)
 
 
 def _write_binary(path, spec: GridSpec, values: np.ndarray, **meta) -> None:
     """Header of key=value lines (grid, meta, layout, dtype), a blank line,
-    then the raw little-endian complex128 samples; shared by stack files."""
-    header = {"dim": spec.d, "L": spec.L, "n": spec.n, **meta,
-              "layout": "row-major", "dtype": _HEADER_DTYPE}
+    then the raw little-endian complex128 or float64 samples; shared by
+    stack files."""
+    name, dtype = _DTYPES[np.iscomplexobj(values)]
+    header = {"dim": spec.d, "L": spec.L, "n": spec.n, **meta, "layout": "row-major", "dtype": name}
     with open(path, "wb") as fh:
         fh.write("".join(f"{k}={v}\n" for k, v in header.items()).encode("ascii") + b"\n")
-        fh.write(memoryview(np.ascontiguousarray(values, dtype="<c16")).cast("B"))
+        fh.write(memoryview(np.ascontiguousarray(values, dtype=dtype)).cast("B"))
 
 
 def _read_binary(path, count_key: str | None = None) -> tuple:
     """(header, spec, samples) of a file written by _write_binary; the payload
-    must be exactly count * n^d complex128 samples, count read from the
-    header field count_key (1 without one).  The samples are read straight
-    into the returned array, with no intermediate bytes object."""
+    must be exactly count * n^d samples of the header's dtype, count read
+    from the header field count_key (1 without one).  The samples are read
+    straight into the returned array, with no intermediate bytes object."""
     with open(path, "rb") as fh:
         header = {}
         while (line := fh.readline().decode("ascii")) not in ("\n", ""):
             key, _, val = line.strip().partition("=")
             header[key] = val
-        for key, want in (("dtype", _HEADER_DTYPE), ("layout", "row-major")):
-            if header.get(key) != want:
-                raise ValueError(f"unsupported {key} {header.get(key)!r}")
+        if (dtype := dict(_DTYPES.values()).get(header.get("dtype"))) is None:
+            raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
+        if header.get("layout") != "row-major":
+            raise ValueError(f"unsupported layout {header.get('layout')!r}")
         spec = GridSpec(int(header["dim"]), int(header["L"]), int(header["n"]))
         count = int(header[count_key]) if count_key else 1
-        expected = count * spec.size * 16
+        item = np.dtype(dtype).itemsize
+        expected = count * spec.size * item
         actual = os.fstat(fh.fileno()).st_size - fh.tell()
         if actual != expected:
             raise ValueError(f"{path}: payload is {actual} bytes, expected {count} x {spec.size} "
-                             f"x 16 = {expected}")
-        values = np.empty(count * spec.size, dtype="<c16")
+                             f"x {item} = {expected}")
+        values = np.empty(count * spec.size, dtype=dtype)
         got = fh.readinto(memoryview(values).cast("B"))
         if got != expected:
             raise ValueError(f"{path}: short read, {got} of {expected} payload bytes")

@@ -26,7 +26,7 @@ from .crsys import ConjugateField, sup_vector_amalgam_norms
 from .extension import (ExtensionStack, TimeGrid, _dilation_block, _h1_certificate, extend,
                         grid_run_id, kernel_block, nontangential_max, radial_maximal)
 from .frozen import FrozenStore
-from .grid import GridFunction, GridSpec, apply_symbols, sample, sup_norm
+from .grid import GridFunction, GridSpec, _full, apply_symbols, sample, sup_norm
 from .norms import Exponents, _as_exponents, amalgam_norm, slice_norms
 from .spectral import (
     MultiplierFamily,
@@ -171,13 +171,14 @@ def _mollified_blocks(f: GridFunction, tg: TimeGrid, order: int):
     grid (level 0), then each Riesz composition of it up to the given order, in
     the order of _riesz_compositions.  Each block is built by one pass, and
     the caller drops it before asking for the next, so one stack is alive at
-    a time."""
+    a time.  The compositions multiply the block's full-lattice copy."""
     spec = f.spec
     moll = _dilation_block(spec, tg.values)
-    for idx in [(), *_riesz_compositions(spec, order)]:
-        # the identity symbol is complex (1 + 0j) too: its block becomes the output
-        m = riesz_multiplier(spec, idx) if idx else 1 + 0j
-        yield len(idx), apply_symbols(spec, f.values, moll * m)
+    yield 0, apply_symbols(spec, f.values, moll)
+    if order:
+        moll = _full(spec, moll)
+    for idx in _riesz_compositions(spec, order):
+        yield len(idx), apply_symbols(spec, f.values, moll * riesz_multiplier(spec, idx))
 
 
 def hardy_quantity_riesz(f: GridFunction, e, eps_grid: TimeGrid, order: int = 1) -> QuantityResult:
@@ -227,14 +228,16 @@ def _lift(f: GridFunction, rs, tg: TimeGrid, flavor: str) -> ConjugateField:
     the Riesz transforms rs = [R_1 f, ..., R_d f]."""
     kernel = "poisson" if flavor == "harmonic" else "heat"
     spec = f.spec
-    # one kernel block for all d+1 passes: the R_j f passes read a read-only
-    # view of it, and the last pass consumes it as f's output buffer when it
-    # is writable, so the lift holds d+1 stacks and no separate block
+    # f's pass reads the half-lattice block (a real f gives a real stack),
+    # the R_j f passes its full-lattice copy, which the last one consumes as
+    # its output buffer: past f's pass the lift holds d+1 stacks, no block
     block = kernel_block(kernel, spec, tg.values)
+    own = apply_symbols(spec, f.values, block)
+    block = _full(spec, block)
     shared = block.view()
     shared.setflags(write=False)
-    values = [apply_symbols(spec, g.values, shared) for g in rs]
-    values.append(apply_symbols(spec, f.values, block))
+    values = [apply_symbols(spec, g.values, shared) for g in rs[:-1]]
+    values += [apply_symbols(spec, rs[-1].values, block), own]
     return ConjugateField(tuple(ExtensionStack._from_pass(spec, tg, v, kernel) for v in values), flavor)
 
 
@@ -258,7 +261,7 @@ def caloric_lift(f: GridFunction, tg: TimeGrid) -> ConjugateField:
 
 
 def _mean_removed(f: GridFunction) -> GridFunction:
-    mean = complex(f.spec.h**f.spec.d * np.sum(f.values)) / (2.0 * f.spec.L) ** f.spec.d
+    mean = f.spec.h**f.spec.d * np.sum(f.values) / (2.0 * f.spec.L) ** f.spec.d
     return GridFunction(f.spec, f.values - mean)
 
 

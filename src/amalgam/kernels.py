@@ -170,7 +170,9 @@ def decay_certificate(kind: str, spec: GridSpec, t_grid) -> CertificateReport:
         elif kind == "heat_half_dt":
             if spec.d != 1:
                 raise ValueError("heat_half_dt certificate is implemented for d=1")
-            val = np.abs(half_derivative_heat_pointwise(axes[0], float(t)))
+            # |x_k| = |x_(n-k)| exactly: evaluate nodes 0..n/2, mirror the rest
+            half = np.abs(half_derivative_heat_pointwise(axes[0][:spec.n // 2 + 1], float(t)))
+            val = np.concatenate([half, half[-2:0:-1]])
             weight = np.maximum(t ** ((spec.d + 1) / 2.0), r ** (spec.d + 1))
         else:
             raise ValueError(f"unknown certificate kind {kind!r}")

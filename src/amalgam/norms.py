@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, sup_norm
+from .grid import GridFunction, GridSpec, _mapped, sup_norm
 from .spectral import convolve
 
 __all__ = [
@@ -134,7 +134,7 @@ def _ball_weights_cached(d: int, L: int, n: int) -> np.ndarray:
     if d == 1:
         # cells [x, x+h) tile [-1, 1) exactly
         return ((x >= -1.0) & (x < 1.0)).astype(float)
-    w = np.zeros(spec.shape)
+    w = _mapped(spec.shape)  # cached for the process
     r_out_axis = np.maximum(np.abs(x), np.abs(x + h))
     r_in_axis = np.where(np.sign(x) != np.sign(x + h), 0.0, np.minimum(np.abs(x), np.abs(x + h)))
     for i in range(spec.n):

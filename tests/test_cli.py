@@ -247,6 +247,25 @@ class TestUsageErrors:
         assert err.startswith("usage error:") and str(store) in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("entry", [
+        {"value": 1.0},                      # no grid id
+        {"grid_id": "g", "value": "x"},      # a value that is not a number
+        {"grid_id": "g", "value": True},     # nor is a boolean
+        {"grid_id": 3, "value": 1.0},        # a grid id that is not text
+        [1.0],                               # not an object
+    ], ids=["no-grid-id", "text-value", "bool-value", "number-grid-id", "not-object"])
+    @pytest.mark.parametrize("argv", [["report", "--assert"], ["atoms", "--assert"]],
+                             ids=["report-assert", "atoms-assert"])
+    def test_malformed_store_entry(self, argv, entry, tmp_path, capsys):
+        # a malformed entry is bad input, named with its file and key
+        key = "atoms-d1|band_low|p=1|q=1"
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps({"version": 1, "entries": {key: entry}}))
+        assert run([*argv, *BASE, "--frozen", str(store)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and str(store) in err and repr(key) in err
+
 
 class TestOutDirectory:
     # --out may name a directory that does not exist yet: it is created

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,8 @@ from amalgam.extension import (
     tpq_norm,
     write_stack,
 )
-from amalgam.grid import GridFunction, apply_symbols, bandlimited_random, lp_norm, make_grid, sample
+from amalgam.grid import (GridFunction, _full, _half, apply_symbols, bandlimited_random, lp_norm,
+                          make_grid, sample)
 from amalgam.hardy import caloric_lift
 from amalgam.kernels import heat_kernel
 from amalgam.norms import amalgam_norm
@@ -141,8 +143,9 @@ class TestStackValidation:
 
 
 class TestKernelBlock:
-    """Heat and Poisson symbol blocks: d=1 blocks are built once, kept
-    read-only and shared; desk-scale d=2 blocks are never kept."""
+    """Heat and Poisson symbol blocks, real and on the half lattice: d=1
+    blocks are built once, kept read-only and shared; desk-scale d=2 blocks
+    are never kept."""
 
     @staticmethod
     def per_slice(kernel, spec, ts):
@@ -152,33 +155,39 @@ class TestKernelBlock:
     def test_cached_d1_block(self, desk1, tg48, kernel):
         block = kernel_block(kernel, desk1, tg48.values)
         assert block.dtype == float and not block.flags.writeable
+        assert block.shape == (tg48.count, desk1.n // 2 + 1)
         assert kernel_block(kernel, desk1, tg48.values) is block
-        np.testing.assert_array_equal(block, self.per_slice(kernel, desk1, tg48.values))
+        want = self.per_slice(kernel, desk1, tg48.values)
+        np.testing.assert_array_equal(block, _half(desk1, want))
+        # the symbols are even: the mirrored block is the full-lattice one
+        np.testing.assert_array_equal(_full(desk1, block), want)
 
     def test_dilation_block(self, desk1, tg48):
         # the maximal profile dilated by t is the heat kernel at t^2
         ts = tg48.values
         np.testing.assert_array_equal(_dilation_block(desk1, ts),
-                                      self.per_slice("heat", desk1, [t**2 for t in ts]))
+                                      _half(desk1, self.per_slice("heat", desk1, [t**2 for t in ts])))
         assert _dilation_block(desk1, ts) is kernel_block("heat", desk1, ts**2)
 
     def test_desk_d2_block_not_retained(self, desk2, tg48):
         hits = _cached_block.cache_info().hits
         block = kernel_block("heat", desk2, tg48.values)
         assert block.nbytes > BLOCK_BYTES
-        assert block.dtype == complex and block.flags.writeable
+        assert block.dtype == float and block.shape == (tg48.count, desk2.n, desk2.n // 2 + 1)
         assert kernel_block("heat", desk2, tg48.values) is not block
         assert _cached_block.cache_info().hits == hits
         np.testing.assert_array_equal(block[[0, 47]],
-                                      self.per_slice("heat", desk2, tg48.values[[0, 47]]))
+                                      _half(desk2, self.per_slice("heat", desk2, tg48.values[[0, 47]])))
 
     @pytest.mark.parametrize("kernel", ["heat", "poisson"])
     def test_desk_d2_block_matches_per_slice(self, desk2, tg48, kernel):
-        # every row, including the underflowing and subnormal entries
+        # every row, including the underflowing and subnormal entries, and
+        # the mirrored rest of the lattice
         block = kernel_block(kernel, desk2, tg48.values)
         want = self.per_slice(kernel, desk2, tg48.values)
         assert np.any((want > 0) & (want < np.finfo(float).tiny)) and np.any(want == 0)
-        np.testing.assert_array_equal(block, want)
+        np.testing.assert_array_equal(block, _half(desk2, want))
+        np.testing.assert_array_equal(_full(desk2, block), want)
 
     def test_apply_symbols_leaves_cached_block_unchanged(self, desk1, tg48):
         block = kernel_block("heat", desk1, tg48.values)
@@ -359,6 +368,18 @@ class TestAreaIntegral:
         S2 = area_integral(3.0 * f, None, tg)
         np.testing.assert_allclose(S2.values.real, 3.0 * S1.values.real, atol=1e-12)
 
+    def test_d1_peak_memory(self, desk1, tg48):
+        """At d=1 the passes run eight slices at a time and no d=2
+        accumulator (n x (n/2+1) complex, 134 MB here) is allocated."""
+        f = bandlimited_random(desk1, 5, 1.0, 4.0)
+        tracemalloc.start()
+        try:
+            area_integral(f, None, tg48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * f.values.nbytes  # 4 MiB; about 1.3 MiB measured
+
     def test_window_bounds(self):
         win = AnnularWindow()
         rho = np.linspace(0, 10, 2001)
@@ -513,27 +534,36 @@ class TestStackDump:
         assert back.kernel == "heat"
         np.testing.assert_array_equal(back.values, stack.values)
 
+    @staticmethod
+    def stacks(spec, tg):
+        """A real heat stack (8-byte samples) and a complex one (16-byte)."""
+        f = bandlimited_random(spec, 10, 0.5, 2.0)
+        return [(extend(g, "heat", tg), size) for g, size in ((f, 8), ((1 + 1j) * f, 16))]
+
     @pytest.mark.parametrize("delta", [1, -1])
     def test_payload_length_checked(self, tmp_path, small1, tg16, delta):
-        path = tmp_path / "u.stack"
-        write_stack(extend(bandlimited_random(small1, 10, 0.5, 2.0), "heat", tg16), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw + b"\0" if delta > 0 else raw[:-1])
-        expected = tg16.count * small1.size * 16
-        with pytest.raises(ValueError, match=rf"{expected + delta} bytes, expected "
-                                             rf"{tg16.count} x {small1.size} x 16 = {expected}$"):
-            read_stack(path)
+        for stack, size in self.stacks(small1, tg16):
+            path = tmp_path / "u.stack"
+            write_stack(stack, path)
+            raw = path.read_bytes()
+            path.write_bytes(raw + b"\0" if delta > 0 else raw[:-1])
+            expected = tg16.count * small1.size * size
+            with pytest.raises(ValueError, match=rf"{expected + delta} bytes, expected "
+                                                 rf"{tg16.count} x {small1.size} x {size} = {expected}$"):
+                read_stack(path)
 
     def test_short_read_checked(self, tmp_path, monkeypatch, small1, tg16):
         # a payload that shrinks after its length was checked
-        path = tmp_path / "u.stack"
-        write_stack(extend(bandlimited_random(small1, 10, 0.5, 2.0), "heat", tg16), path)
-        path.write_bytes(path.read_bytes()[:-16])
         fstat = os.fstat
-        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 16))
-        expected = tg16.count * small1.size * 16
-        with pytest.raises(ValueError, match=rf"short read, {expected - 16} of {expected} "):
-            read_stack(path)
+        for stack, size in self.stacks(small1, tg16):
+            path = tmp_path / "u.stack"
+            write_stack(stack, path)
+            path.write_bytes(path.read_bytes()[:-size])
+            with monkeypatch.context() as m:
+                m.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + size))
+                expected = tg16.count * small1.size * size
+                with pytest.raises(ValueError, match=rf"short read, {expected - size} of {expected} "):
+                    read_stack(path)
 
     def test_numpy_float_time_bounds(self, tmp_path, small1):
         # bounds taken from an array are numpy floats; the header must hold

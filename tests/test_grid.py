@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from amalgam.extension import ExtensionStack, TimeGrid, read_stack, write_stack
+from amalgam.extension import ExtensionStack, TimeGrid, kernel_block, read_stack, write_stack
 from amalgam.grid import (
     FUNCTION_FAMILIES,
     FunctionSpec,
     GridFunction,
+    _full,
     apply_symbols,
     bandlimited_random,
     lp_norm,
@@ -19,8 +20,9 @@ from amalgam.grid import (
     sample,
     write_grid_function,
 )
+from amalgam.hardy import AtomSpec, make_atom
 from amalgam.oracle import SpectralFunction, forward, inverse
-from amalgam.spectral import SphereSymbol, read_symbol, write_symbol
+from amalgam.spectral import SphereSymbol, read_symbol, riesz, write_symbol
 
 
 class TestMakeGrid:
@@ -286,6 +288,63 @@ class TestApplySymbols:
             apply_symbols(small2, np.ones((1,) + small2.shape), np.ones((3,) + small2.shape))
 
 
+_HALF_CASE = dict(d=st.sampled_from([1, 2]), log_n=st.integers(2, 7), log_l=st.integers(0, 3),
+                  batch=st.sampled_from([None, 1, 3]), sym_batch=st.sampled_from([None, 1, 3]),
+                  kernel=st.sampled_from(["heat", "poisson"]), seed=st.integers(0, 2**16))
+
+
+def _half_case(d, log_n, log_l, batch, sym_batch, kernel, seed):
+    """A grid, real values and a half-lattice kernel block, as drawn."""
+    n = 2 ** (log_n + (d == 1) * 3)
+    spec = make_grid(d, min(2**log_l, n // 2), n)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(spec.shape if batch is None else (batch,) + spec.shape)
+    if batch and sym_batch and sym_batch != 1:
+        sym_batch = batch  # a symbol block has one row or one per value slice
+    ts = np.geomspace(1e-3, 4.0, sym_batch or 1) * rng.uniform(0.5, 2.0)
+    block = kernel_block(kernel, spec, ts)
+    return spec, values, block if sym_batch else block[0]
+
+
+class TestHalfLatticeSymbols:
+    """Half-lattice (real, even) symbols: the real route on real values and
+    the full-lattice complex route on complex values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_HALF_CASE)
+    def test_real_route_matches_complex_values(self, **case):
+        # the same values typed complex take the complex route
+        spec, values, block = _half_case(**case)
+        got = apply_symbols(spec, values, block)
+        want = apply_symbols(spec, values.astype(complex), block)
+        assert got.dtype == float and want.dtype == complex and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_HALF_CASE)
+    def test_complex_values_take_the_full_block(self, **case):
+        spec, values, block = _half_case(**case)
+        values = values * (0.6 - 0.8j)
+        got = apply_symbols(spec, values, block)
+        want = apply_symbols(spec, values, _full(spec, block))
+        assert got.dtype == complex and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_riesz_keeps_its_nyquist_imaginary_part(self, desk1):
+        # -i xi/|xi| does not flip sign under xi -> -xi at the Nyquist bin,
+        # so R_1 of a real input is not real: it must stay complex
+        atom = make_atom(AtomSpec((0.0,), 0.5, 0, 1.0, 1.0), desk1)
+        assert atom.values.dtype == float
+        r = riesz(atom, 1).values
+        assert r.dtype == complex
+        assert 4e-4 < np.max(np.abs(r.imag)) < 6e-4
+        assert 1.5 < np.max(np.abs(r.real)) < 2.5
+
+    def test_real_values_and_full_symbols_stay_complex(self, small1):
+        f = bandlimited_random(small1, 2, 0.5, 4.0)
+        assert apply_symbols(small1, f.values, small1.freq_norm()).dtype == complex
+
+
 class TestLatticeCache:
     @pytest.mark.parametrize("d, L, n", [(1, 16, 1024), (2, 4, 64)])
     def test_read_only_and_intact(self, d, L, n):
@@ -359,13 +418,32 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_payload_length_checked(self, tmp_path, small1, delta):
+        f = bandlimited_random(small1, 5, 0.5, 2.0)
+        for g, size in ((f, 8), ((1 + 1j) * f, 16)):  # float64 and complex128 samples
+            path = tmp_path / "f.grid"
+            write_grid_function(g, path)
+            raw = path.read_bytes()
+            path.write_bytes(raw + b"\0" if delta > 0 else raw[:-1])
+            expected = small1.size * size
+            with pytest.raises(ValueError, match=rf"{expected + delta} bytes, expected 1 x {small1.size} "
+                                                 rf"x {size} = {expected}$"):
+                read_grid_function(path)
+
+    def test_complex_file_header_unchanged(self, tmp_path):
+        # complex files keep the header every earlier file has, so both
+        # directions read them bit for bit; real files name float64
+        spec = make_grid(1, 1, 4)
+        values = np.array([1.5 - 0.0j, -2.0 + 1e-300j, 0.0, 3.25 + 4.0j])
+        old = (b"dim=1\nL=1\nn=4\nlayout=row-major\ndtype=complex-float64-little-endian\n\n"
+               + values.astype("<c16").tobytes())
         path = tmp_path / "f.grid"
-        write_grid_function(bandlimited_random(small1, 5, 0.5, 2.0), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw + b"\0" if delta > 0 else raw[:-1])
-        expected = small1.size * 16
-        with pytest.raises(ValueError, match=rf"{expected + delta} bytes, expected 1 x {small1.size} x 16 = {expected}$"):
-            read_grid_function(path)
+        path.write_bytes(old)
+        f = read_grid_function(path)
+        assert f.values.dtype == complex and _same_bits(f.values, values)
+        write_grid_function(f, path)
+        assert path.read_bytes() == old
+        write_grid_function(GridFunction(spec, values.real), path)
+        assert b"dtype=float64-little-endian\n\n" in path.read_bytes()
 
     def test_from_file_family(self, tmp_path, small1):
         f = bandlimited_random(small1, 1, 0.5, 2.0)
@@ -376,16 +454,26 @@ class TestFileFormat:
 
 
 _FINITE = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_FINITE_REAL = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def _same_bits(a, b) -> bool:
-    a, b = np.atleast_1d(np.asarray(a, dtype=complex)), np.atleast_1d(np.asarray(b, dtype=complex))
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    a, b = np.atleast_1d(np.asarray(a)), np.atleast_1d(np.asarray(b))
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def _samples(data, shape):
+    """Finite float64 or complex128 samples of the given shape."""
+    if data.draw(st.booleans()):
+        return data.draw(arrays(float, shape, elements=_FINITE_REAL))
+    return data.draw(arrays(complex, shape, elements=_FINITE))
 
 
 class TestFileRoundTripProperties:
-    """.grid, CSV grid, .stack and symbol files give back every bit written,
-    signed zeros and subnormals included."""
+    """.grid, CSV grid, .stack and symbol files give back every bit and the
+    dtype (float64 or complex128) written, signed zeros and subnormals
+    included."""
 
     @staticmethod
     def grid(d, log_n, log_l):
@@ -397,7 +485,7 @@ class TestFileRoundTripProperties:
            log_l=st.integers(0, 3), suffix=st.sampled_from([".grid", ".csv"]))
     def test_grid_file(self, tmp_path_factory, data, d, log_n, log_l, suffix):
         spec = self.grid(d, log_n, log_l)
-        f = GridFunction(spec, data.draw(arrays(complex, spec.shape, elements=_FINITE)))
+        f = GridFunction(spec, _samples(data, spec.shape))
         path = tmp_path_factory.mktemp("grid") / f"f{suffix}"
         write_grid_function(f, path)
         g = read_grid_function(path)
@@ -411,7 +499,7 @@ class TestFileRoundTripProperties:
     def test_stack_file(self, tmp_path_factory, data, d, log_n, log_l, tcount, t_min, span, kernel):
         spec = self.grid(d, log_n, log_l)
         tg = TimeGrid(t_min, t_min * (1.0 + span), tcount)
-        values = data.draw(arrays(complex, (tcount,) + spec.shape, elements=_FINITE))
+        values = _samples(data, (tcount,) + spec.shape)
         stack = ExtensionStack(spec, tg, values, kernel)
         path = tmp_path_factory.mktemp("stack") / "u.stack"
         write_stack(stack, path)

@@ -174,8 +174,9 @@ class TestLifts:
     @pytest.mark.parametrize("lift,kernel", [(harmonic_lift, "poisson"), (caloric_lift, "heat")],
                              ids=["harmonic", "caloric"])
     def test_d2_components_are_extensions(self, desk2, tg16, lift, kernel):
-        # one shared complex block for all d+1 passes, the same bits as
-        # extending each component on its own
+        # one kernel block for all d+1 passes (f's on the half lattice, the
+        # R_j f passes on its full-lattice copy), the same bits as extending
+        # each component on its own
         assert tg16.count * desk2.size * 8 > BLOCK_BYTES
         f = bandlimited_random(desk2, 5, 0.25, 2.0)
         F = lift(f, tg16)
@@ -202,6 +203,17 @@ class TestLiftMemory:
         peak, F = self.peak_bytes(lift, f, tg48)
         assert peak < (desk2.d + 2) * F.components[0].values.nbytes
 
+    @pytest.mark.parametrize("lift", [harmonic_lift, caloric_lift], ids=["harmonic", "caloric"])
+    def test_desk2_real_input_holds_no_block(self, desk2, tg48, lift):
+        # a real f gives a real f stack, and past f's pass the lift holds its
+        # d+1 stacks and no separate symbol block (a half-lattice one is a
+        # quarter of a complex stack)
+        f = sample("gaussian:width=1", desk2)
+        peak, F = self.peak_bytes(lift, f, tg48)
+        assert [c.values.dtype for c in F.components] == [complex] * desk2.d + [float]
+        stacks = sum(c.values.nbytes for c in F.components)
+        assert peak < stacks + F.components[0].values.nbytes / 4
+
 
 class TestReferenceFamily:
     def test_size_and_mean_zero(self, desk1):
@@ -210,6 +222,10 @@ class TestReferenceFamily:
         for name, f in members:
             mean = abs(np.sum(f.values)) * desk1.h
             assert mean <= 1e-10, name
+
+    def test_members_stay_real(self, desk1):
+        # removing the mean keeps a real member real
+        assert all(f.values.dtype == float for _, f in reference_family(desk1))
 
     def test_deterministic(self, desk1):
         a = reference_family(desk1)

@@ -219,6 +219,16 @@ class TestDecayCertificates:
         images[xc == 0] = (1j / np.pi) * (np.pi / c) ** 2 * (1.0 / 3.0)  # limit at 0
         assert np.max(np.abs(grid_route[center] - closed[center] - images)) <= 1e-4
 
+    def test_half_dt_on_every_node(self, small1):
+        # the certificate evaluates half the nodes and mirrors them: the
+        # same bits as the weighted kernel on every node
+        t_grid = np.geomspace(0.1, 10.0, 7)
+        x = small1.axis_nodes()
+        best = max((float(np.max(np.abs(half_derivative_heat_pointwise(x, t))
+                                 * np.maximum(t, np.abs(x) ** 2))), t) for t in t_grid)
+        c = decay_certificate("heat_half_dt", small1, t_grid)
+        assert (c.max_ratio, c.at_t) == best
+
     def test_rejects_bad_inputs(self, small1):
         with pytest.raises(ValueError):
             decay_certificate("poisson_dt", small1, [1.0])

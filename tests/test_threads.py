@@ -20,7 +20,7 @@ from amalgam.crsys import (
     sup_vector_amalgam_norms,
 )
 from amalgam.extension import TimeGrid, extend, kernel_block, nontangential_max
-from amalgam.grid import SPLIT_BYTES, _run_parts, _slice_parts, apply_symbols, make_grid, sample
+from amalgam.grid import SPLIT_BYTES, _full, _run_parts, _slice_parts, apply_symbols, make_grid, sample
 from amalgam.hardy import caloric_lift, harmonic_lift
 
 SPLITS = (2, 3)
@@ -135,7 +135,7 @@ class TestApplySymbols:
             assert_same_bits(serial, s)
 
     def test_writable_symbols_are_consumed(self, monkeypatch, gate2, f2, tg7):
-        block = kernel_block("heat", gate2, tg7.values).astype(complex)
+        block = _full(gate2, kernel_block("heat", gate2, tg7.values))
 
         def run():
             sym = block.copy()
@@ -160,14 +160,14 @@ class TestApplySymbols:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_in_a_late_part_raises(self, monkeypatch, gate2, f2, tg7):
         monkeypatch.setattr(grid, "_cpus", lambda: 2)
-        sym = kernel_block("heat", gate2, tg7.values).astype(complex)
+        sym = _full(gate2, kernel_block("heat", gate2, tg7.values))
         sym[-1, 0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             apply_symbols(gate2, f2.values, sym)
 
     def test_workers_keep_the_callers_error_state(self, monkeypatch, gate2, f2, tg7):
         monkeypatch.setattr(grid, "_cpus", lambda: 2)
-        sym = kernel_block("heat", gate2, tg7.values).astype(complex)
+        sym = _full(gate2, kernel_block("heat", gate2, tg7.values))
         sym[-1, 0, 0] = np.inf
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             apply_symbols(gate2, f2.values, sym)
@@ -175,8 +175,8 @@ class TestApplySymbols:
 
 class TestExtension:
     def test_kernel_block(self, monkeypatch, gate2):
-        # 21 slices: above extension.BLOCK_BYTES, so built fresh, not cached
-        ts = TimeGrid(1e-3, 16.0, 21).values
+        # 41 half-lattice slices: above extension.BLOCK_BYTES, so built fresh, not cached
+        ts = TimeGrid(1e-3, 16.0, 41).values
         for kernel in ("heat", "poisson"):
             serial, splits = serial_and_split(monkeypatch, lambda: kernel_block(kernel, gate2, ts))
             assert serial.flags.writeable
