@@ -30,7 +30,7 @@ from .hardy import (
     ATOM_SIDES,
     EQUIVALENCE_METHODS,
     SLACK,
-    atom_probe,
+    AtomSpec,
     caloric_lift,
     default_multiplier_family,
     equivalence_report,
@@ -39,6 +39,7 @@ from .hardy import (
     hardy_norm_maximal,
     hardy_quantity_multiplier,
     hardy_quantity_riesz,
+    make_atom,
     reference_family,
 )
 from .norms import Exponents, amalgam_norm
@@ -319,8 +320,14 @@ def _cmd_hardy(cfg: RunConfig, args) -> None:
 def _cmd_atoms(cfg: RunConfig, args) -> None:
     spec, e, tg = cfg.grid(), cfg.exponents(), cfg.timegrid()
     store = _frozen_store(cfg) if cfg.do_assert else None
-    rows = [{"m": m, "side": side, "value": value}
-            for m, side, value in atom_probe(spec, e, tg, args.orders, args.sides)]
+    rows = []
+    for m in args.orders:
+        for side in args.sides:
+            try:
+                atom = make_atom(AtomSpec((0.0,) * spec.d, side, m, e.p, e.q), spec)
+            except ValueError as exc:  # the cube is too small for the order, or leaves the box
+                raise UsageError(f"--orders {m} --sides {side:g}: {exc}") from exc
+            rows.append({"m": m, "side": side, "value": hardy_norm_maximal(atom, e, tg)})
     values = [r["value"] for r in rows]
     results = {"atoms": rows, "band_low": min(values), "band_high": max(values)}
     status = "pass"

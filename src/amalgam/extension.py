@@ -13,8 +13,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .grid import (GridFunction, GridSpec, _as_dtype, _half, _mapped, _read_binary, _run_parts,
-                   _slice_parts, _write_binary, apply_symbols)
+from .grid import (GridFunction, GridSpec, _as_dtype, _half, _irfftn, _mapped, _read_binary, _rfftn,
+                   _run_parts, _slice_parts, _write_binary, apply_symbols)
 from .norms import _as_exponents, slice_norms
 
 __all__ = [
@@ -339,46 +339,29 @@ def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunct
     return GridFunction(spec, reduce(np.maximum, accs))
 
 
-def _moving_mean(a: np.ndarray, size: int) -> np.ndarray:
-    """Mean over the size wrapped cells x - size//2, ..., x - size//2 + size - 1
-    of the line a: one running sum, started on the first window and moved by
-    the cell that enters less the cell that leaves, then divided by size."""
-    left = size // 2
-    ext = np.concatenate([a[len(a) - left:], a, a[:size - 1 - left]])
-    first = np.cumsum(ext[:size])[-1:]  # summed in order, as the running sum is
-    return np.cumsum(np.concatenate([first, ext[size:] - ext[:-size]])) / size
-
-
-def _disc_mask(n: int, rho_cells: float) -> np.ndarray:
-    """0/1 mask over index offsets with wrap-distance strictly below rho_cells."""
-    k = np.arange(n)
-    dist = np.minimum(k, n - k)
-    d2 = dist[:, None] ** 2 + dist[None, :] ** 2
-    return (d2 < rho_cells * rho_cells).astype(float)
+def _ball_symbol(spec: GridSpec, rho_cells: float) -> tuple:
+    """(transform, count) of the 0/1 mask of the wrapped lattice offsets
+    strictly closer than rho_cells to 0: its transform on the half lattice
+    (grid._half), real because the mask is even in each coordinate, and its
+    cell count.  The ball sum of a real array a over |y - x| < rho_cells h is
+    apply_symbols(spec, a, transform), a cyclic convolution with the mask."""
+    k = np.arange(spec.n)
+    dist2 = reduce(np.add.outer, [np.minimum(k, spec.n - k) ** 2] * spec.d)
+    mask = (dist2 < rho_cells * rho_cells).astype(float)
+    return _rfftn(mask, spec.d).real, mask.sum()
 
 
 def hl_maximal(f: GridFunction, r: float) -> GridFunction:
     """Ball-average maximal function: max over dyadic radii rho in {h, 2h, ..., L}
-    of the L^r node mean over the open lattice ball |y - x| < rho."""
+    of the L^r node mean over the open lattice ball |y - x| < rho, the means
+    of all radii from one multiplier pass of |f|^r."""
     if r <= 0:
         raise ValueError(f"exponent r must be positive, got {r}")
     spec = f.spec
-    n = spec.n
-    dens = np.abs(f.values) ** r
-    dens_hat = np.fft.fftn(dens) if spec.d == 2 else None
-    acc = None
-    m = 1
-    while m <= n // 2:  # rho = m*h, up to rho = L
-        if spec.d == 1:
-            mean = _moving_mean(dens, 2 * m - 1)
-        else:
-            mask = _disc_mask(n, m)
-            mask_hat = np.fft.fftn(mask)
-            conv = np.fft.ifftn(dens_hat * mask_hat).real
-            mean = conv / mask.sum()
-        acc = mean if acc is None else np.maximum(acc, mean)
-        m *= 2
-    return GridFunction(spec, acc ** (1.0 / r))
+    balls = [_ball_symbol(spec, 2**k) for k in range(int(spec.n).bit_length() - 1)]
+    means = apply_symbols(spec, np.abs(f.values) ** r, np.array([b / c for b, c in balls]))
+    # real: at n = 2 the half lattice is the full one and the pass is complex
+    return GridFunction(spec, means.real.max(axis=0) ** (1.0 / r))
 
 
 # -- area integral --------------------------------------------------------------
@@ -423,38 +406,26 @@ def area_integral(f: GridFunction, window: AnnularWindow | None, tg: TimeGrid) -
     real f gives real slices), eight slices at a time, so no (time x grid)
     block is alive, and leave out each slice whose window vanishes on the
     whole lattice, an exact 0 (with the annular window every t <= h, where
-    t |xi| <= sqrt(2)/2 < 1).  At d=1 the ball sum is a wrapped moving sum.
-    At d=2 it is taken by case: when the open disc of radius t covers the
-    whole wrapped box, (t/h)^2 > 2 (n/2)^2, it is the plain sum of |g|^2;
-    otherwise it is the cyclic convolution of |g|^2 with the 0/1 disc mask,
-    whose transform is real because the mask is symmetric.  The
-    weighted products of transforms are summed over the slices and inverted
+    t |xi| <= sqrt(2)/2 < 1).  The ball sum of each slice's |g|^2 is the
+    multiplier of its ball (_ball_symbol); the weighted products of
+    transforms are summed over the slices on the half lattice and inverted
     once, which agrees with inverting each slice's product to rounding
     (1e-12 relative).
     """
     if window is None:
         window = AnnularWindow()
     spec = f.spec
-    n, h = spec.n, spec.h
+    h = spec.h
     xi = _half(spec, spec.freq_norm())
     times = list(zip(tg.values, tg.trapezoid_weights()))
-    S2, total = np.zeros(spec.shape), 0.0
-    acc = np.zeros((n, n // 2 + 1), dtype=complex) if spec.d == 2 else None
+    acc = np.zeros(xi.shape, dtype=complex)
     for k in range(0, len(times), 8):
         rows = [(t, dt, m) for t, dt in times[k:k + 8] if (m := window._at(t * xi)).any()]
         slices = apply_symbols(spec, f.values, np.array([m for *_, m in rows])) if rows else []
         for g, (t, dt, _) in zip(slices, rows):
-            sq = np.abs(g) ** 2
-            if spec.d == 1:
-                size = min(2 * _strict_halfwidth(t, h) + 1, n)
-                S2 += _moving_mean(sq, size) * size * (h**spec.d) * dt / t ** (spec.d + 1)
-            elif (t / h) ** 2 > 2 * (n // 2) ** 2:
-                total += h * h * dt / t**3 * sq.sum()
-            else:
-                mask_hat = np.fft.rfft2(_disc_mask(n, t / h)).real
-                acc += h * h * dt / t**3 * np.fft.rfft2(sq) * mask_hat
-    if spec.d == 2:
-        S2 = np.fft.irfft2(acc, s=spec.shape) + total
+            ball, _ = _ball_symbol(spec, t / h)
+            acc += h**spec.d * dt / t ** (spec.d + 1) * _rfftn(np.abs(g) ** 2, spec.d) * ball
+    S2 = _irfftn(acc, spec.d, np.empty(spec.shape))
     return GridFunction(spec, np.sqrt(np.maximum(S2, 0.0)))
 
 

@@ -30,7 +30,7 @@ import os
 import threading
 from concurrent.futures import wait
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -398,7 +398,8 @@ class FunctionSpec:
 
     @staticmethod
     def parse(text: str) -> "FunctionSpec":
-        """Parse 'name' or 'name:key=val,key=val' (values float unless key is path/seed)."""
+        """Parse 'name' or 'name:key=val,key=val' (values finite floats unless
+        key is path/seed)."""
         name, _, rest = text.partition(":")
         name = name.strip()
         if name not in FUNCTION_FAMILIES:
@@ -421,6 +422,8 @@ class FunctionSpec:
                         params[key] = float(val)
                 except ValueError:
                     raise ValueError(f"function parameter {item!r} is not a number") from None
+                if key not in ("path", "seed") and not math.isfinite(params[key]):
+                    raise ValueError(f"function parameter {item!r} is not finite")
         if name == "from_file" and "path" not in params:
             raise ValueError("from_file needs a path=FILE parameter")
         return FunctionSpec(name, params)
@@ -440,16 +443,10 @@ def bandlimited_random(spec: GridSpec, seed: int, lo: float, hi: float) -> GridF
     rng = np.random.Generator(np.random.PCG64(seed))
     noise = rng.standard_normal(spec.shape)
     xi = spec.freq_norm()
-    mask = (xi >= lo) & (xi <= hi)
     # drop unpaired Nyquist bins so the spectrum stays Hermitian
-    nyq = spec.n // 2
-    if spec.d == 1:
-        mask[nyq] = False
-    else:
-        mask[nyq, :] = False
-        mask[:, nyq] = False
-    coeffs = np.fft.fftn(noise) * mask
-    v = np.fft.ifftn(coeffs).real
+    paired = np.arange(spec.n) != spec.n // 2
+    mask = reduce(np.logical_and.outer, [paired] * spec.d) & (xi >= lo) & (xi <= hi)
+    v = apply_symbols(spec, noise, _half(spec, mask.astype(float)))
     scale = np.sqrt(spec.h**spec.d * np.sum(v**2))
     if scale == 0:
         raise ValueError(f"band [{lo}, {hi}] contains no frequency lattice points")
@@ -553,6 +550,9 @@ def read_grid_function(path) -> GridFunction:
         meta = dict(item.split("=") for item in first.lstrip("# ").split(","))
         spec = GridSpec(int(meta["dim"]), int(meta["L"]), int(meta["n"]))
         rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        if not np.array_equal(rows[:, :spec.d], np.indices(spec.shape).reshape(spec.d, -1).T):
+            raise ValueError(f"{path}: the index columns are not the {spec.size} nodes of "
+                             f"{spec.grid_id()} in row-major order")
         # a view of the (re, im) columns keeps im = -0.0
         values = np.ascontiguousarray(rows[:, spec.d:]).view(complex if is_complex else float)
         return GridFunction(spec, values[:, 0])

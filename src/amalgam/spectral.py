@@ -285,10 +285,21 @@ def write_symbol(theta: SphereSymbol, path) -> None:
 
 
 def read_symbol(path) -> SphereSymbol:
+    """The symbol of a file in write_symbol's format.  A d=2 file's angle
+    column must be the uniform angles 2 pi m / M of its M samples (to 1e-9),
+    the angles from_samples assumes."""
     with open(path) as fh:
         doc = json.load(fh)
     dc = complex(*doc.get("dc", [0.0, 0.0]))
+    if type(doc["d"]) is not int or doc["d"] not in (1, 2):  # JSON true is 1 to Python
+        raise ValueError(f"{path}: dimension must be 1 or 2, got {doc['d']!r}")
     if doc["d"] == 1:
         return SphereSymbol.from_pair(complex(*doc["plus"]), complex(*doc["minus"]), dc)
-    vals = np.array([complex(re, im) for _, re, im in doc["samples"]])
-    return SphereSymbol.from_samples(vals, dc)
+    rows = np.array(doc["samples"], dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"{path}: the samples are not (angle, re, im) triples")
+    M = len(rows)
+    if not np.allclose(rows[:, 0], 2.0 * np.pi * np.arange(M) / M, rtol=0, atol=1e-9):
+        raise ValueError(f"{path}: the angle column is not 2 pi m / M for the {M} samples")
+    # a view of the (re, im) columns keeps im = -0.0
+    return SphereSymbol.from_samples(np.ascontiguousarray(rows[:, 1:]).view(complex)[:, 0], dc)

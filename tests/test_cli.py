@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -75,6 +76,7 @@ class TestUsageErrors:
         "from_file:path={missing}",
         "from_file",
         "gaussian:width=-1",
+        "gaussian:center=1e400",  # read as inf, the gaussian would sample to zero
     ])
     def test_malformed_function_spec(self, function, tmp_path, capsys):
         function = function.format(missing=tmp_path / "missing.grid")
@@ -128,7 +130,14 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("usage error:") and "65536^2" in err
 
-    @pytest.mark.parametrize("content", [None, "not json", '{"d": 1}'])
+    @pytest.mark.parametrize("content", [
+        None, "not json", '{"d": 1}',
+        pytest.param('{"d": 3, "plus": [1, 0], "minus": [1, 0]}', id="d3"),
+        # angles on the half circle: only 2 pi m / M is read
+        pytest.param(json.dumps({"d": 2, "samples": [[np.pi * m / 64, 1.0, 0.0]
+                                                     for m in range(64)]}),
+                     id="half-circle-angles"),
+    ])
     def test_unusable_symbol_file(self, content, tmp_path, capsys):
         path = tmp_path / "symbol.json"
         if content is not None:
@@ -138,7 +147,7 @@ class TestUsageErrors:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("usage error:") and "--symbol-file" in err
+        assert err.startswith("usage error:") and f"--symbol-file {str(path)!r}" in err
         assert not (tmp_path / "tr.json").exists()
 
 
@@ -168,7 +177,8 @@ class TestUsageErrors:
         assert err.startswith("usage error:") and "--tol" in err
 
     @pytest.mark.parametrize("flag, value", [("--sides", "3"), ("--sides", "1,0.3"),
-                                             ("--orders", "-1")])
+                                             ("--orders", "-1"),
+                                             ("--orders", "40")])  # too high for side 0.25
     def test_atom_list_out_of_range(self, flag, value, capsys):
         assert run(["atoms", *BASE, flag, value]) == 1
         out, err = capsys.readouterr()
@@ -497,6 +507,19 @@ def uninstalled_env():
     return env
 
 
+def _names_numpy_fft(node) -> bool:
+    """Whether an AST node refers to numpy.fft: an attribute .fft (np.fft,
+    numpy.fft) or an import of it."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "fft"
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.fft") or (
+            node.module == "numpy" and any(a.name == "fft" for a in node.names))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.fft") for a in node.names)
+    return False
+
+
 class TestConsoleEntry:
     def test_installed_script(self, tmp_path):
         # `python -m amalgam` reaches the callable the console script names
@@ -527,6 +550,15 @@ class TestConsoleEntry:
         modules, new_threads = json.loads(proc.stdout)
         assert new_threads == 0
         assert [m for m in modules if m.startswith("scipy.")] == []
+
+    def test_numpy_fft_only_in_grid(self):
+        # grid.apply_symbols is the one Fourier route: no other module of
+        # the package names numpy.fft
+        src = Path(amalgam.__file__).resolve().parent
+        offenders = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+                     if path.name != "grid.py"
+                     for node in ast.walk(ast.parse(path.read_text())) if _names_numpy_fft(node)]
+        assert offenders == []
 
     def test_script_entry_declared(self):
         tomllib = pytest.importorskip("tomllib")

@@ -16,7 +16,6 @@ from amalgam.extension import (
     TimeGrid,
     _cached_block,
     _dilation_block,
-    _disc_mask,
     _disc_offsets_maxfilter,
     area_integral,
     extend,
@@ -37,6 +36,25 @@ from amalgam.kernels import heat_kernel
 from amalgam.norms import amalgam_norm
 
 from conftest import rel_l2
+
+
+def _disc_mask(n: int, rho_cells: float) -> np.ndarray:
+    """0/1 mask over index offsets with wrap-distance strictly below rho_cells."""
+    k = np.arange(n)
+    dist = np.minimum(k, n - k)
+    d2 = dist[:, None] ** 2 + dist[None, :] ** 2
+    return (d2 < rho_cells * rho_cells).astype(float)
+
+
+def _ball_matrix(spec, rho_cells: float) -> np.ndarray:
+    """0/1 matrix over node pairs (x, y), row-major, that is 1 where the
+    wrapped lattice distance |x - y| / h is strictly below rho_cells."""
+    k = np.arange(spec.n)
+    wrap = np.abs(k[:, None] - k[None, :])
+    wrap = np.minimum(wrap, spec.n - wrap) ** 2
+    if spec.d == 2:
+        wrap = (wrap[:, None, :, None] + wrap[None, :, None, :]).reshape(spec.size, spec.size)
+    return (wrap < rho_cells * rho_cells).astype(float)
 
 
 class TestTimeGrid:
@@ -342,8 +360,8 @@ class TestHlMaximal:
             hl_maximal(sample("gaussian", small1), 0.0)
 
     def test_2d_matches_per_radius_transform(self):
-        # the density transform is taken once; the result is the same bits as
-        # transforming it again for every radius
+        # one batched real pass of the density against every radius's
+        # normalized ball symbol, against a complex transform per radius
         spec = make_grid(2, 8, 128)
         f = bandlimited_random(spec, 9, 0.5, 2.0)
         dens = np.abs(f.values) ** 1.5
@@ -352,7 +370,28 @@ class TestHlMaximal:
             mask = _disc_mask(spec.n, m)
             mean = np.fft.ifftn(np.fft.fftn(dens) * np.fft.fftn(mask)).real / mask.sum()
             acc = mean if acc is None else np.maximum(acc, mean)
-        np.testing.assert_array_equal(hl_maximal(f, 1.5).values, acc ** (1.0 / 1.5))
+        np.testing.assert_allclose(hl_maximal(f, 1.5).values, acc ** (1.0 / 1.5), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("spec", [make_grid(1, 4, 512), make_grid(2, 2, 32)], ids=["d1", "d2"])
+    def test_matches_direct_ball_means(self, spec):
+        # every dyadic ball (at d=1 the wrapped runs of 2m - 1 cells, up to
+        # n - 1) summed node by node
+        f = bandlimited_random(spec, 10, 0.5, 4.0)
+        dens = np.abs(f.values).reshape(-1) ** 1.5
+        acc = 0.0
+        for m in (2**k for k in range(spec.n.bit_length() - 1)):
+            ball = _ball_matrix(spec, m)
+            acc = np.maximum(acc, ball @ dens / ball.sum(axis=1))
+        want = (acc ** (1.0 / 1.5)).reshape(spec.shape)
+        np.testing.assert_allclose(hl_maximal(f, 1.5).values, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_real_on_two_point_grid(self, d):
+        # at n = 2 the half lattice is the whole lattice and the pass is complex
+        spec = make_grid(d, 1, 2)
+        f = GridFunction(spec, np.arange(spec.size, dtype=float).reshape(spec.shape) - 0.5)
+        assert hl_maximal(f, 1.0).values.dtype == np.float64
+        assert area_integral(f, None, TimeGrid(0.5, 8.0, 4)).values.dtype == np.float64
 
 
 class TestAreaIntegral:
@@ -484,6 +523,22 @@ class TestAreaIntegral:
         want = np.sqrt(np.maximum(S2, 0.0))
         np.testing.assert_allclose(area_integral(f, None, tg48).values.real, want,
                                    rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("spec, tg", [(make_grid(1, 4, 512), TimeGrid(0.01, 8.0, 12)),
+                                          (make_grid(2, 2, 32), TimeGrid(0.05, 4.0, 9))],
+                             ids=["d1", "d2"])
+    def test_matches_direct_ball_sums(self, spec, tg):
+        # the grids have slices with t < h (window zero on the lattice) and
+        # balls that cover the wrapped box; every ball summed node by node
+        f = bandlimited_random(spec, 7, 0.5, 3.5)
+        win, h = AnnularWindow(), spec.h
+        S2 = np.zeros(spec.size)
+        for t, dt in zip(tg.values, tg.trapezoid_weights()):
+            g = apply_symbols(spec, f.values, win.multiplier(spec, float(t)))
+            ball = _ball_matrix(spec, float(t) / h)
+            S2 += ball @ (np.abs(g) ** 2).reshape(-1) * h**spec.d * dt / float(t) ** (spec.d + 1)
+        want = np.sqrt(S2).reshape(spec.shape)
+        np.testing.assert_allclose(area_integral(f, None, tg).values, want, rtol=1e-12, atol=0)
 
     def test_in_band_content_passes_at_unit_time(self):
         spec = make_grid(1, 4, 128)

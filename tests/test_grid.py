@@ -87,6 +87,9 @@ class TestSample:
         ("gaussian:width=abc", "not a number"),
         ("bandlimited_random:seed=1.5", "not a number"),
         ("from_file", "path"),
+        ("gaussian:center=1e400", "'center=1e400' is not finite"),
+        ("indicator:lo=-inf", "not finite"),
+        ("heat_kernel:t=nan", "not finite"),
     ])
     def test_parse_rejects(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -134,7 +137,11 @@ class TestFunctionSpecProperties:
                 params[key] = data.draw(st.floats(allow_nan=False))
         items = ",".join(f"{k}={v if k == 'path' else repr(v)}" for k, v in params.items())
         text = f"{name}:{items}" if items else name
-        assert FunctionSpec.parse(text) == FunctionSpec(name, params)
+        if all(math.isfinite(v) for k, v in params.items() if k != "path"):
+            assert FunctionSpec.parse(text) == FunctionSpec(name, params)
+        else:  # an infinite value is refused
+            with pytest.raises(ValueError, match="not finite"):
+                FunctionSpec.parse(text)
 
 
 class TestFourier:
@@ -415,6 +422,19 @@ class TestFileFormat:
         path = tmp_path / "f2.csv"
         write_grid_function(f, path)
         np.testing.assert_allclose(read_grid_function(str(path)).values, f.values)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_csv_index_columns_checked(self, tmp_path, d):
+        # rows out of order would put each value at another node
+        spec = make_grid(d, 1, 4)
+        path = tmp_path / "f.csv"
+        write_grid_function(GridFunction(spec, np.arange(spec.size, dtype=float)), path)
+        lines = path.read_text().splitlines(True)
+        head, rows = lines[:2], lines[2:]
+        for bad in (rows[::-1], rows[:-1], rows + rows[-1:]):
+            path.write_text("".join(head + bad))
+            with pytest.raises(ValueError, match=f"index columns are not the {spec.size} nodes"):
+                read_grid_function(path)
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_payload_length_checked(self, tmp_path, small1, delta):

@@ -2,10 +2,9 @@
 scipy itself, which the tests use as an oracle only.
 
 - grid._fftn/_ifftn equal scipy.fft.fftn/ifftn bit for bit, and
-  numpy.fft.rfft2/irfft2 equal scipy.fft's;
-- extension._run_max on one line equals scipy.ndimage.maximum_filter1d and
-  extension._moving_mean equals uniform_filter1d (both mode "wrap") bit for
-  bit;
+  grid._rfftn/_irfftn at d=2 equal scipy.fft.rfft2/irfft2;
+- extension._run_max on one line equals scipy.ndimage.maximum_filter1d
+  (mode "wrap") bit for bit;
 - analytic._erfcx and analytic._dawson agree with scipy.special.erfcx and
   dawsn to a few units in the last place.
 """
@@ -13,12 +12,12 @@ scipy itself, which the tests use as an oracle only.
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.ndimage import maximum_filter1d, uniform_filter1d
+from scipy.ndimage import maximum_filter1d
 from scipy.special import dawsn, erfcx
 
 from amalgam.analytic import _dawson, _erfcx
-from amalgam.extension import TimeGrid, _moving_mean, _run_max, _strict_halfwidth
-from amalgam.grid import _fftn, _ifftn
+from amalgam.extension import TimeGrid, _run_max, _strict_halfwidth
+from amalgam.grid import _fftn, _ifftn, _irfftn, _rfftn
 
 
 def assert_same_bits(got, want):
@@ -43,22 +42,20 @@ class TestFFT:
     def test_rfft2_and_irfft2(self):
         a = np.random.default_rng(1).standard_normal((256, 256))
         spectrum = scipy.fft.rfft2(a)
-        assert_same_bits(np.fft.rfft2(a), spectrum)
-        assert_same_bits(np.fft.irfft2(spectrum, s=a.shape), scipy.fft.irfft2(spectrum, s=a.shape))
+        assert_same_bits(_rfftn(a, 2), spectrum)
+        assert_same_bits(_irfftn(spectrum.copy(), 2, np.empty(a.shape)),
+                         scipy.fft.irfft2(spectrum, s=a.shape))
 
 
-def freeze_window_sizes(n=4096, L=32):
-    """The window sizes of the d=1 reference run (L=32, n=4096, 48 times):
-    runs 2w + 1 (capped at n) of the nontangential max and of the area
-    balls, and these with the Hardy-Littlewood sizes 2m - 1 for the means."""
+def freeze_run_sizes(n=4096, L=32):
+    """The run sizes 2w + 1 (capped at n) of the nontangential max on the
+    d=1 reference run (L=32, n=4096, 48 times)."""
     h = 2.0 * L / n
-    runs = {min(2 * _strict_halfwidth(float(t), h) + 1, n) for t in TimeGrid(1e-3, 64.0, 48).values}
-    means = runs | {2 * m - 1 for m in (2**k for k in range(n.bit_length() - 1))}
-    return sorted(runs), sorted(means)
+    return sorted({min(2 * _strict_halfwidth(float(t), h) + 1, n)
+                   for t in TimeGrid(1e-3, 64.0, 48).values})
 
 
-@pytest.mark.parametrize("n, run_sizes, mean_sizes",
-                         [(64, range(1, 65), range(1, 65)), (4096, *freeze_window_sizes())],
+@pytest.mark.parametrize("n, run_sizes", [(64, range(1, 65)), (4096, freeze_run_sizes())],
                          ids=["n64-every-size", "n4096-freeze-sizes"])
 class TestWindows:
     def line(self, n):
@@ -66,18 +63,13 @@ class TestWindows:
         rng = np.random.default_rng(n)
         return np.abs(rng.standard_normal(n) + 1j * rng.standard_normal(n)) ** 1.5
 
-    def test_run_max(self, n, run_sizes, mean_sizes):
+    def test_run_max(self, n, run_sizes):
         a = self.line(n)
         for size in run_sizes:
             w = (size - 1) // 2
             got = _run_max([a[None]], w, np.empty((1, n)))[0]
             want = maximum_filter1d(a, size=min(2 * w + 1, n), mode="wrap")
             assert_same_bits(np.ascontiguousarray(got), want)
-
-    def test_moving_mean(self, n, run_sizes, mean_sizes):
-        a = self.line(n)
-        for size in mean_sizes:
-            assert_same_bits(_moving_mean(a, size), uniform_filter1d(a, size=size, mode="wrap"))
 
 
 class TestSpecialFunctions:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,24 @@ class TestSymbolFiles:
         write_symbol(s, path)
         t = read_symbol(path)
         np.testing.assert_allclose(t.angle_samples, s.angle_samples, atol=1e-15)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: {**doc, "d": 3}, "dimension must be 1 or 2, got 3"),
+        (lambda doc: {**doc, "d": 2.0}, "dimension must be 1 or 2, got 2.0"),
+        (lambda doc: {"d": True, "plus": [1, 0], "minus": [1, 0]}, "dimension must be 1 or 2"),
+        # samples on the half circle would be read as the whole circle
+        (lambda doc: {**doc, "samples": [[a / 2, re, im] for a, re, im in doc["samples"]]},
+         "angle column is not 2 pi m / M for the 128 samples"),
+        (lambda doc: {**doc, "samples": [[re, im] for _, re, im in doc["samples"]]},
+         r"not \(angle, re, im\) triples"),
+        (lambda doc: {**doc, "samples": []}, r"not \(angle, re, im\) triples"),
+    ], ids=["d3", "d-float", "d-bool", "half-circle-angles", "pairs", "empty"])
+    def test_malformed_file_refused(self, tmp_path, change, message):
+        path = tmp_path / "sym.json"
+        write_symbol(SphereSymbol.from_function(np.cos), path)
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=message):
+            read_symbol(path)
 
 
 class TestAmalgamBoundednessRegression:
