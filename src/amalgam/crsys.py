@@ -21,12 +21,14 @@ normed there (Plancherel); the grid-space formulas are in amalgam.oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .extension import _extension_rate, grid_run_id, kernel_block
-from .grid import _fftn, _run_parts, _slice_parts, apply_symbols
+from .extension import ExtensionStack, _extension_rate, grid_run_id, kernel_block
+from .grid import _fftn, _full, _mapped, _product, _rfftn, _run_parts, _slice_parts, apply_symbols
 from .norms import _slice_norms
 from .weyl import _half_symbol, _log_grid_derivative, _weyl_matrix
 
@@ -41,8 +43,11 @@ __all__ = [
     "MajorizationReport",
 ]
 
-CHUNK = 2  # time slices in flight, over all parts: a residual call never holds a whole stack
-QUAD_ROWS = 4 * CHUNK  # quadrature half-derivative slices formed per matrix product
+# a walk has CHUNK_BYTES of complex slices, one a time slice, in flight over
+# all its parts, and a residual walk, which holds every component's slices,
+# their coefficients and the defects, an eighth of that
+CHUNK_BYTES = 2**20
+QUAD_ROWS = 8  # quadrature half-derivative slices formed per matrix product
 # the quadrature residual, here and in amalgam.oracle, reads the slices in the
 # QUAD_WINDOW fraction of [t_min, t_max] (the integral needs headroom above t)
 QUAD_WINDOW = (0.0, 0.5)
@@ -55,34 +60,146 @@ def _quadrature_tail(spec) -> tuple:
     return "exp_decay", (np.pi / spec.L) ** 2
 
 
-@dataclass(frozen=True)
+def _walk(spec, nt: int, align: int = 1, budget: int = CHUNK_BYTES) -> tuple:
+    """The parts of a walk over nt time slices (_slice_parts, boundaries at
+    multiples of align) and chunks(part), the (i0, i1) bounds of a part's
+    chunks: budget bytes of complex slices in flight over all parts, at
+    least one slice a part, and a divisor of align, so that no chunk
+    straddles two blocks of align slices."""
+    parts = _slice_parts(spec, nt, align)
+    step = max(budget // (16 * spec.size * len(parts)), 1)
+    step = math.gcd(step, align) if align > 1 else step
+    return parts, lambda part: [(i, min(i + step, part.stop)) for i in range(part.start, part.stop, step)]
+
+
+def _modulus(values, out=None) -> np.ndarray:
+    """|F| = sqrt(sum |u_a|^2) over the components' values, into out: the
+    squares summed in place, in component order."""
+    total = None
+    for v in values:
+        sq = np.abs(v)
+        np.square(sq, out=sq)
+        total = sq if total is None else np.add(total, sq, out=total)
+    return np.sqrt(total, out=out)
+
+
+def _magnitudes(F):
+    """mag(i0, i1) for one part of a walk: |F| on the time slices i0:i1, the
+    rows of the record a residual walk kept, else from the part's chunk."""
+    chunk = F._reader()
+    return lambda i0, i1: F._mag[i0:i1] if F._mag is not None else _modulus(chunk(i0, i1))
+
+
 class ConjugateField:
-    """d+1 extension stacks forming a candidate conjugate system."""
+    """d+1 extension stacks forming a candidate conjugate system.
 
-    components: tuple
-    flavor: str
+    A field built from stacks reads slices of them.  A lifted field (the
+    lifts of amalgam.hardy) holds the half-lattice kernel block, f's
+    spectrum (on the half lattice when f is real) and the R_j f spectra, and
+    builds each chunk of time slices of its components where a walk reads
+    it, by the row pass of apply_symbols (grid._product): the same bits as
+    the stacks.  A caloric lifted field's first residual walk keeps |F|, one
+    real stack, for sup_vector_amalgam_norms; components builds the stacks.
+    """
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if self.flavor not in ("harmonic", "caloric"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+    def __init__(self, components, flavor: str):
+        comps = tuple(components)
+        if flavor not in ("harmonic", "caloric"):
+            raise ValueError(f"unknown flavor {flavor!r}")
         if not comps:
             raise ValueError("empty field")
-        spec = comps[0].spec
-        tg = comps[0].tgrid
+        spec, tg = comps[0].spec, comps[0].tgrid
         if any(c.spec != spec or c.tgrid != tg for c in comps):
             raise ValueError("components must share grid and time grid")
         if len(comps) != spec.d + 1:
             raise ValueError(f"need d+1 = {spec.d + 1} components, got {len(comps)}")
-        object.__setattr__(self, "components", comps)
+        self._init(spec, tg, flavor, tuple(c.kernel for c in comps), list(comps), None)
+
+    def _init(self, spec, tgrid, flavor, kernels, stacks, source) -> None:
+        self.spec, self.tgrid, self.flavor, self.kernels = spec, tgrid, flavor, kernels
+        self._stacks, self._source, self._mag = stacks, source, None
+
+    @classmethod
+    def _lifted(cls, spec, values, tgrid, kernel: str, flavor: str) -> "ConjugateField":
+        """The field (g_1, ..., g_{d+1}) * K_t of the kernel, from the samples
+        values of g_1..g_{d+1} (R_1 f, ..., R_d f, f): each g's transform as
+        apply_symbols takes it under the half-lattice kernel_block."""
+        real = np.isrealobj(values[-1])
+        spectra = [_fftn(v, spec.d) for v in values[:-1]]
+        spectra.append(_rfftn(values[-1], spec.d) if real and spec.n > 2 else _fftn(values[-1], spec.d))
+        F = cls.__new__(cls)
+        F._init(spec, tgrid, flavor, (kernel,) * (spec.d + 1), [None] * (spec.d + 1),
+                (kernel_block(kernel, spec, tgrid.values), spectra, real))
+        return F
 
     @property
-    def spec(self):
-        return self.components[0].spec
+    def components(self) -> tuple:
+        """The component stacks; a lifted field builds them on first use (_stack)."""
+        return tuple(self._stack(range(self.spec.d + 1)))
 
-    @property
-    def tgrid(self):
-        return self.components[0].tgrid
+    def _stack(self, ks) -> list:
+        """The stacks of the components ks: those a lifted field lacks are
+        built by one walk and kept, each in a mapping of its own
+        (grid._mapped), freed with the field."""
+        if missing := [k for k in ks if self._stacks[k] is None]:
+            nt = self.tgrid.count
+            into = dict(zip(missing, self._empty(nt, missing, partial(_mapped, populate=True))))
+            parts, chunks = _walk(self.spec, nt)
+
+            def fill(part):
+                read = self._reader(into)
+                for i0, i1 in chunks(part):
+                    read(i0, i1)
+
+            _run_parts(fill, parts)
+            for k, v in into.items():
+                self._stacks[k] = ExtensionStack._from_pass(self.spec, self.tgrid, v, self.kernels[k])
+        return [self._stacks[k] for k in ks]
+
+    def _empty(self, count: int, ks, new=np.empty) -> list:
+        """new(shape, dtype) for count slices of each lifted component in ks:
+        f's real on the half-lattice route, every other complex."""
+        n, spectra = self.spec.n, self._source[1]
+        return [new((count,) + self.spec.shape, complex if spectra[k].shape[-1] == n else float) for k in ks]
+
+    def _reader(self, into=None):
+        """chunk(i0, i1) for one part of a walk: the components' values on
+        the time slices i0:i1, rows of the field's stacks and the others
+        built into the rows of into's arrays (component -> values), or else
+        into buffers reused from chunk to chunk, so a chunk is valid until
+        the next.  A built slice is its spectrum times the block's row,
+        inverted, as in apply_symbols: f's pass reads the real half-lattice
+        row when f is real, every other pass its full-lattice copy.  Runs on
+        worker threads, so it calls nothing public."""
+        spec, d = self.spec, self.spec.d
+        ks = list(into) if into else [k for k, c in enumerate(self._stacks) if c is None]
+        bufs = {}
+
+        def chunk(i0, i1):
+            n, built = i1 - i0, {}
+            if ks:
+                block, spectra, real = self._source
+                rows = block[i0:i1]
+                if len(bufs.get("work", ())) < n:  # made anew only for a larger chunk
+                    bufs.update(full=np.empty((n,) + spec.shape, complex), work=np.empty(rows.shape, complex))
+                    bufs.update(() if into else zip(ks, self._empty(n, ks)))
+                full = None if real and ks == [d] else _full(spec, rows, bufs["full"][:n])
+                for k in ks:
+                    built[k] = o = into[k][i0:i1] if into else bufs[k][:n]
+                    work = bufs["work"] if spectra[k].shape[-1] != spec.n else None
+                    if not _product(spec, rows if real and k == d else full, spectra[k], o, work):
+                        raise ValueError("multiplier pass produced non-finite values")
+            return [built.get(k) if c is None else c.values[i0:i1] for k, c in enumerate(self._stacks)]
+
+        return chunk
+
+    def _new_record(self):
+        """A zeroed real stack for a walk to record |F| in, or None: a caloric
+        field that builds a component keeps one, unless it has one (the
+        sup-vector norm, read after the residual, is the caloric quantity)."""
+        if self.flavor != "caloric" or None not in self._stacks or self._mag is not None:
+            return None
+        return _mapped((self.tgrid.count,) + self.spec.shape, populate=True)
 
     def scaled_component(self, index: int, factor: complex) -> "ConjugateField":
         comps = list(self.components)
@@ -130,25 +247,26 @@ def _parseval_norms(coeffs: np.ndarray, spec) -> np.ndarray:
 def _sweep(F: ConjugateField, rows: range, keys: tuple, part_defects, align: int = 1) -> dict:
     """Per-slice relative defect norms of F on the time slices in rows.
 
-    The time slices are split into parts across the CPUs (_slice_parts, part
-    boundaries at multiples of align).  CHUNK slices are in flight over all
-    parts together (one per part when there are more parts than that).  Each
-    chunk of a part's slices of every component is transformed once (fftn
-    over the space axes); the part's defects(U, lo, hi), from
-    part_defects(), gets the coefficients on the slices lo:hi and yields
-    (key, defect coefficients); a key keeps its largest defect.  The scale of
-    a slice is the sum of its component norms.
+    The time slices are walked in chunks split into parts across the CPUs
+    (_walk, part boundaries at multiples of align).  Each chunk of every
+    component is transformed once (fftn over the space axes); the part's
+    defects(U, lo, hi), from part_defects(), gets the coefficients on the
+    slices lo:hi and yields (key, defect coefficients); a key keeps its
+    largest defect.  The scale of a slice is the sum of its component norms.
+    When F asks for one (_new_record), the walk keeps |F| of every slice.
     """
     spec, nt = F.spec, F.tgrid.count
     scale, worst = np.zeros(nt), {key: np.zeros(len(rows)) for key in keys}
-    parts = _slice_parts(spec, nt, align)
-    step = max(CHUNK // len(parts), 1)
+    parts, chunks = _walk(spec, nt, align, CHUNK_BYTES // 8)
+    mag = F._new_record()
 
     def run(part):
-        defects = part_defects()
-        for i0 in range(part.start, part.stop, step):
-            i1 = min(i0 + step, part.stop)
-            U = [_fftn(c.values[i0:i1], spec.d) for c in F.components]
+        defects, chunk = part_defects(), F._reader()
+        for i0, i1 in chunks(part):
+            V = chunk(i0, i1)
+            if mag is not None:
+                _modulus(V, mag[i0:i1])
+            U = [_fftn(v, spec.d) for v in V]
             scale[i0:i1] = sum(_parseval_norms(u, spec) for u in U)
             lo, hi = max(i0, rows.start), min(i1, rows.stop)
             for key, g in defects([u[lo - i0:hi - i0] for u in U], lo, hi) if lo < hi else ():
@@ -160,6 +278,8 @@ def _sweep(F: ConjugateField, rows: range, keys: tuple, part_defects, align: int
         raise ValueError("residual norms are not finite")
     if np.max(scale) == 0:
         raise ValueError("all-zero field has no relative residual")
+    if mag is not None:
+        F._mag = mag
     # floor at 1e-8 of the peak slice scale: once a slice has decayed that
     # far, defect/scale only measures rounding noise, not the system
     scale = np.maximum(scale, np.max(scale) * 1e-8)[rows.start:rows.stop]
@@ -174,22 +294,23 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
     grad = [2j * np.pi * xi for xi in spec.freqs()]
     dt_symbol = {k: np.multiply(*_extension_rate(k, spec)) for k in ("heat", "poisson")}
 
-    def dt(c, u, lo, hi):
-        if c.kernel in dt_symbol:
-            return dt_symbol[c.kernel] * u
+    def dt(a, u, lo, hi):
+        if F.kernels[a] in dt_symbol:
+            return dt_symbol[F.kernels[a]] * u
         # centered differences in t act on the coefficients of the slices
-        # lo:hi and of one neighbour slice on each side
-        s, e = max(lo - 1, 0), min(hi + 1, nt)
+        # lo:hi and of one neighbour slice on each side (of a field built
+        # from stacks: a lifted field's kernels have exact symbols)
+        c, s, e = F.components[a], max(lo - 1, 0), min(hi + 1, nt)
         coeffs = _fftn(c.values[s:e], d)
         return _log_grid_derivative(coeffs, c.times[s:e])[lo - s:hi - s]
 
     def defects(U, lo, hi):
         # D(a, j) = d u_a / d x_j with x_{d+1} = t
-        D = lambda a, j: dt(F.components[a], U[a], lo, hi) if j == d else grad[j] * U[a]
+        D = lambda a, j: dt(a, U[a], lo, hi) if j == d else grad[j] * U[a]
         yield from (("sym_res", D(a, b) - D(b, a)) for a in range(d + 1) for b in range(a + 1, d + 1))
         yield "div_res", sum(D(a, a) for a in range(d + 1))
 
-    exact = all(c.kernel in dt_symbol for c in F.components)
+    exact = all(k in dt_symbol for k in F.kernels)
     return ResidualReport(
         "harmonic", "spectral", _sweep(F, range(nt), ("sym_res", "div_res"), lambda: defects),
         F.tgrid.values, "exact-symbol" if exact else "log-grid-differences",
@@ -255,7 +376,7 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualRe
     # new_half() gives one part of the sweep its half(a, U, lo, hi):
     # d_t^(1/2) u_a on the slices lo:hi, as coefficients
     if mode == "spectral":
-        if any(c.kernel != "heat" for c in F.components):
+        if any(k != "heat" for k in F.kernels):
             raise ValueError("spectral mode needs heat-built stacks")
         rows, half_symbol = range(F.tgrid.count), _half_symbol(spec)
 
@@ -291,20 +412,19 @@ def sup_vector_amalgam_norm(F: ConjugateField, e) -> float:
 
 def sup_vector_amalgam_norms(F: ConjugateField, exponents) -> np.ndarray:
     """sup_vector_amalgam_norm for every exponent pair, from one walk over the
-    time slices split across the CPUs like _sweep: the magnitude of a chunk
-    of slices at a time, normed per pair, a maximum per part, then the
-    maximum of the parts."""
-    spec, nt = F.spec, F.tgrid.count
-    parts = _slice_parts(spec, nt)
-    step = max(CHUNK // len(parts), 1)
+    time slices split across the CPUs like _sweep: |F| of a chunk of slices
+    at a time (the rows of the record a residual walk kept, else from the
+    chunk), normed per pair, a maximum per part, then the maximum of the
+    parts."""
+    spec = F.spec
+    parts, chunks = _walk(spec, F.tgrid.count)
 
     def part_max(part):
-        out = np.zeros(len(exponents))
-        for i0 in range(part.start, part.stop, step):
-            i1 = min(i0 + step, part.stop)
-            mag = np.sqrt(sum(np.abs(c.values[i0:i1]) ** 2 for c in F.components))
+        out, mag = np.zeros(len(exponents)), _magnitudes(F)
+        for i0, i1 in chunks(part):
+            m = mag(i0, i1)
             for k, e in enumerate(exponents):
-                out[k] = max(out[k], _slice_norms(spec, mag, e).max())
+                out[k] = max(out[k], _slice_norms(spec, m, e).max())
         return out
 
     return np.max(_run_parts(part_max, parts), axis=0)
@@ -322,13 +442,18 @@ def majorization_report(F: ConjugateField) -> MajorizationReport:
 
     Checks |F(x, t_i)| <= (P_{t_i - t_0} * |F(., t_0)|)(x) at every node and
     slice i >= 1; returns the largest positive defect and the field peak that
-    calibrates the tolerance.
+    calibrates the tolerance.  |F(., t_0)| is taken once; the later slices
+    are walked a chunk at a time (_walk), each chunk's dominating slices one
+    Poisson pass against its rows of the block, so neither |F| nor the
+    dominating stack is ever whole.
     """
-    spec = F.spec
-    ts = F.tgrid.values
-    mag = np.sqrt(sum(np.abs(c.values) ** 2 for c in F.components))
-    sym = kernel_block("poisson", spec, ts[1:] - ts[0])
-    dominating = apply_symbols(spec, mag[0], sym)
-    defect = (mag[1:] - dominating).reshape(F.tgrid.count - 1, -1)
-    worst = np.max(defect, axis=1)
-    return MajorizationReport(float(np.max(worst)), float(np.max(mag)), worst)
+    spec, ts, nt = F.spec, F.tgrid.values, F.tgrid.count
+    sym, mag = kernel_block("poisson", spec, ts[1:] - ts[0]), _magnitudes(F)
+    base = mag(0, 1)[0]
+    worst, peak = np.empty(nt - 1), float(np.max(base))
+    for i0, i1 in _walk(spec, nt)[1](range(1, nt)):
+        m = mag(i0, i1)
+        defect = m - apply_symbols(spec, base, sym[i0 - 1:i1 - 1])
+        worst[i0 - 1:i1 - 1] = np.max(defect.reshape(i1 - i0, -1), axis=1)
+        peak = max(peak, float(np.max(m)))
+    return MajorizationReport(float(np.max(worst)), peak, worst)

@@ -218,9 +218,10 @@ def _dilation_block(spec: GridSpec, ts) -> np.ndarray:
 
 
 def radial_maximal(f: GridFunction, tg: TimeGrid) -> GridFunction:
-    """Pointwise max over the time grid of |f * phi_t|, one multiplier pass."""
-    sym = _dilation_block(f.spec, tg.values)
-    return GridFunction(f.spec, np.abs(apply_symbols(f.spec, f.values, sym)).max(axis=0))
+    """Pointwise max over the time grid of |f * phi_t|, one multiplier pass,
+    its magnitude taken in place when the pass is real."""
+    g = apply_symbols(f.spec, f.values, _dilation_block(f.spec, tg.values))
+    return GridFunction(f.spec, np.abs(g, out=None if np.iscomplexobj(g) else g).max(axis=0))
 
 
 # -- window machinery ----------------------------------------------------------
@@ -339,15 +340,46 @@ def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunct
     return GridFunction(spec, reduce(np.maximum, accs))
 
 
+# Ball symbols of at most BALL_BYTES are cached, the CACHED_BALLS most
+# recently used.  A d=2 desk-grid field pass asks for 31 distinct balls
+# (hl_maximal's 8, area_integral's 23 once the balls that cover the whole
+# box share one), 258 KiB each: 7.8 MiB, kept for the process.
+BALL_BYTES = 2**19
+CACHED_BALLS = 32
+
+
 def _ball_symbol(spec: GridSpec, rho_cells: float) -> tuple:
     """(transform, count) of the 0/1 mask of the wrapped lattice offsets
     strictly closer than rho_cells to 0: its transform on the half lattice
     (grid._half), real because the mask is even in each coordinate, and its
     cell count.  The ball sum of a real array a over |y - x| < rho_cells h is
-    apply_symbols(spec, a, transform), a cyclic convolution with the mask."""
+    apply_symbols(spec, a, transform), a cyclic convolution with the mask.
+
+    A transform of at most BALL_BYTES is read-only and cached per grid and
+    radius (a repeat request returns the same object), in a mapping of its
+    own (grid._mapped); every radius of n cells or more is the whole box
+    (no wrapped offset reaches n at d <= 2), so those share one entry.
+    """
+    rho = min(float(rho_cells), spec.n)
+    if _half(spec, spec.freq_norm()).nbytes <= BALL_BYTES:
+        return _cached_ball(spec, rho)
+    return _ball(spec, rho)
+
+
+@lru_cache(maxsize=CACHED_BALLS)
+def _cached_ball(spec: GridSpec, rho: float) -> tuple:
+    sym, count = _ball(spec, rho)
+    kept = _mapped(sym.shape, populate=True)
+    kept[...] = sym
+    kept.setflags(write=False)
+    return kept, count
+
+
+def _ball(spec: GridSpec, rho: float) -> tuple:
+    """_ball_symbol's (transform, count), built."""
     k = np.arange(spec.n)
     dist2 = reduce(np.add.outer, [np.minimum(k, spec.n - k) ** 2] * spec.d)
-    mask = (dist2 < rho_cells * rho_cells).astype(float)
+    mask = (dist2 < rho * rho).astype(float)
     return _rfftn(mask, spec.d).real, mask.sum()
 
 

@@ -120,13 +120,17 @@ class GridSpec:
         return f"d{self.d}-L{self.L}-n{self.n}"
 
 
-def _mapped(shape) -> np.ndarray:
-    """A zeroed float64 array in an anonymous mapping of its own, returned to
-    the system when freed.  For an array that outlives the stacks allocated
-    after it, or is freed while they live: on the malloc heap the first keeps
-    the memory freed below it resident, and the second leaves a resident
-    hole below them."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+def _mapped(shape, dtype=float, populate=False) -> np.ndarray:
+    """A zeroed array (float64 by default) in a private anonymous mapping of
+    its own, returned to the system when freed.  For an array that outlives
+    the stacks allocated after it, or is freed while they live: on the
+    malloc heap the first keeps the memory freed below it resident, and the
+    second leaves a resident hole below them.  populate maps every page up
+    front, for an array that is written whole: one call instead of a fault
+    per page, half the time of faulting them in (Linux)."""
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | (getattr(mmap, "MAP_POPULATE", 0) if populate else 0)
+    size = np.dtype(dtype).itemsize * math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, size, flags=flags), dtype).reshape(shape)
 
 
 def _as_dtype(values) -> np.ndarray:
@@ -295,10 +299,11 @@ def _half(spec: GridSpec, a: np.ndarray) -> np.ndarray:
     return a[..., :spec.n // 2 + 1]
 
 
-def _full(spec: GridSpec, half: np.ndarray) -> np.ndarray:
-    """The full-lattice block of a half-lattice one, complex and writable:
-    frequency -k of the last axis takes the value at +k."""
-    out = np.empty(half.shape[:-1] + (spec.n,), dtype=complex)
+def _full(spec: GridSpec, half: np.ndarray, out=None) -> np.ndarray:
+    """The full-lattice block of a half-lattice one, complex and writable
+    (into out when given): frequency -k of the last axis takes the value at
+    +k."""
+    out = np.empty(half.shape[:-1] + (spec.n,), dtype=complex) if out is None else out
     out[..., :half.shape[-1]] = half
     out[..., half.shape[-1]:] = half[..., -2:0:-1]
     return out
@@ -334,7 +339,7 @@ def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
         raise ValueError(f"{len(values)} value slices but {len(sym)} symbol slices")
     if half and np.iscomplexobj(values):
         sym, half, lattice = _full(spec, sym), False, spec.shape
-    fwd, inv = (_rfftn, _irfftn) if half else (_fftn, _ifftn)
+    fwd = _rfftn if half else _fftn
     spectrum = None if batched else fwd(values, spec.d)
     if not (batched or half) and sym.ndim == spec.d:
         out = spectrum
@@ -353,17 +358,27 @@ def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
         finite = True
         for i in range(part.start, part.stop, step):
             j = min(i + step, part.stop)
-            o, s = rows[i:j], sym if len(sym) == 1 else sym[i:j]
-            w = work[:j - i] if half else o
-            x = fwd(values[i:j], spec.d, w) if spectrum is None else spectrum
-            np.multiply(s, x, out=w)
-            inv(w, spec.d, o)
-            finite = finite and np.all(np.isfinite(o))
+            o = rows[i:j]
+            x = spectrum if spectrum is not None else fwd(values[i:j], spec.d, work[:j - i] if half else o)
+            finite = _product(spec, sym if len(sym) == 1 else sym[i:j], x, o, work) and finite
         return finite
 
     if not all(_run_parts(run, _slice_parts(spec, len(rows)))):
         raise ValueError("multiplier pass produced non-finite values")
     return out
+
+
+def _product(spec: GridSpec, s: np.ndarray, x: np.ndarray, o: np.ndarray, work=None) -> bool:
+    """The rows o of a multiplier pass, the inverse transform of the symbol
+    rows s times the transform x: in o itself, or, for a real o (s and x on
+    the half lattice), through the complex buffer work[:len(o)].  Returns
+    whether o is finite.  The one body of every pass, apply_symbols's and a
+    lifted field's (amalgam.crsys), so their rows are the same bits; being
+    private, it may run on worker threads."""
+    w = o if work is None else work[:len(o)]
+    np.multiply(s, x, out=w)
+    (_ifftn if work is None else _irfftn)(w, spec.d, o)
+    return bool(np.all(np.isfinite(o)))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import kernels
 from .crsys import ConjugateField, sup_vector_amalgam_norms
-from .extension import (ExtensionStack, TimeGrid, _dilation_block, _h1_certificate, extend,
-                        grid_run_id, kernel_block, nontangential_max, radial_maximal)
+from .extension import (TimeGrid, _dilation_block, _h1_certificate, extend, grid_run_id,
+                        nontangential_max, radial_maximal)
 from .frozen import FrozenStore
 from .grid import GridFunction, GridSpec, _full, apply_symbols, sample, sup_norm
 from .norms import Exponents, _as_exponents, amalgam_norm, slice_norms
@@ -228,20 +228,11 @@ def hardy_quantity_multiplier(f: GridFunction, theta: MultiplierFamily, e) -> Qu
 
 def _lift(f: GridFunction, rs, tg: TimeGrid, flavor: str) -> ConjugateField:
     """The field (R_1 f, ..., R_d f, f) * K_t of the flavor's kernel, given
-    the Riesz transforms rs = [R_1 f, ..., R_d f]."""
+    the Riesz transforms rs = [R_1 f, ..., R_d f], as a lifted field: it
+    holds the kernel block and the spectra, and builds its slices where a
+    walk reads them (see ConjugateField)."""
     kernel = "poisson" if flavor == "harmonic" else "heat"
-    spec = f.spec
-    # f's pass reads the half-lattice block (a real f gives a real stack),
-    # the R_j f passes its full-lattice copy, which the last one consumes as
-    # its output buffer: past f's pass the lift holds d+1 stacks, no block
-    block = kernel_block(kernel, spec, tg.values)
-    own = apply_symbols(spec, f.values, block)
-    block = _full(spec, block)
-    shared = block.view()
-    shared.setflags(write=False)
-    values = [apply_symbols(spec, g.values, shared) for g in rs[:-1]]
-    values += [apply_symbols(spec, rs[-1].values, block), own]
-    return ConjugateField(tuple(ExtensionStack._from_pass(spec, tg, v, kernel) for v in values), flavor)
+    return ConjugateField._lifted(f.spec, [g.values for g in (*rs, f)], tg, kernel, flavor)
 
 
 def _riesz_all(f: GridFunction) -> list:
@@ -347,15 +338,15 @@ def _member_values(f: GridFunction, es, tg: TimeGrid, methods, on_caloric=None) 
     field is built once, reduced for every method and pair that reads it, and
     dropped before the next is built; riesz1 and riesz2 read one running sum.
     on_caloric(f, rs, stack), if given, sees the member's Riesz transforms and
-    the heat stack of f from its caloric field before they are dropped."""
+    the heat stack of f, the one stack its caloric field builds whole."""
     spec = f.spec
     out = {}
     order = 2 if "riesz2" in methods else int("riesz1" in methods)
     if order or "maximal" in methods:
         per_scale = np.zeros((len(es), tg.count))
         for level, block in _mollified_blocks(f, tg, order):
-            # every reduction reads |block| only: take it once, drop the block
-            mag = np.abs(block)
+            # every reduction reads |block| only: take it once, in place when real
+            mag = np.abs(block, out=None if np.iscomplexobj(block) else block)
             del block
             if level == 0 and "maximal" in methods:
                 mx = GridFunction(spec, mag.max(axis=0))
@@ -371,9 +362,10 @@ def _member_values(f: GridFunction, es, tg: TimeGrid, methods, on_caloric=None) 
     if "caloric_sup" in methods:
         rs = _riesz_all(f)
         lifted = _lift(f, rs, tg, "caloric")
+        # f's heat stack for on_caloric, built first: the walk then reads its rows
+        stack = lifted._stack([spec.d])[0] if on_caloric is not None else None
         out["caloric_sup"] = [float(v) for v in sup_vector_amalgam_norms(lifted, es)]
-        stack = lifted.components[-1]
-        del lifted  # the R_j f stacks go before on_caloric reduces f's
+        del lifted
         if on_caloric is not None:
             on_caloric(f, rs, stack)
         del stack

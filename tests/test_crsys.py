@@ -12,9 +12,13 @@ from amalgam.crsys import (
     sup_vector_amalgam_norms,
 )
 from amalgam.extension import TimeGrid, extend
+from amalgam import hardy
 from amalgam.grid import GridFunction, bandlimited_random, make_grid, sample
 from amalgam.hardy import caloric_lift, harmonic_lift
 from amalgam.norms import amalgam_norm
+from amalgam.spectral import riesz
+
+from conftest import assert_same_bits, lifted_and_stored_reports, stored
 
 
 class TestConjugateField:
@@ -261,3 +265,62 @@ class TestMajorization:
         F = harmonic_lift(sample("gaussian:width=1", desk1), tg48)
         rep = majorization_report(F)
         assert rep.max_violation <= 1e-3 * rep.peak
+
+
+class TestLiftedField:
+    """A lifted field builds its slices where a walk reads them: every report
+    is the same bits as from the field of whole stacks (the d=2 grids that
+    split across CPUs are covered in tests/test_threads.py)."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("grid", [(1, 16, 1024), (2, 4, 64)], ids=["d1", "d2"])
+    def test_same_bits_as_stored(self, grid, kind):
+        spec = make_grid(*grid)
+        f = bandlimited_random(spec, 7, 0.5, 2.0)
+        if kind == "complex":
+            f = GridFunction(spec, (1 + 0.5j) * f.values + 0.25j * np.roll(f.values, 3))
+        lifted, kept = lifted_and_stored_reports(f, TimeGrid(1e-3, 16.0, 19))
+        assert_same_bits(lifted, kept)
+
+    def test_components_are_the_extension_stacks(self, small2, tg16):
+        f = bandlimited_random(small2, 2, 0.5, 2.0)
+        F = caloric_lift(f, tg16)
+        assert [c.values.dtype for c in F.components] == [complex] * small2.d + [float]
+        assert F.components[0] is F.components[0]  # built once
+        assert_same_bits([c.values for c in F.components],
+                         [c.values for c in stored(f, tg16, "caloric").components])
+
+    def test_record_kept_by_the_caloric_residual_only(self, small2, tg16):
+        f = bandlimited_random(small2, 2, 0.5, 2.0)
+        F, G = harmonic_lift(f, tg16), caloric_lift(f, tg16)
+        sup_vector_amalgam_norms(G, [(1, 1)])
+        harmonic_cr_residual(F)
+        assert F._mag is None and G._mag is None
+        caloric_cr_residual(G)
+        want = np.sqrt(sum(np.abs(c.values) ** 2 for c in stored(f, tg16, "caloric").components))
+        assert_same_bits(G._mag, want)
+
+    def test_holds_block_spectra_and_one_real_stack(self, desk2, tg48):
+        """The lift holds the half-lattice block (in a mapping of its own)
+        and the d+1 spectra, no stack; the residual walk adds one real
+        stack, |F| (mapped too), and keeps less than a component stack."""
+        f = sample("gaussian:width=1", desk2)
+        rs = [riesz(f, j) for j in (1, 2)]
+        stack = tg48.count * desk2.size * 16  # one complex component stack
+        tracemalloc.start()
+        try:
+            G = hardy._lift(f, rs, tg48, "caloric")
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            caloric_cr_residual(G)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block, spectra, real = G._source
+        assert real and block.dtype == float and block.shape == (tg48.count, 256, 129)
+        assert [x.shape for x in spectra] == [(256, 256)] * 2 + [(256, 129)]
+        assert G._stacks == [None] * 3
+        assert held < sum(x.nbytes for x in spectra) + 2**16
+        assert G._mag.dtype == float and G._mag.nbytes == stack // 2
+        assert after - held < 2**16
+        assert peak - held < stack

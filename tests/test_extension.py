@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from amalgam.extension import (
     BLOCK_BYTES,
     CACHED_BLOCKS,
+    BALL_BYTES,
     AnnularWindow,
     ExtensionStack,
     TimeGrid,
+    _ball,
+    _ball_symbol,
     _cached_block,
     _dilation_block,
     _disc_offsets_maxfilter,
@@ -134,7 +137,7 @@ class TestStackValidation:
         f = bandlimited_random(small1, 16, 0.5, 2.0)
         stack = extend(f, "heat", tg16)
         assert scans == [False]
-        caloric_lift(f, tg16)
+        caloric_lift(f, tg16).components  # a lifted field's stacks, built on first use
         assert scans == [False] * 3
         write_stack(stack, tmp_path / "u.stack")
         read_stack(tmp_path / "u.stack")
@@ -226,6 +229,20 @@ class TestKernelBlock:
 
 
 class TestRadialMaximal:
+    def test_magnitude_taken_in_place(self, desk2, tg48):
+        # a real pass's magnitude is taken in place: the same bits as
+        # |pass|, and no second stack beside the pass output
+        f = sample("gaussian:width=1", desk2)
+        tracemalloc.start()
+        try:
+            M = radial_maximal(f, tg48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = np.abs(apply_symbols(desk2, f.values, _dilation_block(desk2, tg48.values))).max(axis=0)
+        assert M.values.tobytes() == want.tobytes()
+        assert peak < 1.25 * tg48.count * desk2.size * 8
+
     def test_dominates_members(self, desk1, tg48):
         f = sample("gaussian:width=1", desk1)  # nonnegative
         M = radial_maximal(f, tg48)
@@ -392,6 +409,27 @@ class TestHlMaximal:
         f = GridFunction(spec, np.arange(spec.size, dtype=float).reshape(spec.shape) - 0.5)
         assert hl_maximal(f, 1.0).values.dtype == np.float64
         assert area_integral(f, None, TimeGrid(0.5, 8.0, 4)).values.dtype == np.float64
+
+
+class TestBallSymbols:
+    def test_cached_read_only_same_bits(self, desk2):
+        sym, count = _ball_symbol(desk2, 5.5)
+        assert _ball_symbol(desk2, 5.5)[0] is sym  # a repeat request: the same object
+        assert not sym.flags.writeable
+        built, want = _ball(desk2, 5.5)
+        assert sym.tobytes() == built.tobytes() and count == want
+
+    def test_whole_box_balls_share_one_entry(self, desk2):
+        # no wrapped offset reaches n cells, so every larger radius is the box
+        sym = _ball_symbol(desk2, 1e6)[0]
+        assert _ball_symbol(desk2, 400.0)[0] is sym
+        assert sym.tobytes() == _ball(desk2, 1e6)[0].tobytes()
+        assert sym[0, 0] == desk2.size and np.count_nonzero(sym) == 1
+
+    def test_large_symbols_not_kept(self):
+        spec = make_grid(2, 8, 512)
+        assert spec.n * (spec.n // 2 + 1) * 8 > BALL_BYTES
+        assert _ball_symbol(spec, 3.0)[0] is not _ball_symbol(spec, 3.0)[0]
 
 
 class TestAreaIntegral:

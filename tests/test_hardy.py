@@ -24,8 +24,9 @@ from amalgam.hardy import (
     make_atom,
     reference_family,
 )
+from amalgam.hardy import _member_values
 from amalgam.kernels import caloric_conjugate_kernel
-from amalgam.norms import amalgam_norm
+from amalgam.norms import _as_exponents, amalgam_norm
 from amalgam.spectral import convolve, riesz
 
 from conftest import rel_l2
@@ -185,8 +186,9 @@ class TestLifts:
 
 
 class TestLiftMemory:
-    """A lift builds its kernel block once and the last pass consumes it: the
-    peak allocation stays below d+1 component stacks plus one."""
+    """A lift holds its kernel block and the spectra, no stack: its peak
+    allocation (the Riesz transforms and spectra it is made from) stays
+    below a quarter of one component stack."""
 
     @staticmethod
     def peak_bytes(fn, *args):
@@ -201,18 +203,46 @@ class TestLiftMemory:
     def test_desk2_peak(self, desk2, tg48, lift):
         f = sample("gaussian:width=1", desk2)
         peak, F = self.peak_bytes(lift, f, tg48)
-        assert peak < (desk2.d + 2) * F.components[0].values.nbytes
+        assert F._stacks == [None] * (desk2.d + 1)
+        assert peak < tg48.count * desk2.size * 16 / 4
 
     @pytest.mark.parametrize("lift", [harmonic_lift, caloric_lift], ids=["harmonic", "caloric"])
     def test_desk2_real_input_holds_no_block(self, desk2, tg48, lift):
-        # a real f gives a real f stack, and past f's pass the lift holds its
-        # d+1 stacks and no separate symbol block (a half-lattice one is a
-        # quarter of a complex stack)
+        # a real f: the field keeps the real half-lattice block (no
+        # full-lattice copy) and f's spectrum on the half lattice, and the
+        # stacks it builds on demand are d complex ones and f's real one
         f = sample("gaussian:width=1", desk2)
-        peak, F = self.peak_bytes(lift, f, tg48)
+        F = lift(f, tg48)
+        block, spectra, real = F._source
+        half = desk2.n // 2 + 1
+        assert real and block.dtype == float and block.shape == (tg48.count, desk2.n, half)
+        assert [x.shape[-1] for x in spectra] == [desk2.n] * desk2.d + [half]
         assert [c.values.dtype for c in F.components] == [complex] * desk2.d + [float]
-        stacks = sum(c.values.nbytes for c in F.components)
-        assert peak < stacks + F.components[0].values.nbytes / 4
+
+
+class TestMemberValues:
+    def test_magnitudes_taken_in_place(self, desk2, tg48):
+        # the mollified block of a real f is real, and its magnitude is
+        # taken in place: no second stack beside it
+        f = sample("gaussian:width=1", desk2)
+        e = (1.5, 1.5)
+        tracemalloc.start()
+        try:
+            vals = _member_values(f, [_as_exponents(e)], tg48, ("maximal",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals["maximal"] == [hardy_norm_maximal(f, e, tg48)]
+        assert peak < 1.25 * tg48.count * desk2.size * 8
+
+    def test_same_values_as_the_quantities(self, desk1, tg48):
+        f = bandlimited_random(desk1, 3, 0.25, 2.0)
+        es = [_as_exponents(e) for e in ((1.0, 1.0), (2.0, 3.0))]
+        vals = _member_values(f, es, tg48, ("maximal", "riesz1", "riesz2"))
+        for k, e in enumerate(es):
+            assert vals["maximal"][k] == hardy_norm_maximal(f, e, tg48)
+            assert vals["riesz1"][k] == hardy_quantity_riesz(f, e, tg48, 1).value
+            assert vals["riesz2"][k] == hardy_quantity_riesz(f, e, tg48, 2).value
 
 
 class TestReferenceFamily:

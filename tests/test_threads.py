@@ -6,12 +6,15 @@ patched, so the split is exercised (with 2 and 3 parts) on any machine,
 including a one-CPU affinity mask.
 """
 
+import importlib
+import inspect
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from amalgam import extension, grid
+from amalgam import crsys, extension, grid, hardy, norms
 from amalgam.crsys import (
     ConjugateField,
     _parseval_norms,
@@ -22,6 +25,8 @@ from amalgam.crsys import (
 from amalgam.extension import TimeGrid, extend, kernel_block, nontangential_max
 from amalgam.grid import SPLIT_BYTES, _full, _run_parts, _slice_parts, apply_symbols, make_grid, sample
 from amalgam.hardy import caloric_lift, harmonic_lift
+
+from conftest import assert_same_bits, lifted_and_stored_reports
 
 SPLITS = (2, 3)
 GATE = make_grid(2, 4, 128)
@@ -56,17 +61,6 @@ def serial_and_split(monkeypatch, fn):
             assert len(_slice_parts(GATE, 7)) == k
             splits.append(fn())
     return serial, splits
-
-
-def assert_same_bits(a, b):
-    if isinstance(a, dict):
-        assert a.keys() == b.keys()
-        for key in a:
-            assert_same_bits(a[key], b[key])
-        return
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 class TestParts:
@@ -235,3 +229,75 @@ class TestResiduals:
         serial, splits = serial_and_split(monkeypatch, lambda: sup_vector_amalgam_norms(F, es))
         for s in splits:
             assert_same_bits(serial, s)
+
+
+class TestLiftedField:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_same_bits_as_stored(self, monkeypatch, f2, tg7, kind):
+        # every walk over a lifted field builds its chunks on the parts'
+        # threads; the reports match the stored field's and the serial run's
+        f = f2 if kind == "real" else grid.GridFunction(GATE, (1 + 0.5j) * f2.values
+                                                        + 0.25j * np.roll(f2.values, 3))
+        serial, splits = serial_and_split(monkeypatch, lambda: lifted_and_stored_reports(f, tg7))
+        for lifted, kept in [serial] + splits:
+            assert_same_bits(lifted, kept)
+        for s in splits:
+            assert_same_bits(serial, s)
+
+
+LAYERS = ("grid", "spectral", "norms", "kernels", "extension", "weyl", "crsys", "hardy", "frozen", "cli")
+
+
+def test_public_functions_stay_on_the_calling_thread(monkeypatch, tmp_path, f2, tg7):
+    """Code on the worker threads calls no public function of the ten layer
+    modules.  Each is wrapped, as a profiler's per-call hook would wrap it,
+    and rebound in every amalgam module that imported it; a split d=2
+    field pass (the benchmark's field-d2 operations on a two-part grid)
+    must call every wrapped function from the calling thread."""
+    caller, off, calls, workers = threading.current_thread(), [], [], set()
+
+    def hook(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            if threading.current_thread() is not caller:
+                off.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrapped = {}
+    for layer in LAYERS:
+        mod = importlib.import_module(f"amalgam.{layer}")
+        for name, fn in vars(mod).items():
+            if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                wrapped[fn] = hook(f"{layer}.{name}", fn)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "amalgam" or mod_name.startswith("amalgam."):
+            for name, fn in list(vars(mod).items()):
+                if inspect.isfunction(fn) and fn in wrapped:
+                    monkeypatch.setattr(mod, name, wrapped[fn])
+    product = grid._product
+
+    def seen(*args):
+        workers.add(threading.current_thread())
+        return product(*args)
+
+    monkeypatch.setattr(grid, "_product", seen)
+    monkeypatch.setattr(crsys, "_product", seen)
+    monkeypatch.setattr(grid, "_cpus", lambda: 2)
+    crsys.harmonic_cr_residual(hardy.harmonic_lift(f2, tg7))
+    G = hardy.caloric_lift(f2, tg7)
+    crsys.caloric_cr_residual(G, "spectral")
+    crsys.sup_vector_amalgam_norm(G, (1.5, 1.5))
+    crsys.majorization_report(G)
+    crsys.caloric_cr_residual(G, "quadrature")
+    stack = extension.extend(f2, "poisson", tg7)
+    extension.nontangential_max(stack)
+    extension.hl_maximal(f2, 1.0)
+    extension.area_integral(f2, None, tg7)
+    for window in ("ball", "discrete"):
+        norms.amalgam_norm(f2, (1.5, 1.5), window)
+    extension.write_stack(stack, tmp_path / "u.stack")
+    extension.read_stack(tmp_path / "u.stack")
+    assert caller in workers and len(workers) > 1  # the passes did split
+    assert len(set(calls)) > 20
+    assert off == []
