@@ -347,6 +347,10 @@ def _cmd_atoms(cfg: RunConfig, args) -> None:
 
 def _cmd_report(cfg: RunConfig, args) -> None:
     _require_d1(cfg, "report")
+    if len(set(args.methods)) < len(args.methods):
+        raise UsageError(f"--methods names a method twice: {','.join(args.methods)}")
+    if cfg.do_assert and len(args.methods) < 2:
+        raise UsageError("report --assert needs at least two --methods, a pair to compare")
     store = _frozen_store(cfg)
     rep = equivalence_report(reference_family(cfg.grid()), args.pq, cfg.timegrid(), args.methods,
                              store=store)

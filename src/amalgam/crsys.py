@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "harmonic_cr_residual",
     "caloric_cr_residual",
     "sup_vector_amalgam_norm",
-    "sup_vector_amalgam_norms",
     "majorization_report",
     "MajorizationReport",
 ]
@@ -83,6 +82,33 @@ def _modulus(values, out=None) -> np.ndarray:
     return np.sqrt(total, out=out)
 
 
+def _buffer(bufs: dict, key, shape: tuple, dtype) -> np.ndarray:
+    """shape[0] rows of bufs' buffer for key and dtype, made anew only for
+    a larger chunk: one part's chunk buffers, reused from chunk to chunk."""
+    a = bufs.get((key, dtype))
+    if a is None or len(a) < shape[0] or a.shape[1:] != shape[1:]:
+        a = bufs[(key, dtype)] = np.empty(shape, dtype)
+    return a[:shape[0]]
+
+
+def _rows(spec, block: np.ndarray, x: np.ndarray, bufs: dict, key, sym=None, out=None) -> np.ndarray:
+    """The slices of a pass on the rows block of a real half-lattice kernel
+    block (times the full-lattice symbol sym), built as apply_symbols builds
+    them from the transform x (grid._product), into out or else bufs'
+    buffer key: real, through a complex work buffer, when x is on the half
+    lattice, else complex, from the block's full-lattice copy."""
+    half = x.shape[-1] != spec.n
+    if out is None:
+        out = _buffer(bufs, key, (len(block),) + spec.shape, float if half else complex)
+    if not half:
+        block = _full(spec, block, out)
+        if sym is not None:
+            np.multiply(block, sym, out=block)
+    if not _product(spec, block, x, out, _buffer(bufs, "work", block.shape, complex) if half else None):
+        raise ValueError("multiplier pass produced non-finite values")
+    return out
+
+
 def _magnitudes(F):
     """mag(i0, i1) for one part of a walk: |F| on the time slices i0:i1, the
     rows of the record a residual walk kept, else from the part's chunk."""
@@ -99,7 +125,7 @@ class ConjugateField:
     builds each chunk of time slices of its components where a walk reads
     it, by the row pass of apply_symbols (grid._product): the same bits as
     the stacks.  A caloric lifted field's first residual walk keeps |F|, one
-    real stack, for sup_vector_amalgam_norms; components builds the stacks.
+    real stack, for sup_vector_amalgam_norm; components builds the stacks.
     """
 
     def __init__(self, components, flavor: str):
@@ -134,61 +160,36 @@ class ConjugateField:
 
     @property
     def components(self) -> tuple:
-        """The component stacks; a lifted field builds them on first use (_stack)."""
-        return tuple(self._stack(range(self.spec.d + 1)))
-
-    def _stack(self, ks) -> list:
-        """The stacks of the components ks: those a lifted field lacks are
-        built by one walk and kept, each in a mapping of its own
-        (grid._mapped), freed with the field."""
-        if missing := [k for k in ks if self._stacks[k] is None]:
-            nt = self.tgrid.count
-            into = dict(zip(missing, self._empty(nt, missing, partial(_mapped, populate=True))))
-            parts, chunks = _walk(self.spec, nt)
+        """The component stacks: those a lifted field lacks are built on
+        first use, by one walk, and kept, each in a mapping of its own
+        (grid._mapped), freed with the field; f's real on the half-lattice
+        route, every other complex."""
+        spec, nt = self.spec, self.tgrid.count
+        if missing := [k for k, c in enumerate(self._stacks) if c is None]:
+            into = {k: _mapped((nt,) + spec.shape, complex if self._source[1][k].shape[-1] == spec.n else float,
+                               populate=True) for k in missing}
+            parts, chunks = _walk(spec, nt)
 
             def fill(part):
-                read = self._reader(into)
-                for i0, i1 in chunks(part):
-                    read(i0, i1)
+                bufs, (block, spectra, _) = {}, self._source
+                for (i0, i1), k in product(chunks(part), missing):
+                    _rows(spec, block[i0:i1], spectra[k], bufs, k, out=into[k][i0:i1])
 
             _run_parts(fill, parts)
             for k, v in into.items():
-                self._stacks[k] = ExtensionStack._from_pass(self.spec, self.tgrid, v, self.kernels[k])
-        return [self._stacks[k] for k in ks]
+                self._stacks[k] = ExtensionStack._from_pass(spec, self.tgrid, v, self.kernels[k])
+        return tuple(self._stacks)
 
-    def _empty(self, count: int, ks, new=np.empty) -> list:
-        """new(shape, dtype) for count slices of each lifted component in ks:
-        f's real on the half-lattice route, every other complex."""
-        n, spectra = self.spec.n, self._source[1]
-        return [new((count,) + self.spec.shape, complex if spectra[k].shape[-1] == n else float) for k in ks]
-
-    def _reader(self, into=None):
+    def _reader(self):
         """chunk(i0, i1) for one part of a walk: the components' values on
         the time slices i0:i1, rows of the field's stacks and the others
-        built into the rows of into's arrays (component -> values), or else
-        into buffers reused from chunk to chunk, so a chunk is valid until
-        the next.  A built slice is its spectrum times the block's row,
-        inverted, as in apply_symbols: f's pass reads the real half-lattice
-        row when f is real, every other pass its full-lattice copy.  Runs on
-        worker threads, so it calls nothing public."""
-        spec, d = self.spec, self.spec.d
-        ks = list(into) if into else [k for k, c in enumerate(self._stacks) if c is None]
-        bufs = {}
+        built (_rows) into buffers reused from chunk to chunk, so a chunk is
+        valid until the next.  Runs on worker threads, so it calls nothing
+        public."""
+        ks, bufs, src = [k for k, c in enumerate(self._stacks) if c is None], {}, self._source
 
         def chunk(i0, i1):
-            n, built = i1 - i0, {}
-            if ks:
-                block, spectra, real = self._source
-                rows = block[i0:i1]
-                if len(bufs.get("work", ())) < n:  # made anew only for a larger chunk
-                    bufs.update(full=np.empty((n,) + spec.shape, complex), work=np.empty(rows.shape, complex))
-                    bufs.update(() if into else zip(ks, self._empty(n, ks)))
-                full = None if real and ks == [d] else _full(spec, rows, bufs["full"][:n])
-                for k in ks:
-                    built[k] = o = into[k][i0:i1] if into else bufs[k][:n]
-                    work = bufs["work"] if spectra[k].shape[-1] != spec.n else None
-                    if not _product(spec, rows if real and k == d else full, spectra[k], o, work):
-                        raise ValueError("multiplier pass produced non-finite values")
+            built = {k: _rows(self.spec, src[0][i0:i1], src[1][k], bufs, k) for k in ks}
             return [built.get(k) if c is None else c.values[i0:i1] for k, c in enumerate(self._stacks)]
 
         return chunk
@@ -406,28 +407,18 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualRe
 
 
 def sup_vector_amalgam_norm(F: ConjugateField, e) -> float:
-    """max over t of the (p, q) amalgam norm of the pointwise magnitude |F(., t)|."""
-    return float(sup_vector_amalgam_norms(F, [e])[0])
-
-
-def sup_vector_amalgam_norms(F: ConjugateField, exponents) -> np.ndarray:
-    """sup_vector_amalgam_norm for every exponent pair, from one walk over the
-    time slices split across the CPUs like _sweep: |F| of a chunk of slices
-    at a time (the rows of the record a residual walk kept, else from the
-    chunk), normed per pair, a maximum per part, then the maximum of the
-    parts."""
-    spec = F.spec
-    parts, chunks = _walk(spec, F.tgrid.count)
+    """max over t of the (p, q) amalgam norm of the pointwise magnitude
+    |F(., t)|, from one walk over the time slices split across the CPUs like
+    _sweep: |F| of a chunk of slices at a time (the rows of the record a
+    residual walk kept, else from the chunk), normed, a maximum per part,
+    then the maximum of the parts."""
+    parts, chunks = _walk(F.spec, F.tgrid.count)
 
     def part_max(part):
-        out, mag = np.zeros(len(exponents)), _magnitudes(F)
-        for i0, i1 in chunks(part):
-            m = mag(i0, i1)
-            for k, e in enumerate(exponents):
-                out[k] = max(out[k], _slice_norms(spec, m, e).max())
-        return out
+        mag = _magnitudes(F)
+        return max(_slice_norms(F.spec, mag(i0, i1), e).max() for i0, i1 in chunks(part))
 
-    return np.max(_run_parts(part_max, parts), axis=0)
+    return float(max(_run_parts(part_max, parts)))
 
 
 @dataclass(frozen=True)

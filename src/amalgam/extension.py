@@ -316,28 +316,27 @@ def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunct
     """
     if aperture <= 0:
         raise ValueError(f"aperture must be positive, got {aperture}")
-    spec = stack.spec
-    n, h = spec.n, spec.h
-    ts = stack.times
+    spec, ts = stack.spec, stack.times
 
     def part_max(part):
         acc = np.zeros(spec.shape)  # |u| >= 0, so 0 leaves every max as it is
         for i in part:
-            absu = np.abs(stack.values[i])
-            rho_cells = aperture * float(ts[i]) / h
-            if spec.d == 1:
-                w = _strict_halfwidth(aperture * float(ts[i]), h)
-                cand = _run_max([absu[None]], w, np.empty((1, n)))[0]
-            elif rho_cells > (n / 2) * math.sqrt(2.0) + 1:
-                cand = absu.max()
-            else:
-                cand = _disc_offsets_maxfilter(absu, rho_cells, n)
-            np.maximum(acc, cand, out=acc)
+            np.maximum(acc, _cone_max(spec, np.abs(stack.values[i]), aperture * float(ts[i])), out=acc)
         return acc
 
     k = len(_slice_parts(spec, len(ts)))
     accs = _run_parts(part_max, [range(i, len(ts), k) for i in range(k)])
     return GridFunction(spec, reduce(np.maximum, accs))
+
+
+def _cone_max(spec: GridSpec, absu: np.ndarray, radius: float):
+    """nontangential_max's window max of one slice's magnitude absu, over |x - y| < radius."""
+    n, h = spec.n, spec.h
+    if spec.d == 1:
+        return _run_max([absu[None]], _strict_halfwidth(radius, h), np.empty((1, n)))[0]
+    if radius / h > (n / 2) * math.sqrt(2.0) + 1:
+        return absu.max()
+    return _disc_offsets_maxfilter(absu, radius / h, n)
 
 
 # Ball symbols of at most BALL_BYTES are cached, the CACHED_BALLS most
@@ -478,19 +477,18 @@ class H1Certificate:
 
 def h1_certificate(stack: ExtensionStack, e) -> H1Certificate:
     """Observed constant in sup_x |u(x,t)| <= C t^(-d/(2 max{p,q})) ||u||_T^{p,q}."""
-    return _h1_certificate(stack.spec, stack.times, np.abs(stack.values), e)
+    mag = np.abs(stack.values)
+    return _h1_certificate(stack.spec, stack.times, mag.reshape(len(mag), -1).max(axis=1),
+                           float(slice_norms(stack.spec, mag, e).max()), e)
 
 
-def _h1_certificate(spec: GridSpec, ts: np.ndarray, mag: np.ndarray, e) -> H1Certificate:
-    """h1_certificate of a stack over the times ts from its magnitude mag =
-    |u|, so that several exponent pairs can share one magnitude (slice_norms
-    of a nonnegative real block is the same bits as of the complex one)."""
-    e = _as_exponents(e)
-    tpq = float(slice_norms(spec, mag, e).max())
+def _h1_certificate(spec: GridSpec, ts: np.ndarray, sups: np.ndarray, tpq: float, e) -> H1Certificate:
+    """h1_certificate of a stack over the times ts from the sups of |u| per
+    slice and tpq = ||u||_T^{p,q}, the largest slice norm: the values a walk
+    over chunks of slices keeps (amalgam.hardy)."""
     if tpq == 0:
         raise ValueError("zero stack has no certificate")
-    sups = mag.reshape(len(ts), -1).max(axis=1)
-    per_t = ts ** (spec.d / (2.0 * e.max_exp)) * sups / tpq
+    per_t = ts ** (spec.d / (2.0 * _as_exponents(e).max_exp)) * sups / tpq
     return H1Certificate(float(per_t.max()), per_t, tpq)
 
 

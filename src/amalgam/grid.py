@@ -218,6 +218,7 @@ def _lattice(spec: GridSpec) -> tuple:
 SPLIT_BYTES = 256 * 2**10
 _POOL = []  # the process-wide worker pool, created by the first split pass
 _POOL_LOCK = threading.Lock()
+_ON_POOL = threading.local()  # .set is True on the pool's own threads
 
 
 def _cpus() -> int:
@@ -241,17 +242,19 @@ def _slice_parts(spec: GridSpec, n: int, align: int = 1) -> list:
 def _run_parts(fn, parts: list) -> list:
     """[fn(part) for part in parts]: one part is a plain call, more run on
     the worker pool, the first on the calling thread.  Each part must write
-    only its own slices, and fn must not split again.  Worker parts run in
-    a copy of the caller's context, so they keep its numpy floating-point
-    error state (a context variable)."""
-    if len(parts) == 1:
-        return [fn(parts[0])]
+    only its own slices.  A pool thread that calls it (a part that splits
+    again) runs every part itself, in order, so no part waits on its own
+    pool.  Worker parts run in a copy of the caller's context, so they keep
+    its numpy floating-point error state (a context variable)."""
+    if len(parts) == 1 or getattr(_ON_POOL, "set", False):
+        return [fn(part) for part in parts]
     with _POOL_LOCK:
         if not _POOL:
             # imported here: the thread module costs start-up that an
             # unsplit run never uses
             from concurrent.futures import ThreadPoolExecutor
-            _POOL.append(ThreadPoolExecutor(_cpus(), thread_name_prefix="amalgam"))
+            _POOL.append(ThreadPoolExecutor(_cpus(), thread_name_prefix="amalgam",
+                                            initializer=setattr, initargs=(_ON_POOL, "set", True)))
     futures = [_POOL[0].submit(contextvars.copy_context().run, fn, part) for part in parts[1:]]
     try:
         first = fn(parts[0])

@@ -18,24 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain, product
 
 import numpy as np
 
-from . import kernels
-from .crsys import ConjugateField, sup_vector_amalgam_norms
-from .extension import (TimeGrid, _dilation_block, _h1_certificate, extend, grid_run_id,
-                        nontangential_max, radial_maximal)
+from . import grid, kernels
+from .crsys import CHUNK_BYTES, ConjugateField, _buffer, _modulus, _rows, _walk
+from .extension import (TimeGrid, _cone_max, _dilation_block, _h1_certificate, grid_run_id,
+                        kernel_block, radial_maximal)
 from .frozen import FrozenStore
-from .grid import GridFunction, GridSpec, _full, apply_symbols, sample, sup_norm
-from .norms import Exponents, _as_exponents, amalgam_norm, slice_norms
-from .spectral import (
-    MultiplierFamily,
-    SphereSymbol,
-    apply_multiplier,
-    rank2_check,
-    riesz,
-    riesz_multiplier,
-)
+from .grid import (GridFunction, GridSpec, _fftn, _full, _ifftn, _rfftn, _run_parts, apply_symbols, sample,
+                   sup_norm)
+from .norms import Exponents, _as_exponents, _slice_norms, amalgam_norm, slice_norms
+from .spectral import (MultiplierFamily, SphereSymbol, apply_multiplier, rank2_check, riesz,
+                       riesz_multiplier)
 
 __all__ = [
     "AtomSpec",
@@ -153,13 +149,8 @@ def hardy_norm_maximal(f: GridFunction, e, tg: TimeGrid) -> float:
 
 
 def _riesz_compositions(spec: GridSpec, order: int):
-    """All index lists (j_1..j_k), 1 <= k <= order."""
-    out = []
-    level = [()]
-    for _ in range(order):
-        level = [t + (j,) for t in level for j in range(1, spec.d + 1)]
-        out.extend(level)
-    return out
+    """All index lists (j_1..j_k), 1 <= k <= order, by k, then lexicographically."""
+    return [idx for k in range(1, order + 1) for idx in product(range(1, spec.d + 1), repeat=k)]
 
 
 @dataclass(frozen=True)
@@ -169,25 +160,11 @@ class QuantityResult:
     per_scale: np.ndarray = field(repr=False)
 
 
-def _mollified_blocks(f: GridFunction, tg: TimeGrid, order: int):
-    """(level, block) pairs: f * phi_t of the maximal profile over the time
-    grid (level 0), then each Riesz composition of it up to the given order, in
-    the order of _riesz_compositions.  Each block is built by one pass, and
-    the caller drops it before asking for the next, so one stack is alive at
-    a time.  The compositions multiply the block's full-lattice copy."""
-    spec = f.spec
-    moll = _dilation_block(spec, tg.values)
-    yield 0, apply_symbols(spec, f.values, moll)
-    if order:
-        moll = _full(spec, moll)
-    for idx in _riesz_compositions(spec, order):
-        yield len(idx), apply_symbols(spec, f.values, moll * riesz_multiplier(spec, idx))
-
-
 def hardy_quantity_riesz(f: GridFunction, e, eps_grid: TimeGrid, order: int = 1) -> QuantityResult:
     """sup over mollification scales of ||f * phi_eps||_{p,q} (phi the heat
     profile) plus the norms of all Riesz compositions up to the given order,
-    mollified the same way.
+    mollified the same way: each a multiplier of the mollifier block's
+    full-lattice copy, built by one pass, one stack at a time.
 
     threshold_ok records min{p,q} > (d-1)/(d+order-1); below it the value is
     still computed but the characterization does not back it.
@@ -195,11 +172,12 @@ def hardy_quantity_riesz(f: GridFunction, e, eps_grid: TimeGrid, order: int = 1)
     e = _as_exponents(e)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    per_scale = np.zeros(eps_grid.count)
-    for _, block in _mollified_blocks(f, eps_grid, order):
-        per_scale += slice_norms(f.spec, block, e)
-        del block
-    return QuantityResult(float(per_scale.max()), e.riesz_threshold_ok(f.spec.d, order), per_scale)
+    spec, moll = f.spec, _dilation_block(f.spec, eps_grid.values)
+    per_scale = slice_norms(spec, apply_symbols(spec, f.values, moll), e)
+    moll = _full(spec, moll)
+    for idx in _riesz_compositions(spec, order):
+        per_scale += slice_norms(spec, apply_symbols(spec, f.values, moll * riesz_multiplier(spec, idx)), e)
+    return QuantityResult(float(per_scale.max()), e.riesz_threshold_ok(spec.d, order), per_scale)
 
 
 def default_multiplier_family(d: int = 1) -> MultiplierFamily:
@@ -226,27 +204,23 @@ def hardy_quantity_multiplier(f: GridFunction, theta: MultiplierFamily, e) -> Qu
 # ---------------------------------------------------------------------------
 
 
-def _lift(f: GridFunction, rs, tg: TimeGrid, flavor: str) -> ConjugateField:
-    """The field (R_1 f, ..., R_d f, f) * K_t of the flavor's kernel, given
-    the Riesz transforms rs = [R_1 f, ..., R_d f], as a lifted field: it
-    holds the kernel block and the spectra, and builds its slices where a
-    walk reads them (see ConjugateField)."""
+def _lift(f: GridFunction, tg: TimeGrid, flavor: str) -> ConjugateField:
+    """The field (R_1 f, ..., R_d f, f) * K_t of the flavor's kernel as a
+    lifted field: it holds the kernel block and the spectra, and builds its
+    slices where a walk reads them (see ConjugateField)."""
     kernel = "poisson" if flavor == "harmonic" else "heat"
-    return ConjugateField._lifted(f.spec, [g.values for g in (*rs, f)], tg, kernel, flavor)
-
-
-def _riesz_all(f: GridFunction) -> list:
-    return [riesz(f, j) for j in range(1, f.spec.d + 1)]
+    rs = [riesz(f, j).values for j in range(1, f.spec.d + 1)]
+    return ConjugateField._lifted(f.spec, rs + [f.values], tg, kernel, flavor)
 
 
 def harmonic_lift(f: GridFunction, tg: TimeGrid) -> ConjugateField:
     """(R_1 f * P_t, ..., R_d f * P_t, f * P_t) as a harmonic candidate field."""
-    return _lift(f, _riesz_all(f), tg, "harmonic")
+    return _lift(f, tg, "harmonic")
 
 
 def caloric_lift(f: GridFunction, tg: TimeGrid) -> ConjugateField:
     """(R_1 f * W_t, ..., R_d f * W_t, f * W_t) as a caloric candidate field."""
-    return _lift(f, _riesz_all(f), tg, "caloric")
+    return _lift(f, tg, "caloric")
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +258,9 @@ def reference_family(spec: GridSpec) -> list:
     for seed in (1, 2, 3, 4):
         f = sample(f"bandlimited_random:seed={seed},lo={nyq / 8.0},hi={nyq / 2.0}", spec)
         members.append((f"band(seed={seed})", f))
-    pq = [
-        ("poisson-diff(0.5,1)", kernels.poisson_kernel(spec, 0.5) - kernels.poisson_kernel(spec, 1.0)),
-        ("poisson-diff(1,2)", kernels.poisson_kernel(spec, 1.0) - kernels.poisson_kernel(spec, 2.0)),
-        ("conj-diff(0.5,1)", kernels.conjugate_poisson_kernel(spec, 0.5) - kernels.conjugate_poisson_kernel(spec, 1.0)),
-        ("conj-diff(1,2)", kernels.conjugate_poisson_kernel(spec, 1.0) - kernels.conjugate_poisson_kernel(spec, 2.0)),
-    ]
-    members.extend(pq)
+    for name, kernel in (("poisson-diff", kernels.poisson_kernel), ("conj-diff", kernels.conjugate_poisson_kernel)):
+        for a, b in ((0.5, 1.0), (1.0, 2.0)):
+            members.append((f"{name}({a:g},{b:g})", kernel(spec, a) - kernel(spec, b)))
     return members
 
 
@@ -333,58 +303,92 @@ class EquivalenceReport:
         }
 
 
-def _member_values(f: GridFunction, es, tg: TimeGrid, methods, on_caloric=None) -> dict:
-    """The selected quantities of one member, one value per exponent pair.  Each
-    field is built once, reduced for every method and pair that reads it, and
-    dropped before the next is built; riesz1 and riesz2 read one running sum.
-    on_caloric(f, rs, stack), if given, sees the member's Riesz transforms and
-    the heat stack of f, the one stack its caloric field builds whole."""
-    spec = f.spec
-    out = {}
-    order = 2 if "riesz2" in methods else int("riesz1" in methods)
-    if order or "maximal" in methods:
-        per_scale = np.zeros((len(es), tg.count))
-        for level, block in _mollified_blocks(f, tg, order):
-            # every reduction reads |block| only: take it once, in place when real
-            mag = np.abs(block, out=None if np.iscomplexobj(block) else block)
-            del block
-            if level == 0 and "maximal" in methods:
-                mx = GridFunction(spec, mag.max(axis=0))
-                out["maximal"] = [amalgam_norm(mx, e) for e in es]
-            if order:
-                per_scale += [slice_norms(spec, mag, e) for e in es]
-            del mag
-            if level:
-                out[f"riesz{level}"] = [float(v) for v in per_scale.max(axis=1)]
-    if "multiplier" in methods:
-        images = [apply_multiplier(f, s) for s in default_multiplier_family(spec.d).symbols]
-        out["multiplier"] = [float(sum(amalgam_norm(g, e) for g in images)) for e in es]
-    if "caloric_sup" in methods:
-        rs = _riesz_all(f)
-        lifted = _lift(f, rs, tg, "caloric")
-        # f's heat stack for on_caloric, built first: the walk then reads its rows
-        stack = lifted._stack([spec.d])[0] if on_caloric is not None else None
-        out["caloric_sup"] = [float(v) for v in sup_vector_amalgam_norms(lifted, es)]
-        del lifted
-        if on_caloric is not None:
-            on_caloric(f, rs, stack)
-        del stack
-    if "nontangential" in methods:
-        nt = nontangential_max(extend(f, "poisson", tg))
-        out["nontangential"] = [amalgam_norm(nt, e) for e in es]
-    return out
+def _member_values(members, es, tg: TimeGrid, methods, h1=()) -> list:
+    """The selected quantities of every member (of one grid), one dict per
+    member with one value per exponent pair, and for the h1 pairs the sups
+    of f's heat slices ("sups") and their largest norm ("h1").
+
+    Each CPU walks a contiguous range of the members (grid._run_parts),
+    building a chunk of time slices of each stack at a time (crsys._walk,
+    the CHUNK_BYTES budget shared by the ranges) as apply_symbols builds
+    them (crsys._rows, into the range's buffers) and reducing it before the
+    next, per slice in the public routes' order with exact maxima over
+    slices: each value is its public route's, bit for bit.  Walks call only
+    private code; the public calls stay on the calling thread.
+    """
+    spec, ts, k = members[0][1].spec, tg.values, min(grid._cpus(), len(members))
+    if any(f.spec != spec for _, f in members):
+        raise ValueError("the members must share one grid")
+    d, order, caloric = spec.d, 2 if "riesz2" in methods else int("riesz1" in methods), "caloric_sup" in methods
+    moll = _dilation_block(spec, ts) if order or "maximal" in methods else None
+    comps = [(len(idx), riesz_multiplier(spec, idx)) for idx in _riesz_compositions(spec, order)]
+    rsym = [riesz_multiplier(spec, [j]) for j in range(1, d + 1)] if caloric else []
+    poisson = kernel_block("poisson", spec, ts) if "nontangential" in methods else None
+    heat = kernel_block("heat", spec, ts) if caloric or h1 else None
+    chunks = _walk(spec, len(ts), budget=CHUNK_BYTES // k)[1](range(len(ts)))
+
+    def walk(part):  # the buffers are keyed by caloric field component, d for f's passes
+        bufs, swept = {}, []
+
+        def mag(o):  # |o|, in place when real
+            return np.abs(o, out=o if np.isrealobj(o) else _buffer(bufs, "mag", o.shape, float))
+
+        def fold(key, v):  # a running maximum, from fresh arrays
+            out[key] = np.maximum(out[key], v, out=out[key]) if key in out else v
+
+        for f in (members[i][1] for i in part):
+            xf = _fftn(f.values, d)
+            x = _rfftn(f.values, d) if np.isrealobj(f.values) and spec.n > 2 else xf
+            # R_j f as riesz builds it (one not finite fails the check of its caloric rows)
+            rspec = [_fftn(_ifftn(g, d, g), d) for g in (r * xf for r in rsym)]
+            swept.append(out := {})
+            for i0, i1 in chunks:
+                per_scale = np.zeros((len(es), i1 - i0))
+                for level, sym in [(0, None)] + comps if moll is not None else ():
+                    m = mag(_rows(spec, moll[i0:i1], xf if level else x, bufs, 0 if level else d, sym))
+                    if level == 0 and "maximal" in methods:
+                        fold("maximal", m.max(axis=0))
+                    if comps:
+                        per_scale += [_slice_norms(spec, m, e) for e in es]
+                    if level:  # the sums only grow: the max after a level's last composition
+                        fold(f"riesz{level}", per_scale.max(axis=1))
+                if poisson is not None:
+                    nt = out.setdefault("nontangential", np.zeros(spec.shape))
+                    for t, absu in zip(ts[i0:i1], mag(_rows(spec, poisson[i0:i1], x, bufs, d))):
+                        np.maximum(nt, _cone_max(spec, absu, float(t)), out=nt)
+                if heat is not None:
+                    u = _rows(spec, heat[i0:i1], x, bufs, d)
+                    if h1:
+                        u = mag(u)
+                        out.setdefault("sups", np.empty(len(ts)))[i0:i1] = u.reshape(i1 - i0, -1).max(axis=1)
+                        fold("h1", np.array([_slice_norms(spec, u, e).max() for e in h1]))
+                    if caloric:
+                        us = [_rows(spec, heat[i0:i1], r, bufs, j) for j, r in enumerate(rspec)] + [u]
+                        F = _modulus(us, _buffer(bufs, "mag", u.shape, float))
+                        fold("caloric_sup", np.array([_slice_norms(spec, F, e).max() for e in es]))
+        return swept
+
+    parts = [range(len(members) * i // k, len(members) * (i + 1) // k) for i in range(k)]
+    swept = list(chain.from_iterable(_run_parts(walk, parts)))
+    for (_, f), vals in zip(members, swept):
+        for key in {"maximal", "nontangential"} & set(vals):
+            vals[key] = [amalgam_norm(GridFunction(spec, vals[key]), e) for e in es]
+        if "multiplier" in methods:
+            images = [apply_multiplier(f, s) for s in default_multiplier_family(d).symbols]
+            vals["multiplier"] = [float(sum(amalgam_norm(g, e) for g in images)) for e in es]
+    return swept
 
 
 def equivalence_reports(members, exponents, tg: TimeGrid, methods=EQUIVALENCE_METHODS,
-                        store: FrozenStore | None = None, on_caloric=None) -> list:
+                        store: FrozenStore | None = None) -> list:
     """Pairwise ratio spreads of the selected quantities over a family, one
-    EquivalenceReport per exponent pair, from one sweep of the family.
+    EquivalenceReport per exponent pair, from one sweep of the family
+    (_member_values): the members share one grid, and no method is repeated.
 
     Ratios are only formed where both quantities are positive; zero values on
     nonzero members are flagged and excluded.  When a store is given, each
     pair's spread is compared against its REFERENCE_ID constant times SLACK;
-    pairs without a frozen entry get ok = None.  on_caloric, if given, is
-    handed to every member's step (see _member_values).
+    pairs without a frozen entry get ok = None.
     """
     es = [_as_exponents(e) for e in exponents]
     if not members:
@@ -392,13 +396,18 @@ def equivalence_reports(members, exponents, tg: TimeGrid, methods=EQUIVALENCE_ME
     methods = tuple(methods)
     if unknown := [m for m in methods if m not in EQUIVALENCE_METHODS]:
         raise ValueError(f"unknown method {unknown[0]!r}")
+    if repeated := [m for i, m in enumerate(methods) if m in methods[:i]]:
+        raise ValueError(f"method {repeated[0]!r} is repeated")
+    return _reports(members, es, tg, methods, store, _member_values(members, es, tg, methods))
+
+
+def _reports(members, es, tg: TimeGrid, methods, store, swept) -> list:
+    """equivalence_reports from the swept values of the members."""
     gid = grid_run_id(members[0][1].spec, tg)
-    swept = {name: _member_values(f, es, tg, methods, on_caloric) for name, f in members}
     reports = []
     for k, e in enumerate(es):
-        vals = {m: {name: swept[name][m][k] for name, _ in members} for m in methods}
-        excluded = []
-        pairs = {}
+        vals = {m: {name: float(v[m][k]) for (name, _), v in zip(members, swept)} for m in methods}
+        excluded, pairs = [], {}
         for i, ma in enumerate(methods):
             for mb in methods[i + 1:]:
                 ratios = []
@@ -412,8 +421,7 @@ def equivalence_reports(members, exponents, tg: TimeGrid, methods=EQUIVALENCE_ME
                     ratios.append(va / vb)
                 key = f"{ma}/{mb}"
                 if not ratios:
-                    pairs[key] = {"spread": None, "min": None, "max": None,
-                                  "frozen": None, "ok": False}
+                    pairs[key] = {"spread": None, "min": None, "max": None, "frozen": None, "ok": False}
                     continue
                 spread = max(ratios) / min(ratios)
                 info = {"spread": spread, "min": min(ratios), "max": max(ratios),
@@ -440,28 +448,24 @@ def freeze_constants(spec: GridSpec, tg: TimeGrid, store: FrozenStore) -> dict:
     members = reference_family(spec)
     frozen = {}
 
-    # heat-stack sup decay constants and the empirical Riesz-transform bound on
-    # the amalgam scale, reduced from each member's caloric field (its f heat
-    # stack) and R_1 f while the sweep holds them
-    h1 = dict.fromkeys(((1.0, 1.0), (2.0, 3.0)), 0.0)
-    rb = dict.fromkeys(((1.5, 1.5), (2.0, 3.0), (3.0, 1.5)), 0.0)
-
-    def reduce_member(f, rs, stack):
-        mag = np.abs(stack.values)  # one magnitude for every exponent pair
-        for pq in h1:
-            h1[pq] = max(h1[pq], _h1_certificate(stack.spec, stack.times, mag, pq).max_ratio)
-        for pq in rb:
-            if (denom := amalgam_norm(f, pq)) > 0:
-                rb[pq] = max(rb[pq], amalgam_norm(rs[0], pq) / denom)
-
-    # one sweep; at the p > q sample point (1.2, 0.9) only the nontangential leg is frozen
-    reps = equivalence_reports(members, ((1.0, 1.0), (2.0, 3.0), (1.2, 0.9)), tg,
-                               on_caloric=reduce_member)
+    # one sweep; at the p > q sample point (1.2, 0.9) only the nontangential
+    # leg is frozen.  The heat-stack sup decay constants come from each
+    # member's caloric walk, and the empirical Riesz-transform bound on the
+    # amalgam scale from f and R_1 f.
+    es = [_as_exponents(e) for e in ((1.0, 1.0), (2.0, 3.0), (1.2, 0.9))]
+    h1_pairs = ((1.0, 1.0), (2.0, 3.0))
+    swept = _member_values(members, es, tg, EQUIVALENCE_METHODS, h1_pairs)
+    reps = _reports(members, es, tg, EQUIVALENCE_METHODS, None, swept)
     legs = [(rep, pair) for rep in reps[:2] for pair in rep.pairs]
     for rep, pair in legs + [(reps[2], "maximal/nontangential")]:
         spread = rep.pairs[pair]["spread"]
         store.put(REFERENCE_ID, pair, rep.p, rep.q, gid, spread)
         frozen[f"{REFERENCE_ID}|{pair}|{rep.p:g},{rep.q:g}"] = spread
+    h1 = {pq: max(_h1_certificate(spec, tg.values, v["sups"], float(v["h1"][k]), pq).max_ratio
+                  for v in swept) for k, pq in enumerate(h1_pairs)}
+    rs = [(f, riesz(f, 1)) for _, f in members]
+    rb = {pq: max([0.0] + [amalgam_norm(r1, pq) / n for f, r1 in rs if (n := amalgam_norm(f, pq)) > 0])
+          for pq in ((1.5, 1.5), (2.0, 3.0), (3.0, 1.5))}
 
     # atom probe band
     vals = [v for _, _, v in atom_probe(spec, (1.0, 1.0), tg)]

@@ -62,6 +62,18 @@ class TestUsageErrors:
     def test_unknown_method(self):
         assert run(["report", "--methods", "sorcery"]) == 1
 
+    @pytest.mark.parametrize("argv", [["--methods", "maximal,maximal"],
+                                      ["--methods", "maximal,riesz1, maximal"],
+                                      ["--methods", "maximal", "--assert"]],
+                             ids=["repeated", "repeated-later", "assert-one-method"])
+    def test_report_without_a_pair_to_compare(self, argv, tmp_path, capsys):
+        # a method against itself (spread 1.0) or an --assert with no pair
+        # at all would pass vacuously: both are refused before any work
+        out = tmp_path / "rep.json"
+        assert run(["report", *argv, "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bound", [["--tmin", "nan"], ["--tmax", "inf"]])
     def test_nonfinite_time_bound(self, bound, capsys):
         code = run(["norm", "--L", "8", "--n", "512", *bound, "--function", "gaussian:width=1"])

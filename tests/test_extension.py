@@ -36,7 +36,7 @@ from amalgam.grid import (GridFunction, _full, _half, apply_symbols, bandlimited
                           make_grid, sample)
 from amalgam.hardy import caloric_lift
 from amalgam.kernels import heat_kernel
-from amalgam.norms import amalgam_norm
+from amalgam.norms import _as_exponents, amalgam_norm
 
 from conftest import rel_l2
 
@@ -269,14 +269,15 @@ class TestRadialMaximal:
 
     @pytest.mark.parametrize("grid", ["small1", "small2"])
     def test_level_zero_of_the_mollified_blocks(self, grid, request):
-        # the maximal quantity of the equivalence sweep reads the same profile
-        from amalgam.hardy import _mollified_blocks
+        # the maximal quantity of the equivalence sweep, a running maximum
+        # over the chunks of its mollified stack (level 0), reads the same profile
+        from amalgam.hardy import _member_values
 
         spec = request.getfixturevalue(grid)
         f, tg = bandlimited_random(spec, 4, 0.25, 2.0), TimeGrid(1e-3, 16.0, 12)
-        ((level, block),) = _mollified_blocks(f, tg, 0)
-        assert level == 0
-        np.testing.assert_array_equal(radial_maximal(f, tg).values, np.abs(block).max(axis=0))
+        es = [_as_exponents(e) for e in ((1.0, 1.0), (2.0, 0.5), (0.7, 3.0))]
+        (vals,) = _member_values([("f", f)], es, tg, ("maximal",))
+        assert vals["maximal"] == [amalgam_norm(radial_maximal(f, tg), e) for e in es]
 
 
 class TestNontangential:

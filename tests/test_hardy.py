@@ -1,13 +1,13 @@
 import json
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from amalgam import grid
+from amalgam import crsys
 from amalgam.crsys import sup_vector_amalgam_norm
-from amalgam.extension import BLOCK_BYTES, TimeGrid, extend, nontangential_max
+from amalgam.extension import (BLOCK_BYTES, TimeGrid, _h1_certificate, extend, h1_certificate,
+                               nontangential_max)
 from amalgam.frozen import FrozenStore, GridMismatchError
 from amalgam.grid import GridFunction, bandlimited_random, sample
 from amalgam.hardy import (
@@ -222,27 +222,48 @@ class TestLiftMemory:
 
 class TestMemberValues:
     def test_magnitudes_taken_in_place(self, desk2, tg48):
-        # the mollified block of a real f is real, and its magnitude is
-        # taken in place: no second stack beside it
+        # the walk builds the mollified stack of a real f a chunk of real
+        # slices at a time and takes their magnitude in place: one member's
+        # peak stays below half of one real stack
         f = sample("gaussian:width=1", desk2)
         e = (1.5, 1.5)
         tracemalloc.start()
         try:
-            vals = _member_values(f, [_as_exponents(e)], tg48, ("maximal",))
+            (vals,) = _member_values([("f", f)], [_as_exponents(e)], tg48, ("maximal",))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert vals["maximal"] == [hardy_norm_maximal(f, e, tg48)]
-        assert peak < 1.25 * tg48.count * desk2.size * 8
+        assert peak < tg48.count * desk2.size * 8 / 2
 
     def test_same_values_as_the_quantities(self, desk1, tg48):
         f = bandlimited_random(desk1, 3, 0.25, 2.0)
         es = [_as_exponents(e) for e in ((1.0, 1.0), (2.0, 3.0))]
-        vals = _member_values(f, es, tg48, ("maximal", "riesz1", "riesz2"))
+        (vals,) = _member_values([("f", f)], es, tg48, ("maximal", "riesz1", "riesz2"))
         for k, e in enumerate(es):
             assert vals["maximal"][k] == hardy_norm_maximal(f, e, tg48)
             assert vals["riesz1"][k] == hardy_quantity_riesz(f, e, tg48, 1).value
             assert vals["riesz2"][k] == hardy_quantity_riesz(f, e, tg48, 2).value
+
+    def test_d2_values_and_h1_inputs(self, small2, tg16):
+        # at d=2 the Riesz sums add two compositions per level, the cones
+        # are discs, and |F| sums three squares; the h1 inputs are f's heat
+        # slices' sups and largest norm, as h1_certificate takes them
+        f = bandlimited_random(small2, 6, 0.5, 2.0)
+        es = [_as_exponents(e) for e in ((1.0, 1.0), (2.0, 0.7))]
+        methods = ("maximal", "riesz1", "riesz2", "nontangential", "caloric_sup")
+        (vals,) = _member_values([("f", f)], es, tg16, methods, h1=es)
+        heat = extend(f, "heat", tg16)
+        for k, e in enumerate(es):
+            assert vals["maximal"][k] == hardy_norm_maximal(f, e, tg16)
+            assert vals["riesz1"][k] == hardy_quantity_riesz(f, e, tg16, 1).value
+            assert vals["riesz2"][k] == hardy_quantity_riesz(f, e, tg16, 2).value
+            assert vals["nontangential"][k] == amalgam_norm(nontangential_max(extend(f, "poisson", tg16)), e)
+            assert vals["caloric_sup"][k] == sup_vector_amalgam_norm(caloric_lift(f, tg16), e)
+            cert = h1_certificate(heat, e)
+            assert vals["h1"][k] == cert.tpq
+            got = _h1_certificate(small2, tg16.values, vals["sups"], float(vals["h1"][k]), e)
+            np.testing.assert_array_equal(got.per_t, cert.per_t)
 
 
 class TestReferenceFamily:
@@ -369,26 +390,31 @@ class TestEquivalenceSweep:
         with pytest.raises(ValueError, match="unknown method 'sorcery'"):
             equivalence_reports(family, self.PQS, tg16, methods=("maximal", "sorcery"))
 
+    def test_repeated_method_rejected(self, family, tg16):
+        # a method paired with itself would give a vacuous spread of 1
+        with pytest.raises(ValueError, match="method 'riesz1' is repeated"):
+            equivalence_reports(family, self.PQS, tg16, methods=("riesz1", "maximal", "riesz1"))
+
+    def test_members_must_share_a_grid(self, family, tg16, desk1):
+        with pytest.raises(ValueError, match="share one grid"):
+            equivalence_reports(family + reference_family(desk1)[:1], self.PQS, tg16)
+
 
 class TestFreezePasses:
     def test_reference_freeze_batched_pass_count(self, desk1, tg48, monkeypatch):
-        real = grid.apply_symbols
-        batched = []
+        # each member's walk builds every slice of its six stacks once (the
+        # mollified stack and its two Riesz compositions, the Poisson stack
+        # and the caloric field's two heat stacks, which also feed the sup
+        # decay constants): a stack built twice fails
+        real, built = crsys._product, []
 
-        def counting(spec, values, symbols):
-            batched.append(max(np.ndim(values), np.ndim(symbols)) > spec.d)
-            return real(spec, values, symbols)
+        def counting(spec, s, x, o, work=None):
+            built.append(len(o))
+            return real(spec, s, x, o, work)
 
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("amalgam") and \
-                    getattr(mod, "apply_symbols", None) is real:
-                monkeypatch.setattr(mod, "apply_symbols", counting)
+        monkeypatch.setattr(crsys, "_product", counting)
         freeze_constants(desk1, tg48, FrozenStore())
-        # per member of the 20: the mollified block and its two Riesz
-        # compositions, the Poisson stack and the two caloric heat stacks,
-        # which also feed the sup decay and Riesz-bound constants; one more
-        # per probe atom
-        assert sum(batched) <= 20 * 6 + 10
+        assert sum(built) == 20 * 6 * tg48.count
 
 
 class TestFrozenStorePut:

@@ -20,9 +20,10 @@ from amalgam.crsys import (
     _parseval_norms,
     caloric_cr_residual,
     harmonic_cr_residual,
-    sup_vector_amalgam_norms,
+    sup_vector_amalgam_norm,
 )
 from amalgam.extension import TimeGrid, extend, kernel_block, nontangential_max
+from amalgam.frozen import FrozenStore
 from amalgam.grid import SPLIT_BYTES, _full, _run_parts, _slice_parts, apply_symbols, make_grid, sample
 from amalgam.hardy import caloric_lift, harmonic_lift
 
@@ -101,6 +102,32 @@ class TestParts:
     def test_one_part_runs_on_the_calling_thread(self):
         assert _run_parts(lambda part: threading.current_thread(), [range(3)]) == [
             threading.current_thread()]
+
+    def test_a_part_that_splits_again_runs_inline(self, monkeypatch):
+        # a part on a pool thread that calls _run_parts runs its inner parts
+        # there, in order, and never submits to the pool it runs on
+        monkeypatch.setattr(grid, "_cpus", lambda: 2)
+        _run_parts(lambda part: None, [range(1), range(1, 2)])  # the pool exists
+        pool, submitted, ran = grid._POOL[0], [], []
+        submit = pool.submit
+
+        def checked(*args, **kwargs):
+            submitted.append(threading.current_thread())
+            return submit(*args, **kwargs)
+
+        def inner(part):
+            ran.append((list(part), threading.current_thread()))
+            return list(part)
+
+        def outer(part):
+            return _run_parts(inner, [range(part.start, part.start + 1), range(part.start + 1, part.stop)])
+
+        monkeypatch.setattr(pool, "submit", checked)
+        assert _run_parts(outer, [range(0, 2), range(2, 4)]) == [[[0], [1]], [[2], [3]]]
+        assert submitted and set(submitted) == {threading.current_thread()}
+        worker = [t for p, t in ran if p == [2]]
+        assert worker[0] is not threading.current_thread()
+        assert [t for p, t in ran if p == [3]] == worker
 
     def test_worker_error_propagates(self, monkeypatch):
         monkeypatch.setattr(grid, "_cpus", lambda: 2)
@@ -226,9 +253,28 @@ class TestResiduals:
     def test_sup_vector_amalgam_norms(self, monkeypatch, f2, tg7):
         F = caloric_lift(f2, tg7)
         es = [(1.5, 1.5), (1.0, 2.0), (3.0, 1.2)]
-        serial, splits = serial_and_split(monkeypatch, lambda: sup_vector_amalgam_norms(F, es))
+        serial, splits = serial_and_split(monkeypatch, lambda: [sup_vector_amalgam_norm(F, e) for e in es])
         for s in splits:
             assert_same_bits(serial, s)
+
+
+class TestSweep:
+    """The reference family's members split over the CPUs give the same
+    values, and the same constants, as one walk of them all."""
+
+    def test_equivalence_reports(self, monkeypatch, small1, tg16):
+        family = [hardy.reference_family(small1)[i] for i in (1, 9, 13, 18)]
+        run = lambda: [rep.to_jsonable() for rep in hardy.equivalence_reports(
+            family, [(1.0, 1.0), (0.8, 2.5)], tg16)]
+        serial, splits = serial_and_split(monkeypatch, run)
+        for s in splits:
+            assert s == serial
+
+    def test_freeze_constants(self, monkeypatch, small1, tg16):
+        run = lambda: hardy.freeze_constants(small1, tg16, FrozenStore())
+        serial, splits = serial_and_split(monkeypatch, run)
+        for s in splits:
+            assert s == serial
 
 
 class TestLiftedField:
@@ -248,12 +294,13 @@ class TestLiftedField:
 LAYERS = ("grid", "spectral", "norms", "kernels", "extension", "weyl", "crsys", "hardy", "frozen", "cli")
 
 
-def test_public_functions_stay_on_the_calling_thread(monkeypatch, tmp_path, f2, tg7):
+def test_public_functions_stay_on_the_calling_thread(monkeypatch, tmp_path, f2, tg7, small1, tg16):
     """Code on the worker threads calls no public function of the ten layer
     modules.  Each is wrapped, as a profiler's per-call hook would wrap it,
     and rebound in every amalgam module that imported it; a split d=2
-    field pass (the benchmark's field-d2 operations on a two-part grid)
-    must call every wrapped function from the calling thread."""
+    field pass (the benchmark's field-d2 operations on a two-part grid), an
+    equivalence sweep with all six methods and a freeze, whose members are
+    split, must call every wrapped function from the calling thread."""
     caller, off, calls, workers = threading.current_thread(), [], [], set()
 
     def hook(name, fn):
@@ -299,5 +346,12 @@ def test_public_functions_stay_on_the_calling_thread(monkeypatch, tmp_path, f2, 
     extension.write_stack(stack, tmp_path / "u.stack")
     extension.read_stack(tmp_path / "u.stack")
     assert caller in workers and len(workers) > 1  # the passes did split
+    # the equivalence sweep and the freeze on d=1 grids, whose slices never
+    # split: the pool threads run member walks
+    workers.clear()
+    family = [hardy.reference_family(small1)[i] for i in (1, 9, 13, 18)]
+    hardy.equivalence_reports(family, [(1.0, 1.0), (2.0, 3.0)], tg16)
+    hardy.freeze_constants(make_grid(1, 8, 256), TimeGrid(0.01, 8.0, 10), FrozenStore())
+    assert caller in workers and len(workers) > 1
     assert len(set(calls)) > 20
     assert off == []
