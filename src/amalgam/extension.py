@@ -146,45 +146,19 @@ def _extension_rate(kernel: str, spec: GridSpec) -> tuple:
     raise ValueError(f"no extension symbol for kernel {kernel!r}")
 
 
-# Heat and Poisson blocks of at most BLOCK_BYTES are cached, the
-# CACHED_BLOCKS most recently used, so the cache holds at most 8 MiB.  One
-# freeze run asks for the same three d=1 blocks (48 x 2049 x 8 B = 0.75 MiB
-# each) once per member; a desk-scale d=2 block (48 x 256 x 129 x 8 B =
-# 12 MiB) is never kept.
-BLOCK_BYTES = 2 * 2**20
-CACHED_BLOCKS = 4
-
-
 def kernel_block(kernel: str, spec: GridSpec, ts) -> np.ndarray:
     """extension_symbol(kernel, spec, t) over the times ts on the half
     lattice (grid._half), the same bits: a real block that apply_symbols
     takes as an even symbol, so a real input gives a real stack.
 
-    A block of at most BLOCK_BYTES is read-only and cached (a repeat request
-    returns the same object), a larger one fresh on every call.  Each gets a
-    mapping of its own (grid._mapped): a cached block outlives the stacks
-    freed around it, and a fresh one is freed below a live stack, the
-    pass's output.  Rows are filled eight at a time over the CPU parts
-    (_slice_parts), so no second full-size array is alive beside the block,
-    and exp is taken only where its argument exceeds -746: below that exp is
-    exactly 0, which the zeroed block holds, and numpy reaches that 0
-    several times slower.
+    Every call fills a fresh, read-only block in a mapping of its own
+    (grid._mapped), freed below a live stack, the pass's output.  Rows are
+    filled eight at a time over the CPU parts (_slice_parts), so no second
+    full-size array is alive beside the block, and exp is taken only where
+    its argument exceeds -746: below that exp is exactly 0, which the zeroed
+    block holds, and numpy reaches that 0 several times slower.
     """
     ts = np.asarray(ts, dtype=float)
-    if ts.size * _half(spec, spec.freq_norm()).nbytes <= BLOCK_BYTES:
-        return _cached_block(kernel, spec, ts.tobytes())
-    return _fill_block(kernel, spec, ts)
-
-
-@lru_cache(maxsize=CACHED_BLOCKS)
-def _cached_block(kernel: str, spec: GridSpec, ts_bytes: bytes) -> np.ndarray:
-    block = _fill_block(kernel, spec, np.frombuffer(ts_bytes))
-    block.setflags(write=False)
-    return block
-
-
-def _fill_block(kernel: str, spec: GridSpec, ts: np.ndarray) -> np.ndarray:
-    """The block of kernel_block, in a mapping of its own (grid._mapped)."""
     rate, base = _extension_rate(kernel, spec)
     base = _half(spec, base)
     block = _mapped((ts.size,) + base.shape)
@@ -198,6 +172,7 @@ def _fill_block(kernel: str, spec: GridSpec, ts: np.ndarray) -> np.ndarray:
             np.exp(arg, out=block[i:j], where=arg > -746.0)
 
     _run_parts(fill, parts)
+    block.setflags(write=False)
     return block
 
 

@@ -24,6 +24,7 @@ Sorensen, Jones, Heideman and Burrus (IEEE Trans. ASSP 35, 1987).
 from __future__ import annotations
 
 import contextvars
+import inspect
 import math
 import mmap
 import os
@@ -325,7 +326,7 @@ def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
     a part; complex values take the complex pass of the block's full-lattice
     copy (_full).  A writable complex symbol block with the only
     batch axis is consumed as the output buffer; a real or read-only one
-    (such as a cached extension.kernel_block) is left intact.  The batch
+    (such as an extension.kernel_block) is left intact.  The batch
     rows are split across the CPUs (_slice_parts); each slice's arithmetic
     is the same in any split.  Non-finite output raises.
     """
@@ -401,12 +402,6 @@ def sup_norm(f: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-# each family's parameters, the only keys a spec may set (see sample)
-FUNCTION_FAMILIES = {"gaussian": ("center", "width"), "poisson_kernel": ("t",),
-                     "heat_kernel": ("t",), "indicator": ("lo", "hi"), "haar": ("corner", "side"),
-                     "bandlimited_random": ("seed", "lo", "hi"), "from_file": ("path",)}
-
-
 @dataclass(frozen=True)
 class FunctionSpec:
     """Named analytic family with parameters, e.g. FunctionSpec('gaussian', {'width': 1})."""
@@ -416,42 +411,72 @@ class FunctionSpec:
 
     @staticmethod
     def parse(text: str) -> "FunctionSpec":
-        """Parse 'name' or 'name:key=val,key=val' (values finite floats unless
-        key is path/seed)."""
+        """Parse 'name' or 'name:key=val,key=val'.  Each value takes the type
+        of its parameter's default in the family's builder: a finite float,
+        an int (seed), or the string itself where there is none (path)."""
         name, _, rest = text.partition(":")
         name = name.strip()
-        if name not in FUNCTION_FAMILIES:
-            raise ValueError(f"unknown function family {name!r}; choose from {list(FUNCTION_FAMILIES)}")
+        _family_params(name)
         params = {}
         if rest:
             for item in rest.split(","):
                 key, sep, val = item.partition("=")
                 if not sep:
                     raise ValueError(f"malformed function parameter {item!r}")
-                if key not in FUNCTION_FAMILIES[name]:
-                    raise ValueError(f"unknown parameter {key!r} of {name}; "
-                                     f"choose from {list(FUNCTION_FAMILIES[name])}")
+                default = _family_params(name, [key])[key].default
+                kind = str if default is inspect.Parameter.empty else type(default)
                 try:
-                    if key == "path":
-                        params[key] = val
-                    elif key == "seed":
-                        params[key] = int(val)
-                    else:
-                        params[key] = float(val)
+                    params[key] = kind(val)
                 except ValueError:
                     raise ValueError(f"function parameter {item!r} is not a number") from None
-                if key not in ("path", "seed") and not math.isfinite(params[key]):
+                if kind is float and not math.isfinite(params[key]):
                     raise ValueError(f"function parameter {item!r} is not finite")
         if name == "from_file" and "path" not in params:
             raise ValueError("from_file needs a path=FILE parameter")
         return FunctionSpec(name, params)
 
 
-def _centers(spec: GridSpec, params, key="center"):
-    c = params.get(key, 0.0)
-    if np.isscalar(c):
-        return (float(c),) * spec.d
-    return tuple(float(v) for v in c)
+def _family_params(name: str, given=()) -> dict:
+    """A family's parameters, its builder's after the grid; a ValueError for
+    an unknown family or a given key the family does not take."""
+    if name not in FUNCTION_FAMILIES:
+        raise ValueError(f"unknown function family {name!r}; choose from {list(FUNCTION_FAMILIES)}")
+    params = dict(list(inspect.signature(FUNCTION_FAMILIES[name]).parameters.items())[1:])
+    if unknown := [key for key in given if key not in params]:
+        raise ValueError(f"unknown parameter {unknown[0]!r} of {name}; choose from {list(params)}")
+    return params
+
+
+def _centers(spec: GridSpec, c) -> tuple:
+    """A centre or corner: one value for every axis, or one per axis."""
+    return (float(c),) * spec.d if np.isscalar(c) else tuple(float(v) for v in c)
+
+
+def _gaussian(spec: GridSpec, center=0.0, width=1.0) -> np.ndarray:
+    c, w = _centers(spec, center), float(width)
+    if w <= 0:
+        raise ValueError(f"gaussian width must be positive, got {w}")
+    return np.exp(-sum((a - ci) ** 2 for a, ci in zip(spec.nodes(), c)) / w**2)
+
+
+def _poisson_kernel(spec: GridSpec, t=1.0) -> np.ndarray:
+    return analytic.poisson(spec.nodes(), float(t))
+
+
+def _heat_kernel(spec: GridSpec, t=1.0) -> np.ndarray:
+    return analytic.heat(spec.nodes(), float(t))
+
+
+def _indicator(spec: GridSpec, lo=0.0, hi=1.0) -> np.ndarray:
+    return reduce(np.multiply, [(a >= float(lo)) & (a < float(hi)) for a in spec.nodes()], np.ones(spec.shape))
+
+
+def _haar(spec: GridSpec, corner=0.0, side=1.0) -> np.ndarray:
+    """Per axis +1 on the lower and -1 on the upper half of [c, c + side), 0 off it."""
+    side, v = float(side), np.ones(spec.shape)
+    for a, c in zip(spec.nodes(), _centers(spec, corner)):
+        v = v * ((a >= c) & (a < c + side)) * np.where(a < c + side / 2, 1.0, -1.0)
+    return v
 
 
 def bandlimited_random(spec: GridSpec, seed: int, lo: float, hi: float) -> GridFunction:
@@ -471,65 +496,32 @@ def bandlimited_random(spec: GridSpec, seed: int, lo: float, hi: float) -> GridF
     return GridFunction(spec, v / scale)
 
 
-def sample(family, spec: GridSpec) -> GridFunction:
-    """Pointwise samples of an analytic family at the grid nodes.
+def _bandlimited(spec: GridSpec, seed=0, lo=0.125, hi=0.5) -> np.ndarray:
+    return bandlimited_random(spec, int(seed), float(lo), float(hi)).values
 
-    Families: gaussian{center,width}, poisson_kernel{t}, heat_kernel{t},
-    indicator{lo,hi}, haar{corner,side}, bandlimited_random{seed,lo,hi},
-    from_file{path}.  Kernel families are plain pointwise evaluations; the
-    box-consistent kernels live in amalgam.kernels.
-    """
+
+def _from_file(spec: GridSpec, path) -> np.ndarray:
+    f = read_grid_function(path)
+    if f.spec != spec:
+        raise ValueError(f"file grid {f.spec} does not match requested grid {spec}")
+    return f.values
+
+
+# each family's builder (spec, **params) -> values at the grid nodes; its
+# keyword parameters are the keys a spec of the family may set
+FUNCTION_FAMILIES = {"gaussian": _gaussian, "poisson_kernel": _poisson_kernel, "heat_kernel": _heat_kernel,
+                     "indicator": _indicator, "haar": _haar, "bandlimited_random": _bandlimited,
+                     "from_file": _from_file}
+
+
+def sample(family, spec: GridSpec) -> GridFunction:
+    """Samples at the grid nodes of an analytic family (a FunctionSpec or its
+    text) by its builder in FUNCTION_FAMILIES; kernel families are pointwise
+    evaluations, the box-consistent kernels live in amalgam.kernels."""
     if isinstance(family, str):
         family = FunctionSpec.parse(family)
-    name, params = family.family, family.params
-    axes = spec.nodes()
-
-    if name == "gaussian":
-        c = _centers(spec, params)
-        w = float(params.get("width", 1.0))
-        if w <= 0:
-            raise ValueError(f"gaussian width must be positive, got {w}")
-        r2 = sum((a - ci) ** 2 for a, ci in zip(axes, c))
-        return GridFunction(spec, np.exp(-r2 / w**2))
-
-    if name == "poisson_kernel":
-        t = float(params.get("t", 1.0))
-        return GridFunction(spec, analytic.poisson(axes, t))
-
-    if name == "heat_kernel":
-        t = float(params.get("t", 1.0))
-        return GridFunction(spec, analytic.heat(axes, t))
-
-    if name == "indicator":
-        lo, hi = float(params.get("lo", 0.0)), float(params.get("hi", 1.0))
-        v = np.ones(spec.shape)
-        for a in axes:
-            v = v * ((a >= lo) & (a < hi))
-        return GridFunction(spec, v)
-
-    if name == "haar":
-        corner = _centers(spec, params, key="corner")
-        side = float(params.get("side", 1.0))
-        v = np.ones(spec.shape)
-        for a, c0 in zip(axes, corner):
-            inside = (a >= c0) & (a < c0 + side)
-            sgn = np.where(a < c0 + side / 2, 1.0, -1.0)
-            v = v * inside * sgn
-        return GridFunction(spec, v)
-
-    if name == "bandlimited_random":
-        seed = int(params.get("seed", 0))
-        lo = float(params.get("lo", 0.125))
-        hi = float(params.get("hi", 0.5))
-        return bandlimited_random(spec, seed, lo, hi)
-
-    if name == "from_file":
-        f = read_grid_function(params["path"])
-        if f.spec != spec:
-            raise ValueError(f"file grid {f.spec} does not match requested grid {spec}")
-        return f
-
-    raise ValueError(f"unknown function family {name!r}")
+    _family_params(family.family, family.params)
+    return GridFunction(spec, FUNCTION_FAMILIES[family.family](spec, **family.params))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +557,7 @@ def read_grid_function(path) -> GridFunction:
             is_complex = fh.readline().strip().endswith(",im")
         if not first.startswith("#"):
             raise ValueError("CSV is missing its '# dim=..,L=..,n=..' header line")
-        meta = dict(item.split("=") for item in first.lstrip("# ").split(","))
+        meta = _Header(item.split("=") for item in first.lstrip("# ").split(","))
         spec = GridSpec(int(meta["dim"]), int(meta["L"]), int(meta["n"]))
         rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
         if not np.array_equal(rows[:, :spec.d], np.indices(spec.shape).reshape(spec.d, -1).T):
@@ -589,13 +581,20 @@ def _write_binary(path, spec: GridSpec, values: np.ndarray, **meta) -> None:
         fh.write(memoryview(np.ascontiguousarray(values, dtype=dtype)).cast("B"))
 
 
+class _Header(dict):
+    """A file header's key=value fields; a missing key is a ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"the file header has no {key}= field")
+
+
 def _read_binary(path, count_key: str | None = None) -> tuple:
     """(header, spec, samples) of a file written by _write_binary; the payload
     must be exactly count * n^d samples of the header's dtype, count read
     from the header field count_key (1 without one).  The samples are read
     straight into the returned array, with no intermediate bytes object."""
     with open(path, "rb") as fh:
-        header = {}
+        header = _Header()
         while (line := fh.readline().decode("ascii")) not in ("\n", ""):
             key, _, val = line.strip().partition("=")
             header[key] = val

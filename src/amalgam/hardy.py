@@ -131,11 +131,12 @@ def make_atom(a: AtomSpec, spec: GridSpec) -> GridFunction:
 
 def atom_probe(spec: GridSpec, e, tg: TimeGrid) -> list:
     """(m, side, maximal norm) of the cube atom at the origin per moment order
-    m in 0, 1 and side in ATOM_SIDES."""
+    m in 0, 1 and side in ATOM_SIDES, hardy_norm_maximal's from one sweep (_member_values)."""
     e = _as_exponents(e)
-    return [(m, side, hardy_norm_maximal(make_atom(AtomSpec((0.0,) * spec.d, side, m, e.p, e.q),
-                                                   spec), e, tg))
-            for m in (0, 1) for side in ATOM_SIDES]
+    atoms = [((m, side), make_atom(AtomSpec((0.0,) * spec.d, side, m, e.p, e.q), spec))
+             for m in (0, 1) for side in ATOM_SIDES]
+    swept = _member_values(atoms, [e], tg, ("maximal",))
+    return [(m, side, v["maximal"][0]) for ((m, side), _), v in zip(atoms, swept)]
 
 
 # ---------------------------------------------------------------------------

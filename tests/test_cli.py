@@ -97,6 +97,19 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("name, header, key", [
+        ("f.grid", b"L=8\nn=512\nlayout=row-major\ndtype=float64-little-endian\n\n" + bytes(8 * 512), "dim"),
+        ("f.csv", b"# dim=1,L=8\ni,re\n", "n"),
+    ], ids=["grid-without-dim", "csv-without-n"])
+    def test_grid_file_header_without_key(self, name, header, key, tmp_path, capsys):
+        # the missing key is bad input (exit 1), named in the message
+        path = tmp_path / name
+        path.write_bytes(header)
+        assert run(["norm", *BASE, "--function", f"from_file:path={path}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and f"no {key}= field" in err
+
     @pytest.mark.parametrize("flag, value", [("--orders", "x"), ("--orders", "0,1.5"),
                                              ("--sides", "1,y")])
     def test_malformed_atom_list(self, flag, value, capsys):

@@ -9,15 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgam.extension import (
-    BLOCK_BYTES,
-    CACHED_BLOCKS,
     BALL_BYTES,
     AnnularWindow,
     ExtensionStack,
     TimeGrid,
     _ball,
     _ball_symbol,
-    _cached_block,
     _dilation_block,
     _disc_offsets_maxfilter,
     area_integral,
@@ -164,39 +161,45 @@ class TestStackValidation:
 
 
 class TestKernelBlock:
-    """Heat and Poisson symbol blocks, real and on the half lattice: d=1
-    blocks are built once, kept read-only and shared; desk-scale d=2 blocks
-    are never kept."""
+    """Heat and Poisson symbol blocks, real and on the half lattice: every
+    call fills a fresh, read-only block."""
 
     @staticmethod
     def per_slice(kernel, spec, ts):
         return np.array([extension_symbol(kernel, spec, float(t)) for t in ts])
 
     @pytest.mark.parametrize("kernel", ["heat", "poisson"])
-    def test_cached_d1_block(self, desk1, tg48, kernel):
+    def test_d1_block(self, desk1, tg48, kernel):
         block = kernel_block(kernel, desk1, tg48.values)
         assert block.dtype == float and not block.flags.writeable
         assert block.shape == (tg48.count, desk1.n // 2 + 1)
-        assert kernel_block(kernel, desk1, tg48.values) is block
         want = self.per_slice(kernel, desk1, tg48.values)
         np.testing.assert_array_equal(block, _half(desk1, want))
         # the symbols are even: the mirrored block is the full-lattice one
         np.testing.assert_array_equal(_full(desk1, block), want)
+
+    @pytest.mark.parametrize("kernel", ["heat", "poisson"])
+    def test_repeat_request_gets_a_fresh_block(self, desk1, tg48, kernel):
+        # nothing is kept between calls: a second request fills a second,
+        # distinct read-only block with the same bits
+        first = kernel_block(kernel, desk1, tg48.values)
+        second = kernel_block(kernel, desk1, tg48.values)
+        assert second is not first and not np.shares_memory(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+        assert first.tobytes() == second.tobytes()
 
     def test_dilation_block(self, desk1, tg48):
         # the maximal profile dilated by t is the heat kernel at t^2
         ts = tg48.values
         np.testing.assert_array_equal(_dilation_block(desk1, ts),
                                       _half(desk1, self.per_slice("heat", desk1, [t**2 for t in ts])))
-        assert _dilation_block(desk1, ts) is kernel_block("heat", desk1, ts**2)
+        np.testing.assert_array_equal(_dilation_block(desk1, ts), kernel_block("heat", desk1, ts**2))
 
     def test_desk_d2_block_not_retained(self, desk2, tg48):
-        hits = _cached_block.cache_info().hits
         block = kernel_block("heat", desk2, tg48.values)
-        assert block.nbytes > BLOCK_BYTES
         assert block.dtype == float and block.shape == (tg48.count, desk2.n, desk2.n // 2 + 1)
+        assert not block.flags.writeable
         assert kernel_block("heat", desk2, tg48.values) is not block
-        assert _cached_block.cache_info().hits == hits
         np.testing.assert_array_equal(block[[0, 47]],
                                       _half(desk2, self.per_slice("heat", desk2, tg48.values[[0, 47]])))
 
@@ -210,22 +213,13 @@ class TestKernelBlock:
         np.testing.assert_array_equal(block, _half(desk2, want))
         np.testing.assert_array_equal(_full(desk2, block), want)
 
-    def test_apply_symbols_leaves_cached_block_unchanged(self, desk1, tg48):
+    def test_apply_symbols_leaves_block_unchanged(self, desk1, tg48):
+        # a pass reads the block and never writes into it
         block = kernel_block("heat", desk1, tg48.values)
         before = block.copy()
-        stack = extend(sample("gaussian:width=1", desk1), "heat", tg48)
-        assert not np.shares_memory(stack.values, block)
-        assert kernel_block("heat", desk1, tg48.values) is block
+        stack = apply_symbols(desk1, sample("gaussian:width=1", desk1).values, block)
+        assert not np.shares_memory(stack, block)
         np.testing.assert_array_equal(block, before)
-
-    def test_cache_bounded(self, small1):
-        assert CACHED_BLOCKS * BLOCK_BYTES <= 8 * 2**20
-        grids = [TimeGrid(0.01, 1.0 + k, 64) for k in range(2 * CACHED_BLOCKS)]
-        blocks = [kernel_block("poisson", small1, tg.values) for tg in grids]
-        assert _cached_block.cache_info().currsize == CACHED_BLOCKS
-        # least recently used first out: the last grid is kept, the first is not
-        assert kernel_block("poisson", small1, grids[-1].values) is blocks[-1]
-        assert kernel_block("poisson", small1, grids[0].values) is not blocks[0]
 
 
 class TestRadialMaximal:

@@ -11,6 +11,7 @@ from amalgam.grid import (
     FUNCTION_FAMILIES,
     FunctionSpec,
     GridFunction,
+    _family_params,
     _full,
     apply_symbols,
     bandlimited_random,
@@ -79,6 +80,33 @@ class TestSample:
         with pytest.raises(ValueError, match="unknown"):
             sample("sinc", desk1)
 
+    def test_family_keys_are_builder_parameters(self):
+        # the keys a spec may set, and parse's messages name, in order
+        assert {name: list(_family_params(name)) for name in FUNCTION_FAMILIES} == {
+            "gaussian": ["center", "width"], "poisson_kernel": ["t"], "heat_kernel": ["t"],
+            "indicator": ["lo", "hi"], "haar": ["corner", "side"],
+            "bandlimited_random": ["seed", "lo", "hi"], "from_file": ["path"]}
+
+    def test_direct_spec_with_unknown_key(self, desk1):
+        # parse refuses the key, and so does sample for a spec built directly
+        with pytest.raises(ValueError, match="unknown parameter 'seed' of gaussian; choose from"):
+            sample(FunctionSpec("gaussian", {"width": 1, "seed": 1}), desk1)
+
+    @pytest.mark.parametrize("family, given, full", [
+        ("gaussian", {"center": (1, -2), "width": 2}, {"center": (1.0, -2.0), "width": 2.0}),
+        ("haar", {"corner": 0, "side": 2}, {"corner": (0.0, 0.0), "side": 2.0}),
+        ("indicator", {"lo": -1}, {"lo": -1.0, "hi": 1.0}),
+        ("poisson_kernel", {"t": 2}, {"t": 2.0}),
+        ("heat_kernel", {}, {"t": 1.0}),
+        ("bandlimited_random", {"lo": 1, "hi": 2}, {"seed": 0, "lo": 1.0, "hi": 2.0}),
+        ("bandlimited_random", {}, {"seed": 0, "lo": 0.125, "hi": 0.5}),
+    ])
+    def test_int_params_and_defaults(self, family, given, full):
+        # int values sample as their floats, and a missing key as its default
+        spec = make_grid(2, 4, 64)
+        got, want = sample(FunctionSpec(family, given), spec), sample(FunctionSpec(family, full), spec)
+        assert got.values.tobytes() == want.values.tobytes()
+
     def test_malformed_parameter(self, desk1):
         with pytest.raises(ValueError, match="malformed"):
             sample("gaussian:width", desk1)
@@ -120,12 +148,12 @@ class TestFunctionSpecProperties:
         except ValueError:
             return
         assert spec.family in FUNCTION_FAMILIES
-        assert set(spec.params) <= set(FUNCTION_FAMILIES[spec.family])
+        assert set(spec.params) <= set(_family_params(spec.family))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), name=st.sampled_from(sorted(FUNCTION_FAMILIES)))
     def test_well_formed_spec_round_trips(self, data, name):
-        keys = data.draw(st.lists(st.sampled_from(FUNCTION_FAMILIES[name]), unique=True,
+        keys = data.draw(st.lists(st.sampled_from(list(_family_params(name))), unique=True,
                                   min_size=name == "from_file"))
         params = {}
         for key in keys:
@@ -465,12 +493,44 @@ class TestFileFormat:
         write_grid_function(GridFunction(spec, values.real), path)
         assert b"dtype=float64-little-endian\n\n" in path.read_bytes()
 
+    @pytest.mark.parametrize("key", ["dim", "L", "n"])
+    @pytest.mark.parametrize("suffix", [".grid", ".csv"])
+    def test_header_without_grid_key(self, tmp_path, key, suffix):
+        # a missing key is bad input, a ValueError that names it
+        path = tmp_path / f"f{suffix}"
+        write_grid_function(GridFunction(make_grid(1, 1, 4), np.arange(4.0)), path)
+        _drop_header_key(path, key)
+        with pytest.raises(ValueError, match=f"header has no {key}= field"):
+            read_grid_function(path)
+
+    @pytest.mark.parametrize("key", ["tmin", "tmax", "tcount"])
+    def test_stack_header_without_time_key(self, tmp_path, key):
+        spec, tg = make_grid(1, 1, 4), TimeGrid(0.5, 2.0, 3)
+        path = tmp_path / "s.stack"
+        write_stack(ExtensionStack(spec, tg, np.ones((3, 4))), path)
+        _drop_header_key(path, key)
+        with pytest.raises(ValueError, match=f"header has no {key}= field"):
+            read_stack(path)
+
     def test_from_file_family(self, tmp_path, small1):
         f = bandlimited_random(small1, 1, 0.5, 2.0)
         path = tmp_path / "g.grid"
         write_grid_function(f, path)
         g = sample(f"from_file:path={path}", small1)
         np.testing.assert_array_equal(g.values, f.values)
+
+
+def _drop_header_key(path, key: str) -> None:
+    """Remove key's field from the header of a grid, CSV grid or stack file."""
+    raw = path.read_bytes()
+    if path.suffix == ".csv":
+        first, _, rest = raw.partition(b"\n")
+        items = [item for item in first[2:].split(b",") if not item.startswith(key.encode() + b"=")]
+        path.write_bytes(b"# " + b",".join(items) + b"\n" + rest)
+    else:
+        head, _, payload = raw.partition(b"\n\n")
+        lines = [line for line in head.split(b"\n") if not line.startswith(key.encode() + b"=")]
+        path.write_bytes(b"\n".join(lines) + b"\n\n" + payload)
 
 
 _FINITE = st.complex_numbers(allow_nan=False, allow_infinity=False)

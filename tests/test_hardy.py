@@ -6,12 +6,14 @@ import pytest
 
 from amalgam import crsys
 from amalgam.crsys import sup_vector_amalgam_norm
-from amalgam.extension import (BLOCK_BYTES, TimeGrid, _h1_certificate, extend, h1_certificate,
+from amalgam.extension import (TimeGrid, _h1_certificate, extend, h1_certificate,
                                nontangential_max)
 from amalgam.frozen import FrozenStore, GridMismatchError
 from amalgam.grid import GridFunction, bandlimited_random, sample
 from amalgam.hardy import (
+    ATOM_SIDES,
     AtomSpec,
+    atom_probe,
     caloric_lift,
     default_multiplier_family,
     equivalence_report,
@@ -65,6 +67,17 @@ class TestAtoms:
             for a2 in range(2):
                 mom = desk2.h**2 * np.sum(a.values * x1**a1 * x2**a2)
                 assert abs(mom) <= 1e-12
+
+    @pytest.mark.parametrize("grid, e", [("desk1", (1.0, 1.0)), ("desk1", (2.0, 3.0)),
+                                         ("desk2", (1.5, 1.0))])
+    def test_probe_is_the_per_atom_maximal_norm(self, request, tg16, grid, e):
+        # the probe's one sweep of the ten atoms gives each atom's
+        # hardy_norm_maximal, bit for bit
+        spec = request.getfixturevalue(grid)
+        atoms = [(m, side, make_atom(AtomSpec((0.0,) * spec.d, side, m, *e), spec))
+                 for m in (0, 1) for side in ATOM_SIDES]
+        want = [(m, side, hardy_norm_maximal(a, e, tg16)) for m, side, a in atoms]
+        assert atom_probe(spec, e, tg16) == want
 
     def test_misaligned_corner_rejected(self, desk1):
         with pytest.raises(ValueError, match="aligned"):
@@ -178,7 +191,6 @@ class TestLifts:
         # one kernel block for all d+1 passes (f's on the half lattice, the
         # R_j f passes on its full-lattice copy), the same bits as extending
         # each component on its own
-        assert tg16.count * desk2.size * 8 > BLOCK_BYTES
         f = bandlimited_random(desk2, 5, 0.25, 2.0)
         F = lift(f, tg16)
         for g, comp in zip((riesz(f, 1), riesz(f, 2), f), F.components):
@@ -405,7 +417,8 @@ class TestFreezePasses:
         # each member's walk builds every slice of its six stacks once (the
         # mollified stack and its two Riesz compositions, the Poisson stack
         # and the caloric field's two heat stacks, which also feed the sup
-        # decay constants): a stack built twice fails
+        # decay constants), and the atom probe's sweep each atom's mollified
+        # stack once: a stack built twice fails
         real, built = crsys._product, []
 
         def counting(spec, s, x, o, work=None):
@@ -414,7 +427,7 @@ class TestFreezePasses:
 
         monkeypatch.setattr(crsys, "_product", counting)
         freeze_constants(desk1, tg48, FrozenStore())
-        assert sum(built) == 20 * 6 * tg48.count
+        assert sum(built) == 20 * 6 * tg48.count + 10 * tg48.count
 
 
 class TestFrozenStorePut:
