@@ -21,14 +21,12 @@ normed there (Plancherel); the grid-space formulas are in amalgam.oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .extension import ExtensionStack, _extension_rate, grid_run_id, kernel_block
-from .grid import _fftn, _full, _mapped, _product, _rfftn, _run_parts, _slice_parts, apply_symbols
+from .grid import _buffer, _fftn, _full, _mapped, _product, _rfftn, _walk
 from .norms import _slice_norms
 from .weyl import _half_symbol, _log_grid_derivative, _weyl_matrix
 
@@ -42,9 +40,9 @@ __all__ = [
     "MajorizationReport",
 ]
 
-# a walk has CHUNK_BYTES of complex slices, one a time slice, in flight over
-# all its parts, and a residual walk, which holds every component's slices,
-# their coefficients and the defects, an eighth of that
+# a walk over a field (grid._walk) has CHUNK_BYTES of complex slices in
+# flight over all its parts, and a residual walk, which holds every
+# component's slices, their coefficients and the defects, an eighth of that
 CHUNK_BYTES = 2**20
 QUAD_ROWS = 8  # quadrature half-derivative slices formed per matrix product
 # the quadrature residual, here and in amalgam.oracle, reads the slices in the
@@ -59,18 +57,6 @@ def _quadrature_tail(spec) -> tuple:
     return "exp_decay", (np.pi / spec.L) ** 2
 
 
-def _walk(spec, nt: int, align: int = 1, budget: int = CHUNK_BYTES) -> tuple:
-    """The parts of a walk over nt time slices (_slice_parts, boundaries at
-    multiples of align) and chunks(part), the (i0, i1) bounds of a part's
-    chunks: budget bytes of complex slices in flight over all parts, at
-    least one slice a part, and a divisor of align, so that no chunk
-    straddles two blocks of align slices."""
-    parts = _slice_parts(spec, nt, align)
-    step = max(budget // (16 * spec.size * len(parts)), 1)
-    step = math.gcd(step, align) if align > 1 else step
-    return parts, lambda part: [(i, min(i + step, part.stop)) for i in range(part.start, part.stop, step)]
-
-
 def _modulus(values, out=None) -> np.ndarray:
     """|F| = sqrt(sum |u_a|^2) over the components' values, into out: the
     squares summed in place, in component order."""
@@ -82,21 +68,13 @@ def _modulus(values, out=None) -> np.ndarray:
     return np.sqrt(total, out=out)
 
 
-def _buffer(bufs: dict, key, shape: tuple, dtype) -> np.ndarray:
-    """shape[0] rows of bufs' buffer for key and dtype, made anew only for
-    a larger chunk: one part's chunk buffers, reused from chunk to chunk."""
-    a = bufs.get((key, dtype))
-    if a is None or len(a) < shape[0] or a.shape[1:] != shape[1:]:
-        a = bufs[(key, dtype)] = np.empty(shape, dtype)
-    return a[:shape[0]]
-
-
 def _rows(spec, block: np.ndarray, x: np.ndarray, bufs: dict, key, sym=None, out=None) -> np.ndarray:
     """The slices of a pass on the rows block of a real half-lattice kernel
     block (times the full-lattice symbol sym), built as apply_symbols builds
     them from the transform x (grid._product), into out or else bufs'
-    buffer key: real, through a complex work buffer, when x is on the half
-    lattice, else complex, from the block's full-lattice copy."""
+    buffer key (grid._buffer): real, through a complex work buffer, when x
+    is on the half lattice, else complex, from the block's full-lattice
+    copy."""
     half = x.shape[-1] != spec.n
     if out is None:
         out = _buffer(bufs, key, (len(block),) + spec.shape, float if half else complex)
@@ -104,16 +82,15 @@ def _rows(spec, block: np.ndarray, x: np.ndarray, bufs: dict, key, sym=None, out
         block = _full(spec, block, out)
         if sym is not None:
             np.multiply(block, sym, out=block)
-    if not _product(spec, block, x, out, _buffer(bufs, "work", block.shape, complex) if half else None):
+    if not _product(spec, block, x, out, _buffer(bufs, "work", block.shape) if half else None):
         raise ValueError("multiplier pass produced non-finite values")
     return out
 
 
-def _magnitudes(F):
-    """mag(i0, i1) for one part of a walk: |F| on the time slices i0:i1, the
-    rows of the record a residual walk kept, else from the part's chunk."""
-    chunk = F._reader()
-    return lambda i0, i1: F._mag[i0:i1] if F._mag is not None else _modulus(chunk(i0, i1))
+def _magnitudes(F, bufs: dict, i0: int, i1: int) -> np.ndarray:
+    """|F| on the time slices i0:i1 of a walk's part with buffers bufs: the
+    rows of the record a residual walk kept, else from the chunk."""
+    return F._mag[i0:i1] if F._mag is not None else _modulus(F._chunk(bufs, i0, i1))
 
 
 class ConjugateField:
@@ -168,31 +145,25 @@ class ConjugateField:
         if missing := [k for k, c in enumerate(self._stacks) if c is None]:
             into = {k: _mapped((nt,) + spec.shape, complex if self._source[1][k].shape[-1] == spec.n else float,
                                populate=True) for k in missing}
-            parts, chunks = _walk(spec, nt)
+            block, spectra, _ = self._source
 
-            def fill(part):
-                bufs, (block, spectra, _) = {}, self._source
-                for (i0, i1), k in product(chunks(part), missing):
+            def fill(bufs, i0, i1):
+                for k in missing:
                     _rows(spec, block[i0:i1], spectra[k], bufs, k, out=into[k][i0:i1])
 
-            _run_parts(fill, parts)
+            _walk(spec, nt, CHUNK_BYTES // (16 * spec.size), fill)
             for k, v in into.items():
                 self._stacks[k] = ExtensionStack._from_pass(spec, self.tgrid, v, self.kernels[k])
         return tuple(self._stacks)
 
-    def _reader(self):
-        """chunk(i0, i1) for one part of a walk: the components' values on
-        the time slices i0:i1, rows of the field's stacks and the others
-        built (_rows) into buffers reused from chunk to chunk, so a chunk is
-        valid until the next.  Runs on worker threads, so it calls nothing
-        public."""
-        ks, bufs, src = [k for k, c in enumerate(self._stacks) if c is None], {}, self._source
-
-        def chunk(i0, i1):
-            built = {k: _rows(self.spec, src[0][i0:i1], src[1][k], bufs, k) for k in ks}
-            return [built.get(k) if c is None else c.values[i0:i1] for k, c in enumerate(self._stacks)]
-
-        return chunk
+    def _chunk(self, bufs: dict, i0: int, i1: int) -> list:
+        """The components' values on the time slices i0:i1 of a walk's part
+        with buffers bufs: rows of the field's stacks, the others built
+        (_rows) into the part's buffers, so a chunk is valid until the next.
+        Runs on worker threads, so it calls nothing public."""
+        src = self._source
+        return [_rows(self.spec, src[0][i0:i1], src[1][k], bufs, k) if c is None else c.values[i0:i1]
+                for k, c in enumerate(self._stacks)]
 
     def _new_record(self):
         """A zeroed real stack for a walk to record |F| in, or None: a caloric
@@ -245,36 +216,33 @@ def _parseval_norms(coeffs: np.ndarray, spec) -> np.ndarray:
     return np.sqrt(spec.h**spec.d / spec.size * sums)
 
 
-def _sweep(F: ConjugateField, rows: range, keys: tuple, part_defects, align: int = 1) -> dict:
+def _sweep(F: ConjugateField, rows: range, keys: tuple, defects, align: int = 1) -> dict:
     """Per-slice relative defect norms of F on the time slices in rows.
 
-    The time slices are walked in chunks split into parts across the CPUs
-    (_walk, part boundaries at multiples of align).  Each chunk of every
-    component is transformed once (fftn over the space axes); the part's
-    defects(U, lo, hi), from part_defects(), gets the coefficients on the
-    slices lo:hi and yields (key, defect coefficients); a key keeps its
-    largest defect.  The scale of a slice is the sum of its component norms.
-    When F asks for one (_new_record), the walk keeps |F| of every slice.
+    The time slices are one walk (grid._walk) in chunks of CHUNK_BYTES // 8,
+    part boundaries at multiples of align.  Each chunk of every component
+    is transformed once (fftn over the space axes); defects(bufs, U, lo, hi)
+    gets the part's buffers and the coefficients on the slices lo:hi and
+    yields (key, defect coefficients); a key keeps its largest defect.  The
+    scale of a slice is the sum of its component norms.  When F asks for
+    one (_new_record), the walk keeps |F| of every slice.
     """
     spec, nt = F.spec, F.tgrid.count
     scale, worst = np.zeros(nt), {key: np.zeros(len(rows)) for key in keys}
-    parts, chunks = _walk(spec, nt, align, CHUNK_BYTES // 8)
     mag = F._new_record()
 
-    def run(part):
-        defects, chunk = part_defects(), F._reader()
-        for i0, i1 in chunks(part):
-            V = chunk(i0, i1)
-            if mag is not None:
-                _modulus(V, mag[i0:i1])
-            U = [_fftn(v, spec.d) for v in V]
-            scale[i0:i1] = sum(_parseval_norms(u, spec) for u in U)
-            lo, hi = max(i0, rows.start), min(i1, rows.stop)
-            for key, g in defects([u[lo - i0:hi - i0] for u in U], lo, hi) if lo < hi else ():
-                out = worst[key][lo - rows.start:hi - rows.start]
-                np.maximum(out, _parseval_norms(g, spec), out=out)
+    def each(bufs, i0, i1):
+        V = F._chunk(bufs, i0, i1)
+        if mag is not None:
+            _modulus(V, mag[i0:i1])
+        U = [_fftn(v, spec.d, _buffer(bufs, ("coeffs", a), v.shape)) for a, v in enumerate(V)]
+        scale[i0:i1] = sum(_parseval_norms(u, spec) for u in U)
+        lo, hi = max(i0, rows.start), min(i1, rows.stop)
+        for key, g in defects(bufs, [u[lo - i0:hi - i0] for u in U], lo, hi) if lo < hi else ():
+            out = worst[key][lo - rows.start:hi - rows.start]
+            np.maximum(out, _parseval_norms(g, spec), out=out)
 
-    _run_parts(run, parts)
+    _walk(spec, nt, CHUNK_BYTES // (128 * spec.size), each, align=align)
     if not all(np.all(np.isfinite(v)) for v in (scale, *worst.values())):
         raise ValueError("residual norms are not finite")
     if np.max(scale) == 0:
@@ -305,7 +273,7 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
         coeffs = _fftn(c.values[s:e], d)
         return _log_grid_derivative(coeffs, c.times[s:e])[lo - s:hi - s]
 
-    def defects(U, lo, hi):
+    def defects(bufs, U, lo, hi):
         # D(a, j) = d u_a / d x_j with x_{d+1} = t
         D = lambda a, j: dt(a, U[a], lo, hi) if j == d else grad[j] * U[a]
         yield from (("sym_res", D(a, b) - D(b, a)) for a in range(d + 1) for b in range(a + 1, d + 1))
@@ -313,7 +281,7 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
 
     exact = all(k in dt_symbol for k in F.kernels)
     return ResidualReport(
-        "harmonic", "spectral", _sweep(F, range(nt), ("sym_res", "div_res"), lambda: defects),
+        "harmonic", "spectral", _sweep(F, range(nt), ("sym_res", "div_res"), defects),
         F.tgrid.values, "exact-symbol" if exact else "log-grid-differences",
         grid_id=grid_run_id(spec, F.tgrid),
     )
@@ -321,9 +289,10 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
 
 def _quadrature_half(F: ConjugateField) -> tuple:
     """The slices whose t lies in the QUAD_WINDOW fraction of [t_min, t_max],
-    as a range, and new_half(): for one part of a sweep, half(a, U, lo, hi),
-    the coefficients of the quadrature half-derivative of component a on the
-    slices lo:hi of that range, formed on demand as rows of W @ values."""
+    as a range, and half(bufs, a, U, lo, hi): the coefficients of the
+    quadrature half-derivative of component a on the slices lo:hi of that
+    range in a sweep's part with buffers bufs, formed on demand as rows of
+    W @ values."""
     ts = F.tgrid.values
     lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in QUAD_WINDOW)
     idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
@@ -338,27 +307,24 @@ def _quadrature_half(F: ConjugateField) -> tuple:
     flat = [c.values.reshape(len(ts), -1) for c in F.components]
     dc = [complex(np.mean(c.values[0])) for c in F.components]
 
-    def new_half():
-        formed = {}  # this part's: component -> (first slice, its rows of W @ values from there)
+    def half(bufs, a, U, lo, hi):
+        # a product reads the whole component stack, so its rows are formed
+        # QUAD_ROWS slices at a time, aligned like the sweep's parts; the
+        # part keeps component -> (first slice, its rows of W @ values from there)
+        formed = bufs.setdefault("formed", {})
+        start = lo - lo % QUAD_ROWS
+        b, e = max(start, rows.start), min(start + QUAD_ROWS, rows.stop)
+        first, block = formed.pop(a, (None, None))
+        if first != b:
+            block = None  # the component's old rows go before its new ones come
+            k, v = slice(b - rows.start, e - rows.start), flat[a]
+            # W is purely imaginary: a real stack is not copied to complex
+            block = W[k] @ v if np.iscomplexobj(v) else 1j * (W[k].imag @ v)
+            block -= dc[a] * W1[k, None]
+        formed[a] = b, block
+        return _fftn(block[lo - b:hi - b].reshape((hi - lo,) + F.spec.shape), F.spec.d)
 
-        def half(a, U, lo, hi):
-            # a product reads the whole component stack, so its rows are
-            # formed QUAD_ROWS slices at a time, aligned like the sweep's parts
-            start = lo - lo % QUAD_ROWS
-            b, e = max(start, rows.start), min(start + QUAD_ROWS, rows.stop)
-            first, block = formed.pop(a, (None, None))
-            if first != b:
-                block = None  # the component's old rows go before its new ones come
-                k, v = slice(b - rows.start, e - rows.start), flat[a]
-                # W is purely imaginary: a real stack is not copied to complex
-                block = W[k] @ v if np.iscomplexobj(v) else 1j * (W[k].imag @ v)
-                block -= dc[a] * W1[k, None]
-            formed[a] = b, block
-            return _fftn(block[lo - b:hi - b].reshape((hi - lo,) + F.spec.shape), F.spec.d)
-
-        return half
-
-    return rows, new_half
+    return rows, half
 
 
 def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualReport:
@@ -374,33 +340,25 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualRe
         raise ValueError(f"unknown mode {mode!r}")
     spec, d = F.spec, F.spec.d
     grad = [2j * np.pi * xi for xi in spec.freqs()]
-    # new_half() gives one part of the sweep its half(a, U, lo, hi):
-    # d_t^(1/2) u_a on the slices lo:hi, as coefficients
+    # half(bufs, a, U, lo, hi): d_t^(1/2) u_a on the slices lo:hi, as coefficients
     if mode == "spectral":
         if any(k != "heat" for k in F.kernels):
             raise ValueError("spectral mode needs heat-built stacks")
         rows, half_symbol = range(F.tgrid.count), _half_symbol(spec)
-
-        def new_half():
-            return lambda a, U, lo, hi: half_symbol * U[a]
+        half = lambda bufs, a, U, lo, hi: half_symbol * U[a]
     else:
-        rows, new_half = _quadrature_half(F)
+        rows, half = _quadrature_half(F)
 
-    def part_defects():
-        half = new_half()
-
-        def defects(U, lo, hi):
-            yield "a_res", sum(grad[j] * U[j] for j in range(d)) - 1j * half(d, U, lo, hi)
-            if d == 2:
-                yield "b_res", grad[1] * U[0] - grad[0] * U[1]
-            for j in range(d):
-                yield "c_res", grad[j] * U[d] + 1j * half(j, U, lo, hi)
-
-        return defects
+    def defects(bufs, U, lo, hi):
+        yield "a_res", sum(grad[j] * U[j] for j in range(d)) - 1j * half(bufs, d, U, lo, hi)
+        if d == 2:
+            yield "b_res", grad[1] * U[0] - grad[0] * U[1]
+        for j in range(d):
+            yield "c_res", grad[j] * U[d] + 1j * half(bufs, j, U, lo, hi)
 
     align = 1 if mode == "spectral" else QUAD_ROWS  # no part forms another's rows
     return ResidualReport(
-        "caloric", mode, _sweep(F, rows, ("a_res", "b_res", "c_res"), part_defects, align),
+        "caloric", mode, _sweep(F, rows, ("a_res", "b_res", "c_res"), defects, align),
         F.tgrid.values[rows.start:rows.stop], f"half-derivative-{mode}",
         grid_id=grid_run_id(spec, F.tgrid),
     )
@@ -408,17 +366,11 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualRe
 
 def sup_vector_amalgam_norm(F: ConjugateField, e) -> float:
     """max over t of the (p, q) amalgam norm of the pointwise magnitude
-    |F(., t)|, from one walk over the time slices split across the CPUs like
-    _sweep: |F| of a chunk of slices at a time (the rows of the record a
-    residual walk kept, else from the chunk), normed, a maximum per part,
-    then the maximum of the parts."""
-    parts, chunks = _walk(F.spec, F.tgrid.count)
-
-    def part_max(part):
-        mag = _magnitudes(F)
-        return max(_slice_norms(F.spec, mag(i0, i1), e).max() for i0, i1 in chunks(part))
-
-    return float(max(_run_parts(part_max, parts)))
+    |F(., t)|, from one walk over the time slices (grid._walk): |F| of a
+    chunk of slices at a time (the rows of the record a residual walk kept,
+    else from the chunk), normed, the maxima folded."""
+    norm = lambda bufs, i0, i1: _slice_norms(F.spec, _magnitudes(F, bufs, i0, i1), e).max()
+    return float(_walk(F.spec, F.tgrid.count, CHUNK_BYTES // (16 * F.spec.size), norm, max))
 
 
 @dataclass(frozen=True)
@@ -434,17 +386,20 @@ def majorization_report(F: ConjugateField) -> MajorizationReport:
     Checks |F(x, t_i)| <= (P_{t_i - t_0} * |F(., t_0)|)(x) at every node and
     slice i >= 1; returns the largest positive defect and the field peak that
     calibrates the tolerance.  |F(., t_0)| is taken once; the later slices
-    are walked a chunk at a time (_walk), each chunk's dominating slices one
-    Poisson pass against its rows of the block, so neither |F| nor the
-    dominating stack is ever whole.
+    are one walk (grid._walk), a chunk's dominating slices the rows of the
+    block times the transform of |F(., t_0)| (_rows, the row pass of
+    apply_symbols), so neither |F| nor the dominating stack is ever whole.
     """
     spec, ts, nt = F.spec, F.tgrid.values, F.tgrid.count
-    sym, mag = kernel_block("poisson", spec, ts[1:] - ts[0]), _magnitudes(F)
-    base = mag(0, 1)[0]
-    worst, peak = np.empty(nt - 1), float(np.max(base))
-    for i0, i1 in _walk(spec, nt)[1](range(1, nt)):
-        m = mag(i0, i1)
-        defect = m - apply_symbols(spec, base, sym[i0 - 1:i1 - 1])
-        worst[i0 - 1:i1 - 1] = np.max(defect.reshape(i1 - i0, -1), axis=1)
-        peak = max(peak, float(np.max(m)))
-    return MajorizationReport(float(np.max(worst)), peak, worst)
+    block, base = kernel_block("poisson", spec, ts[1:] - ts[0]), _magnitudes(F, {}, 0, 1)[0]
+    x = _rfftn(base, spec.d) if spec.n > 2 else _fftn(base, spec.d)
+    worst = np.empty(nt - 1)
+
+    def each(bufs, i0, i1):  # the slices i0 + 1:i1 + 1
+        m = _magnitudes(F, bufs, i0 + 1, i1 + 1)
+        defect = m - _rows(spec, block[i0:i1], x, bufs, "poisson")
+        worst[i0:i1] = np.max(defect.reshape(i1 - i0, -1), axis=1)
+        return float(np.max(m))
+
+    peak = _walk(spec, nt - 1, CHUNK_BYTES // (16 * spec.size), each, max)
+    return MajorizationReport(float(np.max(worst)), max(float(np.max(base)), peak), worst)

@@ -13,8 +13,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .grid import (GridFunction, GridSpec, _as_dtype, _half, _irfftn, _mapped, _read_binary, _rfftn,
-                   _run_parts, _slice_parts, _write_binary, apply_symbols)
+from .grid import (GridFunction, GridSpec, _as_dtype, _half, _irfftn, _mapped, _read_binary, _rfftn, _walk,
+                   _write_binary, apply_symbols)
 from .norms import _as_exponents, slice_norms
 
 __all__ = [
@@ -152,8 +152,8 @@ def kernel_block(kernel: str, spec: GridSpec, ts) -> np.ndarray:
     takes as an even symbol, so a real input gives a real stack.
 
     Every call fills a fresh, read-only block in a mapping of its own
-    (grid._mapped), freed below a live stack, the pass's output.  Rows are
-    filled eight at a time over the CPU parts (_slice_parts), so no second
+    (grid._mapped), freed below a live stack, the pass's output.  The rows
+    are one walk (grid._walk), eight in flight over all parts, so no second
     full-size array is alive beside the block, and exp is taken only where
     its argument exceeds -746: below that exp is exactly 0, which the zeroed
     block holds, and numpy reaches that 0 several times slower.
@@ -162,16 +162,12 @@ def kernel_block(kernel: str, spec: GridSpec, ts) -> np.ndarray:
     rate, base = _extension_rate(kernel, spec)
     base = _half(spec, base)
     block = _mapped((ts.size,) + base.shape)
-    parts = _slice_parts(spec, ts.size)
-    step = max(8 // len(parts), 1)
 
-    def fill(part):
-        for i in range(part.start, part.stop, step):
-            j = min(i + step, part.stop)
-            arg = np.multiply.outer(rate * ts[i:j], base)
-            np.exp(arg, out=block[i:j], where=arg > -746.0)
+    def fill(bufs, i, j):
+        arg = np.multiply.outer(rate * ts[i:j], base)
+        np.exp(arg, out=block[i:j], where=arg > -746.0)
 
-    _run_parts(fill, parts)
+    _walk(spec, ts.size, 8, fill)
     block.setflags(write=False)
     return block
 
@@ -284,24 +280,16 @@ def nontangential_max(stack: ExtensionStack, aperture: float = 1.0) -> GridFunct
     row chord, one in-place fold per row offset), or the slice's global max
     once the disc covers the whole wrapped box.  Only maxima are taken, so
     the result is exact: the same bits in any order of evaluation.  The
-    slices are dealt out in turn to as many parts as _slice_parts gives
-    (late slices only take a global max, so contiguous parts would be
-    unequal), each part keeps its own maximum, and the parts' maxima are
-    folded at the end.
+    slices are one strided walk (grid._walk), a slice a chunk, dealt out in
+    turn to the parts (late slices only take a global max, so contiguous
+    parts would be unequal), and the cone maxima folded by np.maximum.
     """
     if aperture <= 0:
         raise ValueError(f"aperture must be positive, got {aperture}")
     spec, ts = stack.spec, stack.times
-
-    def part_max(part):
-        acc = np.zeros(spec.shape)  # |u| >= 0, so 0 leaves every max as it is
-        for i in part:
-            np.maximum(acc, _cone_max(spec, np.abs(stack.values[i]), aperture * float(ts[i])), out=acc)
-        return acc
-
-    k = len(_slice_parts(spec, len(ts)))
-    accs = _run_parts(part_max, [range(i, len(ts), k) for i in range(k)])
-    return GridFunction(spec, reduce(np.maximum, accs))
+    cone = lambda bufs, i, _: _cone_max(spec, np.abs(stack.values[i]), aperture * float(ts[i]))
+    acc = _walk(spec, len(ts), 1, cone, np.maximum, strided=True)
+    return GridFunction(spec, np.broadcast_to(acc, spec.shape))  # a cone max may be a global max
 
 
 def _cone_max(spec: GridSpec, absu: np.ndarray, radius: float):

@@ -264,6 +264,57 @@ def _run_parts(fn, parts: list) -> list:
     return [first] + [f.result() for f in futures]
 
 
+def _walk(spec: GridSpec, n: int, rows, each, fold=None, align: int = 1, strided: bool = False,
+          stacks: int | None = None):
+    """The one walk over time slices: the n slices of a stack on the grid
+    spec, or of each of a number of stacks, in parts across the CPUs and in
+    chunks of slices within a part.
+
+    Parts: _slice_parts's, boundaries at multiples of align; strided, as
+    many, slice i in part i mod k; over stacks, contiguous ranges of whole
+    stacks, one per CPU (at most one per stack) at any slice size.  Chunks:
+    rows // parts slices (rows in flight over all parts), at least one, a
+    divisor of align, none across two stacks; with rows None, the part.
+    each(bufs, i0, i1) is called per chunk in slice order (slice i of stack
+    s is s * n + i), bufs the part's dict: its buffers (_buffer) and what
+    else the walk keeps per part.  The parts run through _run_parts, all but
+    the first on worker threads, so each calls nothing public and writes
+    only its own slices.  Returns fold(acc, value) over the chunks' values
+    in slice order, within each part and then across the parts; without a
+    fold, each returns None and so does the walk.
+    """
+    if stacks is not None:
+        k = min(_cpus(), stacks)
+        parts = [range(stacks * i // k, stacks * (i + 1) // k) for i in range(k)]
+    else:
+        parts = _slice_parts(spec, n, align)
+    k = len(parts)
+    if strided:
+        parts = [range(i, n, k) for i in range(k)]
+    step = n if rows is None else max(rows // k, 1)
+    step = math.gcd(step, align) if align > 1 else step
+
+    def run(part):
+        bufs, acc = {}, None
+        for seg in [part] if stacks is None else [range(s * n, s * n + n) for s in part]:
+            for i in seg[::step]:
+                value = each(bufs, i, min(i + step, seg.stop))
+                acc = value if acc is None else fold(acc, value)
+        return acc
+
+    results = _run_parts(run, parts)
+    return reduce(fold, results) if fold else None
+
+
+def _buffer(bufs: dict, key, shape: tuple, dtype=complex) -> np.ndarray:
+    """shape[0] rows of a part's buffer for key and dtype (see _walk), made
+    anew only for a larger chunk: reused from chunk to chunk."""
+    a = bufs.get((key, dtype))
+    if a is None or len(a) < shape[0] or a.shape[1:] != shape[1:]:
+        a = bufs[(key, dtype)] = np.empty(shape, dtype)
+    return a[:shape[0]]
+
+
 def _fftn(a: np.ndarray, d: int, out=None, transform=np.fft.fft) -> np.ndarray:
     """The DFT of the array a over its last d axes, into out (a new complex
     array by default; out may be a itself): one numpy.fft call per axis,
@@ -322,13 +373,14 @@ def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
     the forward/inverse route of amalgam.oracle, and holds one stack.  A
     real symbol even in each frequency coordinate may come on the half
     lattice (_half): on real values the pass is then rfftn, product,
-    irfftn, with a real output and a complex buffer of at most SPLIT_BYTES
-    a part; complex values take the complex pass of the block's full-lattice
-    copy (_full).  A writable complex symbol block with the only
-    batch axis is consumed as the output buffer; a real or read-only one
-    (such as an extension.kernel_block) is left intact.  The batch
-    rows are split across the CPUs (_slice_parts); each slice's arithmetic
-    is the same in any split.  Non-finite output raises.
+    irfftn, with a real output; complex values take the complex pass of
+    the block's full-lattice copy (_full).  A writable complex symbol block
+    with the only batch axis is consumed as the output buffer; a real or
+    read-only one (such as an extension.kernel_block) is left intact.  The
+    batch rows are one walk (_walk): a real pass's chunks have a complex
+    buffer of at most SPLIT_BYTES, a complex pass's part is one chunk, and
+    each slice's arithmetic is the same in any split.  Non-finite output
+    raises.
     """
     m = spec.n // 2 + 1
     half = np.isrealobj(symbols) and np.shape(symbols)[-1:] == (m,) != (spec.n,)
@@ -355,19 +407,14 @@ def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
     # output and symbols with one batch axis (of length 1 when unbatched)
     rows = out.reshape((-1,) + spec.shape)
     sym = sym.reshape((-1,) + lattice)
-    step = max(SPLIT_BYTES // (16 * sym[0].size), 1) if half else len(rows)
 
-    def run(part):
-        work = np.empty((min(step, len(part)),) + lattice, complex) if half else None
-        finite = True
-        for i in range(part.start, part.stop, step):
-            j = min(i + step, part.stop)
-            o = rows[i:j]
-            x = spectrum if spectrum is not None else fwd(values[i:j], spec.d, work[:j - i] if half else o)
-            finite = _product(spec, sym if len(sym) == 1 else sym[i:j], x, o, work) and finite
-        return finite
+    def run(bufs, i, j):
+        work = _buffer(bufs, "work", (j - i,) + lattice) if half else None
+        x = spectrum if spectrum is not None else fwd(values[i:j], spec.d, work if half else rows[i:j])
+        return _product(spec, sym if len(sym) == 1 else sym[i:j], x, rows[i:j], work)
 
-    if not all(_run_parts(run, _slice_parts(spec, len(rows)))):
+    if not _walk(spec, len(rows), SPLIT_BYTES // (16 * sym[0].size) if half else None, run,
+                 lambda a, b: a and b):
         raise ValueError("multiplier pass produced non-finite values")
     return out
 
@@ -415,35 +462,36 @@ class FunctionSpec:
         of its parameter's default in the family's builder: a finite float,
         an int (seed), or the string itself where there is none (path)."""
         name, _, rest = text.partition(":")
-        name = name.strip()
-        _family_params(name)
-        params = {}
-        if rest:
-            for item in rest.split(","):
-                key, sep, val = item.partition("=")
-                if not sep:
-                    raise ValueError(f"malformed function parameter {item!r}")
-                default = _family_params(name, [key])[key].default
-                kind = str if default is inspect.Parameter.empty else type(default)
-                try:
-                    params[key] = kind(val)
-                except ValueError:
-                    raise ValueError(f"function parameter {item!r} is not a number") from None
-                if kind is float and not math.isfinite(params[key]):
-                    raise ValueError(f"function parameter {item!r} is not finite")
-        if name == "from_file" and "path" not in params:
-            raise ValueError("from_file needs a path=FILE parameter")
+        name, params = name.strip(), {}
+        items = [item.partition("=") for item in rest.split(",")] if rest else []
+        known = _family_params(name, [key for key, _, _ in items])
+        for key, sep, val in items:
+            item = key + sep + val
+            if not sep:
+                raise ValueError(f"malformed function parameter {item!r}")
+            default = known[key].default
+            kind = str if default is inspect.Parameter.empty else type(default)
+            try:
+                params[key] = kind(val)
+            except ValueError:
+                raise ValueError(f"function parameter {item!r} is not a number") from None
+            if kind is float and not math.isfinite(params[key]):
+                raise ValueError(f"function parameter {item!r} is not finite")
         return FunctionSpec(name, params)
 
 
-def _family_params(name: str, given=()) -> dict:
+def _family_params(name: str, given=None) -> dict:
     """A family's parameters, its builder's after the grid; a ValueError for
-    an unknown family or a given key the family does not take."""
+    an unknown family, and, for the keys given, for one the family does not
+    take or for a parameter without a default that they lack."""
     if name not in FUNCTION_FAMILIES:
         raise ValueError(f"unknown function family {name!r}; choose from {list(FUNCTION_FAMILIES)}")
     params = dict(list(inspect.signature(FUNCTION_FAMILIES[name]).parameters.items())[1:])
-    if unknown := [key for key in given if key not in params]:
+    if unknown := [key for key in given or () if key not in params]:
         raise ValueError(f"unknown parameter {unknown[0]!r} of {name}; choose from {list(params)}")
+    if given is not None and (missing := [key for key, p in params.items()
+                                          if p.default is inspect.Parameter.empty and key not in given]):
+        raise ValueError(f"missing parameter {missing[0]!r} of {name}, which has no default")
     return params
 
 

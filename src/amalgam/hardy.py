@@ -18,17 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
-from . import grid, kernels
-from .crsys import CHUNK_BYTES, ConjugateField, _buffer, _modulus, _rows, _walk
+from . import kernels
+from .crsys import CHUNK_BYTES, ConjugateField, _modulus, _rows
 from .extension import (TimeGrid, _cone_max, _dilation_block, _h1_certificate, grid_run_id,
                         kernel_block, radial_maximal)
 from .frozen import FrozenStore
-from .grid import (GridFunction, GridSpec, _fftn, _full, _ifftn, _rfftn, _run_parts, apply_symbols, sample,
-                   sup_norm)
+from .grid import (GridFunction, GridSpec, _buffer, _fftn, _full, _ifftn, _rfftn, _walk, apply_symbols,
+                   sample, sup_norm)
 from .norms import Exponents, _as_exponents, _slice_norms, amalgam_norm, slice_norms
 from .spectral import (MultiplierFamily, SphereSymbol, apply_multiplier, rank2_check, riesz,
                        riesz_multiplier)
@@ -309,15 +309,15 @@ def _member_values(members, es, tg: TimeGrid, methods, h1=()) -> list:
     member with one value per exponent pair, and for the h1 pairs the sups
     of f's heat slices ("sups") and their largest norm ("h1").
 
-    Each CPU walks a contiguous range of the members (grid._run_parts),
-    building a chunk of time slices of each stack at a time (crsys._walk,
-    the CHUNK_BYTES budget shared by the ranges) as apply_symbols builds
-    them (crsys._rows, into the range's buffers) and reducing it before the
+    The members' stacks are one walk (grid._walk), each CPU a contiguous
+    range of members, a chunk of time slices of each stack at a time (the
+    CHUNK_BYTES budget shared by the ranges), built as apply_symbols builds
+    them (crsys._rows, into the range's buffers) and reduced before the
     next, per slice in the public routes' order with exact maxima over
     slices: each value is its public route's, bit for bit.  Walks call only
     private code; the public calls stay on the calling thread.
     """
-    spec, ts, k = members[0][1].spec, tg.values, min(grid._cpus(), len(members))
+    spec, ts, nt = members[0][1].spec, tg.values, tg.count
     if any(f.spec != spec for _, f in members):
         raise ValueError("the members must share one grid")
     d, order, caloric = spec.d, 2 if "riesz2" in methods else int("riesz1" in methods), "caloric_sup" in methods
@@ -326,10 +326,11 @@ def _member_values(members, es, tg: TimeGrid, methods, h1=()) -> list:
     rsym = [riesz_multiplier(spec, [j]) for j in range(1, d + 1)] if caloric else []
     poisson = kernel_block("poisson", spec, ts) if "nontangential" in methods else None
     heat = kernel_block("heat", spec, ts) if caloric or h1 else None
-    chunks = _walk(spec, len(ts), budget=CHUNK_BYTES // k)[1](range(len(ts)))
+    swept = [{} for _ in members]
 
-    def walk(part):  # the buffers are keyed by caloric field component, d for f's passes
-        bufs, swept = {}, []
+    def each(bufs, u0, u1):  # the buffers are keyed by caloric field component, d for f's passes
+        k, i0 = divmod(u0, nt)  # member k's slices i0:i1
+        i1, out = i0 + u1 - u0, swept[k]
 
         def mag(o):  # |o|, in place when real
             return np.abs(o, out=o if np.isrealobj(o) else _buffer(bufs, "mag", o.shape, float))
@@ -337,40 +338,39 @@ def _member_values(members, es, tg: TimeGrid, methods, h1=()) -> list:
         def fold(key, v):  # a running maximum, from fresh arrays
             out[key] = np.maximum(out[key], v, out=out[key]) if key in out else v
 
-        for f in (members[i][1] for i in part):
-            xf = _fftn(f.values, d)
-            x = _rfftn(f.values, d) if np.isrealobj(f.values) and spec.n > 2 else xf
+        if i0 == 0:  # a member's first chunk: the last member's spectra go first
+            bufs.pop("member", None)
+            f = members[k][1].values
+            xf = _fftn(f, d)
             # R_j f as riesz builds it (one not finite fails the check of its caloric rows)
-            rspec = [_fftn(_ifftn(g, d, g), d) for g in (r * xf for r in rsym)]
-            swept.append(out := {})
-            for i0, i1 in chunks:
-                per_scale = np.zeros((len(es), i1 - i0))
-                for level, sym in [(0, None)] + comps if moll is not None else ():
-                    m = mag(_rows(spec, moll[i0:i1], xf if level else x, bufs, 0 if level else d, sym))
-                    if level == 0 and "maximal" in methods:
-                        fold("maximal", m.max(axis=0))
-                    if comps:
-                        per_scale += [_slice_norms(spec, m, e) for e in es]
-                    if level:  # the sums only grow: the max after a level's last composition
-                        fold(f"riesz{level}", per_scale.max(axis=1))
-                if poisson is not None:
-                    nt = out.setdefault("nontangential", np.zeros(spec.shape))
-                    for t, absu in zip(ts[i0:i1], mag(_rows(spec, poisson[i0:i1], x, bufs, d))):
-                        np.maximum(nt, _cone_max(spec, absu, float(t)), out=nt)
-                if heat is not None:
-                    u = _rows(spec, heat[i0:i1], x, bufs, d)
-                    if h1:
-                        u = mag(u)
-                        out.setdefault("sups", np.empty(len(ts)))[i0:i1] = u.reshape(i1 - i0, -1).max(axis=1)
-                        fold("h1", np.array([_slice_norms(spec, u, e).max() for e in h1]))
-                    if caloric:
-                        us = [_rows(spec, heat[i0:i1], r, bufs, j) for j, r in enumerate(rspec)] + [u]
-                        F = _modulus(us, _buffer(bufs, "mag", u.shape, float))
-                        fold("caloric_sup", np.array([_slice_norms(spec, F, e).max() for e in es]))
-        return swept
+            bufs["member"] = xf, _rfftn(f, d) if np.isrealobj(f) and spec.n > 2 else xf, [
+                _fftn(_ifftn(g, d, g), d) for g in (r * xf for r in rsym)]
+        xf, x, rspec = bufs["member"]
+        per_scale = np.zeros((len(es), i1 - i0))
+        for level, sym in [(0, None)] + comps if moll is not None else ():
+            m = mag(_rows(spec, moll[i0:i1], xf if level else x, bufs, 0 if level else d, sym))
+            if level == 0 and "maximal" in methods:
+                fold("maximal", m.max(axis=0))
+            if comps:
+                per_scale += [_slice_norms(spec, m, e) for e in es]
+            if level:  # the sums only grow: the max after a level's last composition
+                fold(f"riesz{level}", per_scale.max(axis=1))
+        if poisson is not None:
+            nt_max = out.setdefault("nontangential", np.zeros(spec.shape))
+            for t, absu in zip(ts[i0:i1], mag(_rows(spec, poisson[i0:i1], x, bufs, d))):
+                np.maximum(nt_max, _cone_max(spec, absu, float(t)), out=nt_max)
+        if heat is not None:
+            u = _rows(spec, heat[i0:i1], x, bufs, d)
+            if h1:
+                u = mag(u)
+                out.setdefault("sups", np.empty(nt))[i0:i1] = u.reshape(i1 - i0, -1).max(axis=1)
+                fold("h1", np.array([_slice_norms(spec, u, e).max() for e in h1]))
+            if caloric:
+                us = [_rows(spec, heat[i0:i1], r, bufs, j) for j, r in enumerate(rspec)] + [u]
+                F = _modulus(us, _buffer(bufs, "mag", u.shape, float))
+                fold("caloric_sup", np.array([_slice_norms(spec, F, e).max() for e in es]))
 
-    parts = [range(len(members) * i // k, len(members) * (i + 1) // k) for i in range(k)]
-    swept = list(chain.from_iterable(_run_parts(walk, parts)))
+    _walk(spec, nt, CHUNK_BYTES // (16 * spec.size), each, stacks=len(members))
     for (_, f), vals in zip(members, swept):
         for key in {"maximal", "nontangential"} & set(vals):
             vals[key] = [amalgam_norm(GridFunction(spec, vals[key]), e) for e in es]

@@ -585,6 +585,21 @@ class TestConsoleEntry:
                      for node in ast.walk(ast.parse(path.read_text())) if _names_numpy_fft(node)]
         assert offenders == []
 
+    def test_parts_only_in_the_walk(self):
+        # grid._walk is the one walk over time slices: no other function of
+        # the package calls _run_parts or _slice_parts
+        src, callers = Path(amalgam.__file__).resolve().parent, set()
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", None)) in ("_run_parts", "_slice_parts"):
+                    # the outermost function around the call (ast.walk is breadth first)
+                    outer = [f.name for f in defs if f.lineno <= node.lineno <= f.end_lineno]
+                    callers.add(f"{path.name}:{outer[0] if outer else '<module>'}")
+        assert callers == {"grid.py:_walk"}
+
     def test_script_entry_declared(self):
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

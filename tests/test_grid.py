@@ -92,6 +92,11 @@ class TestSample:
         with pytest.raises(ValueError, match="unknown parameter 'seed' of gaussian; choose from"):
             sample(FunctionSpec("gaussian", {"width": 1, "seed": 1}), desk1)
 
+    def test_direct_spec_without_required_key(self, desk1):
+        # a key whose builder parameter has no default is named, not a TypeError
+        with pytest.raises(ValueError, match="missing parameter 'path' of from_file"):
+            sample(FunctionSpec("from_file", {}), desk1)
+
     @pytest.mark.parametrize("family, given, full", [
         ("gaussian", {"center": (1, -2), "width": 2}, {"center": (1.0, -2.0), "width": 2.0}),
         ("haar", {"corner": 0, "side": 2}, {"corner": (0.0, 0.0), "side": 2.0}),

@@ -90,9 +90,32 @@ class TestParts:
             return _run_parts(fn, parts)
 
         monkeypatch.setattr(grid, "_cpus", lambda: 3)
-        monkeypatch.setattr(extension, "_run_parts", record)
+        monkeypatch.setattr(grid, "_run_parts", record)  # the walk's one call
         nontangential_max(stack)
         assert seen == [[range(0, 7, 3), range(1, 7, 3), range(2, 7, 3)]]
+
+    def test_walk_chunks(self, monkeypatch):
+        # rows slices in flight over all parts, none across a multiple of
+        # align or across two stacks; rows None makes a part one chunk
+        def chunks(n, rows, **kwargs):
+            seen = []
+            grid._walk(GATE, n, rows, lambda bufs, i0, i1: seen.append((i0, i1)), **kwargs)
+            return sorted(seen)
+
+        monkeypatch.setattr(grid, "_cpus", lambda: 1)
+        assert chunks(7, 4) == [(0, 4), (4, 7)]
+        monkeypatch.setattr(grid, "_cpus", lambda: 2)
+        assert chunks(7, 4) == [(0, 2), (2, 3), (3, 5), (5, 7)]
+        assert chunks(7, None) == [(0, 3), (3, 7)]
+        assert chunks(17, 12, align=8) == [(i, i + 2) for i in range(0, 16, 2)] + [(16, 17)]
+        assert chunks(5, 6, stacks=3) == [(0, 3), (3, 5), (5, 8), (8, 10), (10, 13), (13, 15)]
+        monkeypatch.setattr(grid, "_cpus", lambda: 3)
+        assert chunks(7, 1, strided=True) == [(i, i + 1) for i in range(7)]
+
+    def test_walk_folds_in_slice_order(self, monkeypatch):
+        monkeypatch.setattr(grid, "_cpus", lambda: 2)
+        first = lambda bufs, i0, i1: [i0]
+        assert grid._walk(GATE, 7, 4, first, lambda a, b: a + b) == [0, 2, 3, 5]
 
     def test_results_in_part_order(self, monkeypatch):
         monkeypatch.setattr(grid, "_cpus", lambda: 3)
