@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extension import ExtensionStack, _extension_rate, grid_run_id, kernel_block
-from .grid import _buffer, _fftn, _full, _mapped, _product, _rfftn, _walk
+from .grid import _buffer, _fftn, _full, _hermitian, _mapped, _product, _rfftn, _walk
 from .norms import _slice_norms
 from .weyl import _half_symbol, _log_grid_derivative, _weyl_matrix
 
@@ -220,12 +220,14 @@ def _sweep(F: ConjugateField, rows: range, keys: tuple, defects, align: int = 1)
     """Per-slice relative defect norms of F on the time slices in rows.
 
     The time slices are one walk (grid._walk) in chunks of CHUNK_BYTES // 8,
-    part boundaries at multiples of align.  Each chunk of every component
-    is transformed once (fftn over the space axes); defects(bufs, U, lo, hi)
-    gets the part's buffers and the coefficients on the slices lo:hi and
-    yields (key, defect coefficients); a key keeps its largest defect.  The
-    scale of a slice is the sum of its component norms.  When F asks for
-    one (_new_record), the walk keeps |F| of every slice.
+    part boundaries at multiples of align (a stored field's quadrature
+    rows, else 1).  Each chunk of every component is transformed once
+    (fftn over the space axes); defects(bufs, U, lo, hi) gets the part's
+    buffers and the coefficients on the slices lo:hi and yields (key,
+    defect coefficients), each normed before the next is formed, so they
+    may share a buffer; a key keeps its largest defect.  The scale of a
+    slice is the sum of its component norms.  When F asks for one
+    (_new_record), the walk keeps |F| of every slice.
     """
     spec, nt = F.spec, F.tgrid.count
     scale, worst = np.zeros(nt), {key: np.zeros(len(rows)) for key in keys}
@@ -263,21 +265,28 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
     grad = [2j * np.pi * xi for xi in spec.freqs()]
     dt_symbol = {k: np.multiply(*_extension_rate(k, spec)) for k in ("heat", "poisson")}
 
-    def dt(a, u, lo, hi):
-        if F.kernels[a] in dt_symbol:
-            return dt_symbol[F.kernels[a]] * u
-        # centered differences in t act on the coefficients of the slices
-        # lo:hi and of one neighbour slice on each side (of a field built
-        # from stacks: a lifted field's kernels have exact symbols)
-        c, s, e = F.components[a], max(lo - 1, 0), min(hi + 1, nt)
-        coeffs = _fftn(c.values[s:e], d)
-        return _log_grid_derivative(coeffs, c.times[s:e])[lo - s:hi - s]
-
     def defects(bufs, U, lo, hi):
-        # D(a, j) = d u_a / d x_j with x_{d+1} = t
-        D = lambda a, j: dt(a, U[a], lo, hi) if j == d else grad[j] * U[a]
-        yield from (("sym_res", D(a, b) - D(b, a)) for a in range(d + 1) for b in range(a + 1, d + 1))
-        yield "div_res", sum(D(a, a) for a in range(d + 1))
+        g, w = (_buffer(bufs, key, U[0].shape) for key in ("defect", "term"))
+
+        def D(a, j, out):  # d u_a / d x_j with x_{d+1} = t, into out
+            if j < d:
+                return np.multiply(grad[j], U[a], out=out)
+            if F.kernels[a] in dt_symbol:
+                return np.multiply(dt_symbol[F.kernels[a]], U[a], out=out)
+            # centered differences in t act on the coefficients of the slices
+            # lo:hi and of one neighbour slice on each side (of a field built
+            # from stacks: a lifted field's kernels have exact symbols)
+            c, s, e = F.components[a], max(lo - 1, 0), min(hi + 1, nt)
+            out[...] = _log_grid_derivative(_fftn(c.values[s:e], d), c.times[s:e])[lo - s:hi - s]
+            return out
+
+        for a in range(d + 1):
+            for b in range(a + 1, d + 1):
+                yield "sym_res", np.subtract(D(a, b, g), D(b, a, w), out=g)
+        D(0, 0, g)
+        for a in range(1, d + 1):
+            np.add(g, D(a, a, w), out=g)
+        yield "div_res", g
 
     exact = all(k in dt_symbol for k in F.kernels)
     return ResidualReport(
@@ -289,11 +298,20 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
 
 def _quadrature_half(F: ConjugateField) -> tuple:
     """The slices whose t lies in the QUAD_WINDOW fraction of [t_min, t_max],
-    as a range, and half(bufs, a, U, lo, hi): the coefficients of the
-    quadrature half-derivative of component a on the slices lo:hi of that
-    range in a sweep's part with buffers bufs, formed on demand as rows of
-    W @ values."""
-    ts = F.tgrid.values
+    as a range, half(bufs, a, U, lo, hi): the coefficients of the quadrature
+    half-derivative of component a on the slices lo:hi of that range in a
+    sweep's part with buffers bufs, into the part's buffer "half", and the
+    alignment of the sweep's parts.
+
+    W acts on t and the transform on x, so the two commute: a lifted
+    field's slice coefficients are rows of its half-lattice kernel block
+    times a spectrum, and their half-derivative rows of W @ block times the
+    spectrum.  W is purely imaginary, so W @ block is one real product, on
+    the rows of the window, and a lifted field's walk reads no stack.  A
+    field built from stacks forms rows of W @ values on demand, QUAD_ROWS
+    slices at a time, its parts aligned to them.
+    """
+    spec, ts = F.spec, F.tgrid.values
     lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in QUAD_WINDOW)
     idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
     if not idx:
@@ -301,9 +319,26 @@ def _quadrature_half(F: ConjugateField) -> tuple:
     rows = range(idx[0], idx[-1] + 1)
     # strip the exact t-constant part (spatial mean) and hand the rest to
     # the quadrature.  W is linear, so W @ (v - dc) = W @ v - dc (W @ 1)
-    # needs no shifted copy.
-    W = _weyl_matrix(ts, ts[rows.start:rows.stop], _quadrature_tail(F.spec), QUAD_NODES)
+    # needs no shifted copy: the shift is at xi = 0 alone.
+    W = _weyl_matrix(ts, ts[rows.start:rows.stop], _quadrature_tail(spec), QUAD_NODES)
     W1 = W.sum(axis=1)
+    if F._source is not None:
+        block, spectra, _ = F._source
+        WB = np.ascontiguousarray(W.imag) @ block.reshape(len(ts), -1)
+        WB = WB.reshape((len(rows),) + block.shape[1:])
+        spectra = [x if x.shape[-1] == spec.n else _hermitian(spec, x) for x in spectra]
+        # N dc, N the node count, is slice 0's coefficient at xi = 0
+        zero = (0,) * spec.d
+        shift = [block[0][zero] * x[zero] * W1.imag for x in spectra]
+
+        def half(bufs, a, U, lo, hi):
+            k = slice(lo - rows.start, hi - rows.start)
+            h = _full(spec, WB[k], _buffer(bufs, "half", U[a].shape))
+            np.multiply(h, spectra[a], out=h)
+            h[(slice(None),) + zero] -= shift[a][k]
+            return np.multiply(1j, h, out=h)
+
+        return rows, half, 1
     flat = [c.values.reshape(len(ts), -1) for c in F.components]
     dc = [complex(np.mean(c.values[0])) for c in F.components]
 
@@ -322,9 +357,9 @@ def _quadrature_half(F: ConjugateField) -> tuple:
             block = W[k] @ v if np.iscomplexobj(v) else 1j * (W[k].imag @ v)
             block -= dc[a] * W1[k, None]
         formed[a] = b, block
-        return _fftn(block[lo - b:hi - b].reshape((hi - lo,) + F.spec.shape), F.spec.d)
+        return _fftn(block[lo - b:hi - b].reshape(U[a].shape), spec.d, _buffer(bufs, "half", U[a].shape))
 
-    return rows, half
+    return rows, half, QUAD_ROWS
 
 
 def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualReport:
@@ -344,19 +379,26 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualRe
     if mode == "spectral":
         if any(k != "heat" for k in F.kernels):
             raise ValueError("spectral mode needs heat-built stacks")
-        rows, half_symbol = range(F.tgrid.count), _half_symbol(spec)
-        half = lambda bufs, a, U, lo, hi: half_symbol * U[a]
+        rows, half_symbol, align = range(F.tgrid.count), _half_symbol(spec), 1
+        half = lambda bufs, a, U, lo, hi: np.multiply(half_symbol, U[a], out=_buffer(bufs, "half", U[a].shape))
     else:
-        rows, half = _quadrature_half(F)
+        rows, half, align = _quadrature_half(F)
 
     def defects(bufs, U, lo, hi):
-        yield "a_res", sum(grad[j] * U[j] for j in range(d)) - 1j * half(bufs, d, U, lo, hi)
+        # each defect is formed in the part's buffers, in the order of its
+        # formula: g = grad_0 u_0 + ... - i half(u_d), and so on
+        g, w = (_buffer(bufs, key, U[0].shape) for key in ("defect", "term"))
+        np.multiply(grad[0], U[0], out=g)
+        for j in range(1, d):
+            np.add(g, np.multiply(grad[j], U[j], out=w), out=g)
+        ihalf = lambda a: np.multiply(1j, half(bufs, a, U, lo, hi), out=w)
+        yield "a_res", np.subtract(g, ihalf(d), out=g)
         if d == 2:
-            yield "b_res", grad[1] * U[0] - grad[0] * U[1]
+            np.multiply(grad[1], U[0], out=g)
+            yield "b_res", np.subtract(g, np.multiply(grad[0], U[1], out=w), out=g)
         for j in range(d):
-            yield "c_res", grad[j] * U[d] + 1j * half(bufs, j, U, lo, hi)
+            yield "c_res", np.add(np.multiply(grad[j], U[d], out=g), ihalf(j), out=g)
 
-    align = 1 if mode == "spectral" else QUAD_ROWS  # no part forms another's rows
     return ResidualReport(
         "caloric", mode, _sweep(F, rows, ("a_res", "b_res", "c_res"), defects, align),
         F.tgrid.values[rows.start:rows.stop], f"half-derivative-{mode}",

@@ -364,6 +364,15 @@ def _full(spec: GridSpec, half: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _hermitian(spec: GridSpec, half: np.ndarray) -> np.ndarray:
+    """The full-lattice transform of a real array from its half lattice
+    (_rfftn): the coefficient at -xi is the conjugate of the one at xi."""
+    mirror = half[..., -2:0:-1]
+    for axis in range(-spec.d, -1):
+        mirror = np.roll(np.flip(mirror, axis), 1, axis)
+    return np.concatenate([half, mirror.conj()], axis=-1)
+
+
 def apply_symbols(spec: GridSpec, values, symbols) -> np.ndarray:
     """One multiplier pass inverse(symbols * forward(values)), as an array.
 
@@ -458,9 +467,10 @@ class FunctionSpec:
 
     @staticmethod
     def parse(text: str) -> "FunctionSpec":
-        """Parse 'name' or 'name:key=val,key=val'.  Each value takes the type
-        of its parameter's default in the family's builder: a finite float,
-        an int (seed), or the string itself where there is none (path)."""
+        """Parse 'name' or 'name:key=val,key=val', each key at most once.
+        Each value takes the type of its parameter's default in the family's
+        builder: a finite float, an int (seed), or the string itself where
+        there is none (path)."""
         name, _, rest = text.partition(":")
         name, params = name.strip(), {}
         items = [item.partition("=") for item in rest.split(",")] if rest else []
@@ -469,6 +479,8 @@ class FunctionSpec:
             item = key + sep + val
             if not sep:
                 raise ValueError(f"malformed function parameter {item!r}")
+            if key in params:
+                raise ValueError(f"repeated function parameter {key!r}")
             default = known[key].default
             kind = str if default is inspect.Parameter.empty else type(default)
             try:

@@ -7,6 +7,7 @@ from amalgam.crsys import (ConjugateField, caloric_cr_residual, harmonic_cr_resi
 from amalgam.extension import TimeGrid, extend
 from amalgam.grid import make_grid
 from amalgam.hardy import caloric_lift, harmonic_lift
+from amalgam.oracle import caloric_cr_residual_direct
 from amalgam.spectral import riesz
 
 # Tier-1 draws the same examples on every run and keeps no example database
@@ -65,7 +66,8 @@ def lifted_and_stored_reports(f, tg):
     """Every walk's output on the lifted and the stored field of both lifts:
     per-slice residuals, sup-vector norms (a caloric field's both before its
     residual and from the |F| record the residual walk keeps), majorization
-    and the stacks."""
+    and the stacks, and the grid-space quadrature residual of
+    amalgam.oracle."""
     es = [(1.5, 1.5), (1.0, 2.0), (3.0, 1.2)]
     out = []
     for F, G, Q in ((harmonic_lift(f, tg), caloric_lift(f, tg), caloric_lift(f, tg)),
@@ -79,9 +81,28 @@ def lifted_and_stored_reports(f, tg):
             "spectral": caloric_cr_residual(G, "spectral").per_slice,
             "sup_recorded": [sup_vector_amalgam_norm(G, e) for e in es],
             "quadrature": caloric_cr_residual(Q, "quadrature").per_slice,
+            "quadrature_direct": caloric_cr_residual_direct(Q, "quadrature"),
             "stacks": [c.values for c in F.components + Q.components],
         })
     return out
+
+
+def assert_within_pin(new, direct):
+    """Per-slice residuals within tests/test_oracle.py's pin of the
+    grid-space ones."""
+    assert new.keys() == direct.keys()
+    for key, ref in direct.items():
+        assert new[key].shape == ref.shape
+        assert np.all(np.abs(new[key] - ref) <= 1e-13 + 1e-12 * np.abs(ref)), key
+
+
+def assert_lifted_as_stored(lifted, kept):
+    """The reports of lifted_and_stored_reports agree: the same bits, but for
+    the quadrature residual, whose two routes (W @ block times a spectrum,
+    W @ values) round differently; each is pinned to the oracle instead."""
+    for rep in (lifted, kept):
+        assert_within_pin(rep["quadrature"], rep["quadrature_direct"])
+    assert_same_bits(*({k: v for k, v in rep.items() if k != "quadrature"} for rep in (lifted, kept)))
 
 
 def assert_same_bits(a, b):

@@ -89,6 +89,7 @@ class TestUsageErrors:
         "from_file",
         "gaussian:width=-1",
         "gaussian:center=1e400",  # read as inf, the gaussian would sample to zero
+        "gaussian:width=1,width=2",  # a repeated key, not the last value silently
     ])
     def test_malformed_function_spec(self, function, tmp_path, capsys):
         function = function.format(missing=tmp_path / "missing.grid")

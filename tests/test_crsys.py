@@ -14,9 +14,11 @@ from amalgam.extension import TimeGrid, extend
 from amalgam.grid import GridFunction, bandlimited_random, make_grid, sample
 from amalgam.hardy import caloric_lift, harmonic_lift
 from amalgam.norms import amalgam_norm
+from amalgam.oracle import caloric_cr_residual_direct
 from amalgam.spectral import riesz
 
-from conftest import assert_same_bits, lifted_and_stored_reports, stored
+from conftest import (assert_lifted_as_stored, assert_same_bits, assert_within_pin,
+                      lifted_and_stored_reports, stored)
 
 
 class TestConjugateField:
@@ -266,8 +268,10 @@ class TestMajorization:
 
 class TestLiftedField:
     """A lifted field builds its slices where a walk reads them: every report
-    is the same bits as from the field of whole stacks (the d=2 grids that
-    split across CPUs are covered in tests/test_threads.py)."""
+    is the same bits as from the field of whole stacks, but the quadrature
+    residual, which takes another route on each and is pinned to the oracle
+    (the d=2 grids that split across CPUs are covered in
+    tests/test_threads.py)."""
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("grid", [(1, 16, 1024), (2, 4, 64)], ids=["d1", "d2"])
@@ -277,7 +281,7 @@ class TestLiftedField:
         if kind == "complex":
             f = GridFunction(spec, (1 + 0.5j) * f.values + 0.25j * np.roll(f.values, 3))
         lifted, kept = lifted_and_stored_reports(f, TimeGrid(1e-3, 16.0, 19))
-        assert_same_bits(lifted, kept)
+        assert_lifted_as_stored(lifted, kept)
 
     def test_components_are_the_extension_stacks(self, small2, tg16):
         f = bandlimited_random(small2, 2, 0.5, 2.0)
@@ -321,3 +325,33 @@ class TestLiftedField:
         assert G._mag.dtype == float and G._mag.nbytes == stack // 2
         assert after - held < 2**16
         assert peak - held < stack
+
+    def test_quadrature_builds_no_stack(self, desk2, tg48):
+        """The quadrature residual of a lifted field reads its block and
+        spectra, not its stacks: no component is built, and the walk keeps
+        less than one component stack at its peak (W @ block, the window's
+        rows of the block, is most of it)."""
+        f = sample("gaussian:width=1", desk2)
+        rs = [riesz(f, j) for j in (1, 2)]
+        stack = tg48.count * desk2.size * 16  # one complex component stack
+        tracemalloc.start()
+        try:
+            G = ConjugateField._lifted(desk2, [g.values for g in rs + [f]], tg48, "heat", "caloric")
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            caloric_cr_residual(G, "quadrature")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G._stacks == [None] * 3
+        assert peak - held < stack
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_quadrature_on_the_desk_grid_within_oracle_pin(self, desk1, tg48, kind):
+        f = bandlimited_random(desk1, 5, 0.4, 2.0)
+        if kind == "complex":
+            f = GridFunction(desk1, (1 + 0.5j) * f.values + 0.25j * np.roll(f.values, 3))
+        F = caloric_lift(f, tg48)
+        new = caloric_cr_residual(F, "quadrature").per_slice
+        assert F._stacks == [None] * 2  # the lifted route
+        assert_within_pin(new, caloric_cr_residual_direct(F, "quadrature"))

@@ -123,6 +123,7 @@ class TestSample:
         ("gaussian:center=1e400", "'center=1e400' is not finite"),
         ("indicator:lo=-inf", "not finite"),
         ("heat_kernel:t=nan", "not finite"),
+        ("gaussian:width=1,width=2", "repeated function parameter 'width'"),
     ])
     def test_parse_rejects(self, text, message):
         with pytest.raises(ValueError, match=message):
