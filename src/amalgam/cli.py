@@ -278,6 +278,8 @@ def _cmd_extend(cfg: RunConfig, args) -> None:
 
 
 def _cmd_cr_check(cfg: RunConfig, args) -> None:
+    if args.lift == "harmonic" and args.mode == "quadrature":
+        raise UsageError("--lift harmonic has no --mode quadrature: its residual is spectral only")
     f, tg = cfg.sample(), cfg.timegrid()
     if args.lift == "harmonic":
         rep = harmonic_cr_residual(harmonic_lift(f, tg))

@@ -44,7 +44,6 @@ __all__ = [
 # flight over all its parts, and a residual walk, which holds every
 # component's slices, their coefficients and the defects, an eighth of that
 CHUNK_BYTES = 2**20
-QUAD_ROWS = 8  # quadrature half-derivative slices formed per matrix product
 # the quadrature residual, here and in amalgam.oracle, reads the slices in the
 # QUAD_WINDOW fraction of [t_min, t_max] (the integral needs headroom above t)
 QUAD_WINDOW = (0.0, 0.5)
@@ -216,18 +215,16 @@ def _parseval_norms(coeffs: np.ndarray, spec) -> np.ndarray:
     return np.sqrt(spec.h**spec.d / spec.size * sums)
 
 
-def _sweep(F: ConjugateField, rows: range, keys: tuple, defects, align: int = 1) -> dict:
+def _sweep(F: ConjugateField, rows: range, keys: tuple, defects) -> dict:
     """Per-slice relative defect norms of F on the time slices in rows.
 
-    The time slices are one walk (grid._walk) in chunks of CHUNK_BYTES // 8,
-    part boundaries at multiples of align (a stored field's quadrature
-    rows, else 1).  Each chunk of every component is transformed once
-    (fftn over the space axes); defects(bufs, U, lo, hi) gets the part's
-    buffers and the coefficients on the slices lo:hi and yields (key,
-    defect coefficients), each normed before the next is formed, so they
-    may share a buffer; a key keeps its largest defect.  The scale of a
-    slice is the sum of its component norms.  When F asks for one
-    (_new_record), the walk keeps |F| of every slice.
+    The time slices are one walk (grid._walk) in chunks of CHUNK_BYTES // 8.
+    Each component's chunk gets one fftn over the space axes; defects(bufs,
+    U, lo, hi) gets the part's buffers and the coefficients on the slices
+    lo:hi and yields (key, defect coefficients), each normed before the
+    next is built, so they may share a buffer; a key keeps its largest
+    defect.  The scale of a slice is the sum of its component norms.  When
+    F asks for one (_new_record), the walk keeps |F| of every slice.
     """
     spec, nt = F.spec, F.tgrid.count
     scale, worst = np.zeros(nt), {key: np.zeros(len(rows)) for key in keys}
@@ -244,7 +241,7 @@ def _sweep(F: ConjugateField, rows: range, keys: tuple, defects, align: int = 1)
             out = worst[key][lo - rows.start:hi - rows.start]
             np.maximum(out, _parseval_norms(g, spec), out=out)
 
-    _walk(spec, nt, CHUNK_BYTES // (128 * spec.size), each, align=align)
+    _walk(spec, nt, CHUNK_BYTES // (128 * spec.size), each)
     if not all(np.all(np.isfinite(v)) for v in (scale, *worst.values())):
         raise ValueError("residual norms are not finite")
     if np.max(scale) == 0:
@@ -298,18 +295,18 @@ def harmonic_cr_residual(F: ConjugateField) -> ResidualReport:
 
 def _quadrature_half(F: ConjugateField) -> tuple:
     """The slices whose t lies in the QUAD_WINDOW fraction of [t_min, t_max],
-    as a range, half(bufs, a, U, lo, hi): the coefficients of the quadrature
-    half-derivative of component a on the slices lo:hi of that range in a
-    sweep's part with buffers bufs, into the part's buffer "half", and the
-    alignment of the sweep's parts.
+    as a range, and half(bufs, a, U, lo, hi): the coefficients of the
+    quadrature half-derivative of component a on the slices lo:hi of that
+    range in a sweep's part with buffers bufs, into the part's buffer "half".
 
     W acts on t and the transform on x, so the two commute: a lifted
     field's slice coefficients are rows of its half-lattice kernel block
     times a spectrum, and their half-derivative rows of W @ block times the
     spectrum.  W is purely imaginary, so W @ block is one real product, on
     the rows of the window, and a lifted field's walk reads no stack.  A
-    field built from stacks forms rows of W @ values on demand, QUAD_ROWS
-    slices at a time, its parts aligned to them.
+    field built from stacks forms each slice's row of W @ values where the
+    walk reads it, one real vector-matrix product a slice, and transforms
+    it in place: it holds no rows from one chunk to the next.
     """
     spec, ts = F.spec, F.tgrid.values
     lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in QUAD_WINDOW)
@@ -321,10 +318,10 @@ def _quadrature_half(F: ConjugateField) -> tuple:
     # the quadrature.  W is linear, so W @ (v - dc) = W @ v - dc (W @ 1)
     # needs no shifted copy: the shift is at xi = 0 alone.
     W = _weyl_matrix(ts, ts[rows.start:rows.stop], _quadrature_tail(spec), QUAD_NODES)
-    W1 = W.sum(axis=1)
+    W1, Wi = W.sum(axis=1), np.ascontiguousarray(W.imag)
     if F._source is not None:
         block, spectra, _ = F._source
-        WB = np.ascontiguousarray(W.imag) @ block.reshape(len(ts), -1)
+        WB = Wi @ block.reshape(len(ts), -1)
         WB = WB.reshape((len(rows),) + block.shape[1:])
         spectra = [x if x.shape[-1] == spec.n else _hermitian(spec, x) for x in spectra]
         # N dc, N the node count, is slice 0's coefficient at xi = 0
@@ -338,28 +335,21 @@ def _quadrature_half(F: ConjugateField) -> tuple:
             h[(slice(None),) + zero] -= shift[a][k]
             return np.multiply(1j, h, out=h)
 
-        return rows, half, 1
+        return rows, half
     flat = [c.values.reshape(len(ts), -1) for c in F.components]
     dc = [complex(np.mean(c.values[0])) for c in F.components]
 
     def half(bufs, a, U, lo, hi):
-        # a product reads the whole component stack, so its rows are formed
-        # QUAD_ROWS slices at a time, aligned like the sweep's parts; the
-        # part keeps component -> (first slice, its rows of W @ values from there)
-        formed = bufs.setdefault("formed", {})
-        start = lo - lo % QUAD_ROWS
-        b, e = max(start, rows.start), min(start + QUAD_ROWS, rows.stop)
-        first, block = formed.pop(a, (None, None))
-        if first != b:
-            block = None  # the component's old rows go before its new ones come
-            k, v = slice(b - rows.start, e - rows.start), flat[a]
-            # W is purely imaginary: a real stack is not copied to complex
-            block = W[k] @ v if np.iscomplexobj(v) else 1j * (W[k].imag @ v)
-            block -= dc[a] * W1[k, None]
-        formed[a] = b, block
-        return _fftn(block[lo - b:hi - b].reshape(U[a].shape), spec.d, _buffer(bufs, "half", U[a].shape))
+        # one real product a slice, on a complex stack's (re, im) pairs: BLAS
+        # rounds a row of a taller product otherwise, so a slice is the same
+        # bits in any chunk of any part
+        h, v = _buffer(bufs, "half", U[a].shape), flat[a]
+        for i, row in zip(range(lo - rows.start, hi - rows.start), h.reshape(hi - lo, -1)):
+            np.multiply(1j, (Wi[i] @ v.view(float)).view(v.dtype), out=row)
+            row -= dc[a] * W1[i]
+        return _fftn(h, spec.d, h)
 
-    return rows, half, QUAD_ROWS
+    return rows, half
 
 
 def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualReport:
@@ -379,13 +369,13 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualRe
     if mode == "spectral":
         if any(k != "heat" for k in F.kernels):
             raise ValueError("spectral mode needs heat-built stacks")
-        rows, half_symbol, align = range(F.tgrid.count), _half_symbol(spec), 1
+        rows, half_symbol = range(F.tgrid.count), _half_symbol(spec)
         half = lambda bufs, a, U, lo, hi: np.multiply(half_symbol, U[a], out=_buffer(bufs, "half", U[a].shape))
     else:
-        rows, half, align = _quadrature_half(F)
+        rows, half = _quadrature_half(F)
 
     def defects(bufs, U, lo, hi):
-        # each defect is formed in the part's buffers, in the order of its
+        # each defect is built in the part's buffers, in the order of its
         # formula: g = grad_0 u_0 + ... - i half(u_d), and so on
         g, w = (_buffer(bufs, key, U[0].shape) for key in ("defect", "term"))
         np.multiply(grad[0], U[0], out=g)
@@ -400,7 +390,7 @@ def caloric_cr_residual(F: ConjugateField, mode: str = "spectral") -> ResidualRe
             yield "c_res", np.add(np.multiply(grad[j], U[d], out=g), ihalf(j), out=g)
 
     return ResidualReport(
-        "caloric", mode, _sweep(F, rows, ("a_res", "b_res", "c_res"), defects, align),
+        "caloric", mode, _sweep(F, rows, ("a_res", "b_res", "c_res"), defects),
         F.tgrid.values[rows.start:rows.stop], f"half-derivative-{mode}",
         grid_id=grid_run_id(spec, F.tgrid),
     )

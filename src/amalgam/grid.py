@@ -229,14 +229,12 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _slice_parts(spec: GridSpec, n: int, align: int = 1) -> list:
+def _slice_parts(spec: GridSpec, n: int) -> list:
     """range(n), n slices on the grid spec, as contiguous parts for
-    _run_parts, with boundaries at multiples of align: one part when a
-    complex slice is below SPLIT_BYTES or there is one CPU, else one per CPU
-    (at most one per slice)."""
-    units = -(-n // align)
-    k = max(min(_cpus(), units), 1) if spec.size * 16 >= SPLIT_BYTES else 1
-    bounds = [align * (units * i // k) for i in range(k)] + [n]
+    _run_parts: one part when a complex slice is below SPLIT_BYTES or there
+    is one CPU, else one per CPU (at most one per slice)."""
+    k = max(min(_cpus(), n), 1) if spec.size * 16 >= SPLIT_BYTES else 1
+    bounds = [n * i // k for i in range(k)] + [n]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -264,17 +262,17 @@ def _run_parts(fn, parts: list) -> list:
     return [first] + [f.result() for f in futures]
 
 
-def _walk(spec: GridSpec, n: int, rows, each, fold=None, align: int = 1, strided: bool = False,
-          stacks: int | None = None):
+def _walk(spec: GridSpec, n: int, rows, each, fold=None, strided: bool = False, stacks: int | None = None):
     """The one walk over time slices: the n slices of a stack on the grid
     spec, or of each of a number of stacks, in parts across the CPUs and in
     chunks of slices within a part.
 
-    Parts: _slice_parts's, boundaries at multiples of align; strided, as
-    many, slice i in part i mod k; over stacks, contiguous ranges of whole
-    stacks, one per CPU (at most one per stack) at any slice size.  Chunks:
-    rows // parts slices (rows in flight over all parts), at least one, a
-    divisor of align, none across two stacks; with rows None, the part.
+    Parts: _slice_parts's; strided, as many, slice i in part i mod k; over
+    stacks, contiguous ranges of whole stacks, one per CPU (at most one per
+    stack) at any slice size.  Chunks: rows // parts slices (rows in flight
+    over all parts), at least one, none across two stacks; with rows None,
+    the part.  each must give a slice the same bits in any chunk, so that
+    the results do not depend on the split.
     each(bufs, i0, i1) is called per chunk in slice order (slice i of stack
     s is s * n + i), bufs the part's dict: its buffers (_buffer) and what
     else the walk keeps per part.  The parts run through _run_parts, all but
@@ -287,12 +285,11 @@ def _walk(spec: GridSpec, n: int, rows, each, fold=None, align: int = 1, strided
         k = min(_cpus(), stacks)
         parts = [range(stacks * i // k, stacks * (i + 1) // k) for i in range(k)]
     else:
-        parts = _slice_parts(spec, n, align)
+        parts = _slice_parts(spec, n)
     k = len(parts)
     if strided:
         parts = [range(i, n, k) for i in range(k)]
     step = n if rows is None else max(rows // k, 1)
-    step = math.gcd(step, align) if align > 1 else step
 
     def run(part):
         bufs, acc = {}, None
@@ -613,18 +610,24 @@ def read_grid_function(path) -> GridFunction:
     path = str(path)
     if path.endswith(".csv"):
         with open(path) as fh:
-            first = fh.readline().strip()
-            is_complex = fh.readline().strip().endswith(",im")
+            first, columns, lines = fh.readline().strip(), fh.readline().strip(), fh.read().splitlines()
         if not first.startswith("#"):
             raise ValueError("CSV is missing its '# dim=..,L=..,n=..' header line")
         meta = _Header(item.split("=") for item in first.lstrip("# ").split(","))
         spec = GridSpec(int(meta["dim"]), int(meta["L"]), int(meta["n"]))
-        rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        real, cplx = (",".join(["i", "j"][:spec.d] + ["re", "im"][:k]) for k in (1, 2))
+        if columns not in (real, cplx):
+            raise ValueError(f"{path}: the column line {columns!r} is neither {real!r} nor {cplx!r}")
+        for k, line in enumerate(lines, 3):
+            if line.strip() and line.count(",") != columns.count(","):
+                raise ValueError(f"{path}: line {k} has {line.count(',') + 1} fields, "
+                                 f"the column line {columns.count(',') + 1}")
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2)
         if not np.array_equal(rows[:, :spec.d], np.indices(spec.shape).reshape(spec.d, -1).T):
             raise ValueError(f"{path}: the index columns are not the {spec.size} nodes of "
                              f"{spec.grid_id()} in row-major order")
         # a view of the (re, im) columns keeps im = -0.0
-        values = np.ascontiguousarray(rows[:, spec.d:]).view(complex if is_complex else float)
+        values = np.ascontiguousarray(rows[:, spec.d:]).view(complex if columns == cplx else float)
         return GridFunction(spec, values[:, 0])
     _, spec, values = _read_binary(path)
     return GridFunction(spec, values)

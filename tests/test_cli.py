@@ -62,6 +62,14 @@ class TestUsageErrors:
     def test_unknown_method(self):
         assert run(["report", "--methods", "sorcery"]) == 1
 
+    def test_quadrature_mode_of_the_harmonic_lift(self, capsys):
+        # the harmonic residual is spectral only: a requested quadrature is
+        # refused, not dropped from a report that says "spectral"
+        assert run(["cr-check", "--lift", "harmonic", "--mode", "quadrature"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and "--lift harmonic" in err and "--mode quadrature" in err
+
     @pytest.mark.parametrize("argv", [["--methods", "maximal,maximal"],
                                       ["--methods", "maximal,riesz1, maximal"],
                                       ["--methods", "maximal", "--assert"]],

@@ -5,6 +5,7 @@ import pytest
 
 from amalgam.crsys import (
     ConjugateField,
+    _quadrature_half,
     caloric_cr_residual,
     harmonic_cr_residual,
     majorization_report,
@@ -157,6 +158,18 @@ class TestCaloricResidual:
             rep = caloric_cr_residual(G, "quadrature")
             worst[count] = max(rep.max_of("a_res"), rep.max_of("c_res"))
         assert worst[31] <= 0.5 * worst[16]
+
+    def test_stored_quadrature_rows_alike_in_any_chunk(self, small2, tg16):
+        # a stored field's half-derivative of a slice is one product of its
+        # own, so the same bits in a chunk of any height (complex and real
+        # components both)
+        F = stored(bandlimited_random(small2, 2, 0.5, 2.0), tg16, "caloric")
+        rows, half = _quadrature_half(F)
+        U = [np.empty((len(rows),) + small2.shape, complex)] * 3
+        for a in range(3):
+            whole = half({}, a, U, rows.start, rows.stop)  # each call its own buffers
+            ones = [half({}, a, [u[:1] for u in U], i, i + 1) for i in rows]
+            assert_same_bits(whole, np.concatenate(ones))
 
     def test_2d_quadrature(self):
         # documented gate of the quadrature mode; measured a_res 3.0e-5,
@@ -355,3 +368,6 @@ class TestLiftedField:
         new = caloric_cr_residual(F, "quadrature").per_slice
         assert F._stacks == [None] * 2  # the lifted route
         assert_within_pin(new, caloric_cr_residual_direct(F, "quadrature"))
+        G = stored(f, tg48, "caloric")  # one product a slice
+        assert_within_pin(caloric_cr_residual(G, "quadrature").per_slice,
+                          caloric_cr_residual_direct(G, "quadrature"))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -468,6 +469,28 @@ class TestFileFormat:
         for bad in (rows[::-1], rows[:-1], rows + rows[-1:]):
             path.write_text("".join(head + bad))
             with pytest.raises(ValueError, match=f"index columns are not the {spec.size} nodes"):
+                read_grid_function(path)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_csv_column_count_checked(self, tmp_path, d, kind):
+        # a field too many or too few is refused, naming the file: not
+        # dropped, nor read as the other half of a complex value
+        spec = make_grid(d, 1, 4)
+        path = tmp_path / "f.csv"
+        values = np.arange(spec.size) * (1 + 2j if kind == "complex" else 1.0)
+        write_grid_function(GridFunction(spec, values), path)
+        head, columns, *rows = path.read_text().splitlines(True)
+        width = columns.count(",") + 1
+        wider = [r.rstrip("\n") + ",7.0\n" for r in rows]
+        narrower = [r.rsplit(",", 1)[0] + "\n" for r in rows]
+        extra = columns.rstrip("\n") + ",x"
+        for names, body, message in ((columns, wider, f"line 3 has {width + 1} fields"),
+                                     (columns, narrower, f"line 3 has {width - 1} fields"),
+                                     (columns, rows[:-1] + wider[-1:], f"line {len(rows) + 2} has {width + 1}"),
+                                     (extra + "\n", wider, f"the column line {extra!r} is neither")):
+            path.write_text("".join([head, names] + body))
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
                 read_grid_function(path)
 
     @pytest.mark.parametrize("delta", [1, -1])

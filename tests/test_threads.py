@@ -27,7 +27,7 @@ from amalgam.frozen import FrozenStore
 from amalgam.grid import SPLIT_BYTES, _full, _run_parts, _slice_parts, apply_symbols, make_grid, sample
 from amalgam.hardy import caloric_lift, harmonic_lift
 
-from conftest import assert_lifted_as_stored, assert_same_bits, lifted_and_stored_reports
+from conftest import assert_lifted_as_stored, assert_same_bits, lifted_and_stored_reports, stored
 
 SPLITS = (2, 3)
 GATE = make_grid(2, 4, 128)
@@ -76,8 +76,6 @@ class TestParts:
     def test_contiguous_parts_are_aligned(self, monkeypatch):
         monkeypatch.setattr(grid, "_cpus", lambda: 2)
         assert _slice_parts(GATE, 7) == [range(0, 3), range(3, 7)]
-        assert _slice_parts(GATE, 17, align=8) == [range(0, 8), range(8, 17)]
-        assert _slice_parts(GATE, 5, align=8) == [range(5)]
         assert _slice_parts(GATE, 0) == [range(0)]
 
     def test_nontangential_parts_interleave_every_slice_once(self, monkeypatch, f2, tg7):
@@ -95,8 +93,8 @@ class TestParts:
         assert seen == [[range(0, 7, 3), range(1, 7, 3), range(2, 7, 3)]]
 
     def test_walk_chunks(self, monkeypatch):
-        # rows slices in flight over all parts, none across a multiple of
-        # align or across two stacks; rows None makes a part one chunk
+        # rows slices in flight over all parts, none across two stacks;
+        # rows None makes a part one chunk
         def chunks(n, rows, **kwargs):
             seen = []
             grid._walk(GATE, n, rows, lambda bufs, i0, i1: seen.append((i0, i1)), **kwargs)
@@ -107,7 +105,6 @@ class TestParts:
         monkeypatch.setattr(grid, "_cpus", lambda: 2)
         assert chunks(7, 4) == [(0, 2), (2, 3), (3, 5), (5, 7)]
         assert chunks(7, None) == [(0, 3), (3, 7)]
-        assert chunks(17, 12, align=8) == [(i, i + 2) for i in range(0, 16, 2)] + [(16, 17)]
         assert chunks(5, 6, stacks=3) == [(0, 3), (3, 5), (5, 8), (8, 10), (10, 13), (13, 15)]
         monkeypatch.setattr(grid, "_cpus", lambda: 3)
         assert chunks(7, 1, strided=True) == [(i, i + 1) for i in range(7)]
@@ -263,14 +260,16 @@ class TestResiduals:
             assert_same_bits(serial, s)
 
     def test_caloric_quadrature(self, monkeypatch, gate2):
-        # 17 slices, 15 in the window: parts split at slice 8, a QUAD_ROWS boundary
-        f = sample("gaussian:width=0.7", gate2)
-        F = caloric_lift(f, TimeGrid(1e-3, 16.0, 17))
-        serial, splits = serial_and_split(
-            monkeypatch, lambda: caloric_cr_residual(F, "quadrature").per_slice)
-        assert len(serial["a_res"]) > 8
-        for s in splits:
-            assert_same_bits(serial, s)
+        # 17 slices, 15 in the window: parts split inside it (at slice 8, or
+        # at 5 and 11), and each part forms its own slices' half-derivatives,
+        # from the lifted field's block or one product a slice of the stored
+        f, tg = sample("gaussian:width=0.7", gate2), TimeGrid(1e-3, 16.0, 17)
+        for F in (caloric_lift(f, tg), stored(f, tg, "caloric")):
+            serial, splits = serial_and_split(
+                monkeypatch, lambda: caloric_cr_residual(F, "quadrature").per_slice)
+            assert len(serial["a_res"]) > 11
+            for s in splits:
+                assert_same_bits(serial, s)
 
     def test_sup_vector_amalgam_norms(self, monkeypatch, f2, tg7):
         F = caloric_lift(f2, tg7)
