@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
+import importlib.util
 import json
 import math
 import sys
@@ -19,7 +21,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .crsys import caloric_cr_residual, harmonic_cr_residual
@@ -189,12 +190,21 @@ def _jsonable(obj):
     return obj
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy.__version__ without importing scipy: its version.py, a file
+    with no imports, run alone (a report needs scipy for nothing else)."""
+    ns = {}
+    exec(Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "version.py").read_text(), ns)
+    return ns["version"]
+
+
 def _emit(cfg: RunConfig, command: str, results: dict, status: str = "pass") -> dict:
     payload = {
         "command": command,
         "config": cfg.echo(),
         "grid_id": grid_run_id(cfg.grid(), cfg.timegrid()),
-        "versions": {"amalgam": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"amalgam": __version__, "numpy": np.__version__, "scipy": _scipy_version()},
         "results": _jsonable(results),
         "status": status,
     }
@@ -285,7 +295,7 @@ def _cmd_cr_check(cfg: RunConfig, args) -> None:
         rep = harmonic_cr_residual(harmonic_lift(f, tg))
         default_tol = 1e-6
     else:
-        rep = caloric_cr_residual(caloric_lift(f, tg), mode=args.mode)
+        rep = caloric_cr_residual(caloric_lift(f, tg), mode=args.mode, keep_magnitude=False)
         default_tol = 1e-6 if args.mode == "spectral" else 1e-2
     tol = default_tol if args.tol is None else args.tol
     maxima = {k: rep.max_of(k) for k in rep.per_slice}
@@ -411,54 +421,54 @@ def _list_of(kind, valid, what: str):
 # -- entry point -----------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+# name: (handler, help, the command's own flags as add_argument (flag, keywords))
+_COMMANDS = {
+    "norm": (_cmd_norm, "Lebesgue and amalgam norms of a sampled function", ()),
+    "transform": (_cmd_transform, "Riesz transform or multiplier image", (
+        ("--op", dict(choices=("riesz", "multiplier"), default="riesz")),
+        ("--axis", dict(type=int, default=1)),
+        ("--symbol-file", dict(type=str, default=None)))),
+    "extend": (_cmd_extend, "Poisson/heat extension stack dump", (
+        ("--kernel", dict(choices=("poisson", "heat"), default="heat")),)),
+    "cr-check": (_cmd_cr_check, "conjugate-system residual report", (
+        ("--lift", dict(choices=("harmonic", "caloric"), default="harmonic")),
+        ("--mode", dict(choices=("spectral", "quadrature"), default="spectral")),
+        ("--tol", dict(type=_tolerance, default=None)))),
+    "hardy": (_cmd_hardy, "the three Hardy quantities of a function", (
+        ("--order", dict(type=int, default=1)),)),
+    "atoms": (_cmd_atoms, "atom generation and maximal-norm probe", (
+        ("--orders", dict(type=_list_of(int, lambda m: m >= 0, "moment orders >= 0"), default="0,1")),
+        ("--sides", dict(type=_list_of(float, ATOM_SIDES.__contains__, f"sides from {ATOM_SIDES}"),
+                         default="0.25,0.5,1,2,4")))),
+    "report": (_cmd_report, "norm-equivalence ratio report on the reference family", (
+        ("--methods", dict(type=_list_of(str.strip, EQUIVALENCE_METHODS.__contains__,
+                                         f"methods from {EQUIVALENCE_METHODS}"),
+                           default="maximal,riesz1")),
+        ("--pq", dict(type=_exponent_pair, default="1,1")))),
+    "freeze": (_cmd_freeze, "measure and write the frozen constants", ()),
+}
+
+
+def _build_parser(argv: list) -> _Parser:
+    """Every command by name and help; flags only for the one argv invokes
+    (its first word not starting with '-', as argparse picks it), the only
+    one that parses any."""
     parser = _Parser(prog="amalgam", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, handler, help: str):
+    invoked = next((a for a in argv if not a.startswith("-")), None)
+    for name, (_, help, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help)
-        _add_common(sub)
-        sub.set_defaults(handler=handler)
-        return sub
-
-    command("norm", _cmd_norm, "Lebesgue and amalgam norms of a sampled function")
-
-    sub = command("transform", _cmd_transform, "Riesz transform or multiplier image")
-    sub.add_argument("--op", choices=("riesz", "multiplier"), default="riesz")
-    sub.add_argument("--axis", type=int, default=1)
-    sub.add_argument("--symbol-file", type=str, default=None)
-
-    sub = command("extend", _cmd_extend, "Poisson/heat extension stack dump")
-    sub.add_argument("--kernel", choices=("poisson", "heat"), default="heat")
-
-    sub = command("cr-check", _cmd_cr_check, "conjugate-system residual report")
-    sub.add_argument("--lift", choices=("harmonic", "caloric"), default="harmonic")
-    sub.add_argument("--mode", choices=("spectral", "quadrature"), default="spectral")
-    sub.add_argument("--tol", type=_tolerance, default=None)
-
-    sub = command("hardy", _cmd_hardy, "the three Hardy quantities of a function")
-    sub.add_argument("--order", type=int, default=1)
-
-    sub = command("atoms", _cmd_atoms, "atom generation and maximal-norm probe")
-    sub.add_argument("--orders", type=_list_of(int, lambda m: m >= 0, "moment orders >= 0"),
-                     default="0,1")
-    sub.add_argument("--sides", type=_list_of(float, ATOM_SIDES.__contains__,
-                                              f"sides from {ATOM_SIDES}"),
-                     default="0.25,0.5,1,2,4")
-
-    sub = command("report", _cmd_report, "norm-equivalence ratio report on the reference family")
-    sub.add_argument("--methods", type=_list_of(str.strip, EQUIVALENCE_METHODS.__contains__,
-                                                f"methods from {EQUIVALENCE_METHODS}"),
-                     default="maximal,riesz1")
-    sub.add_argument("--pq", type=_exponent_pair, default="1,1")
-
-    command("freeze", _cmd_freeze, "measure and write the frozen constants")
+        if name == invoked:
+            _add_common(sub)
+            for flag, kwargs in flags:
+                sub.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         cfg = _build_config(args)
         if cfg.out:  # the report and its siblings are written there
             if Path(cfg.out).is_dir():
@@ -468,7 +478,7 @@ def run(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        args.handler(cfg, args)
+        _COMMANDS[args.command][0](cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -622,7 +622,17 @@ def read_grid_function(path) -> GridFunction:
             if line.strip() and line.count(",") != columns.count(","):
                 raise ValueError(f"{path}: line {k} has {line.count(',') + 1} fields, "
                                  f"the column line {columns.count(',') + 1}")
-        rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+        try:
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+        except ValueError:  # numpy's message counts data rows from 0 and names no file
+            for k, line in enumerate(lines, 3):
+                for text in line.split(",") if line.strip() else ():
+                    try:
+                        float(text)
+                    except ValueError:
+                        raise ValueError(f"{path}: line {k} has the non-numeric field "
+                                         f"{text.strip()!r}") from None
+            raise
         if not np.array_equal(rows[:, :spec.d], np.indices(spec.shape).reshape(spec.d, -1).T):
             raise ValueError(f"{path}: the index columns are not the {spec.size} nodes of "
                              f"{spec.grid_id()} in row-major order")

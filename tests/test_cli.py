@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import amalgam
 from amalgam.cli import RunConfig, _emit, main, run
+from amalgam.crsys import ConjugateField
 
 BASE = ["--dim", "1", "--L", "8", "--n", "512", "--tmin", "0.01", "--tmax", "8", "--tcount", "12"]
 
@@ -384,6 +386,21 @@ class TestCrCheck:
                     "--out", str(tmp_path / "cr2.json")])
         assert code == 2
 
+    def test_reports_the_installed_scipy_version(self, capsys):
+        import scipy
+
+        assert run(["cr-check", *BASE, "--lift", "caloric"]) == 0
+        assert json.loads(capsys.readouterr().out)["versions"]["scipy"] == scipy.__version__
+
+    @pytest.mark.parametrize("mode", ["spectral", "quadrature"])
+    def test_caloric_keeps_no_record(self, mode, monkeypatch, capsys):
+        # the report reads no |F|, so the residual walk asks for no record
+        asked = []
+        monkeypatch.setattr(ConjugateField, "_new_record", lambda F: asked.append(F))
+        assert run(["cr-check", *BASE, "--lift", "caloric", "--mode", mode]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+        assert asked == []
+
 
 class TestExtendCommand:
     def test_writes_stack_and_csv(self, tmp_path):
@@ -521,7 +538,11 @@ class TestEnvironmentOverride:
         assert default_store_path() == tmp_path / "frozen_constants.json"
 
 
-COMMANDS = {"norm", "transform", "extend", "cr-check", "hardy", "atoms", "report", "freeze"}
+# each command's own flags, beside the RunConfig ones every command takes
+COMMAND_FLAGS = {"norm": [], "transform": ["--op", "--axis", "--symbol-file"], "extend": ["--kernel"],
+                 "cr-check": ["--lift", "--mode", "--tol"], "hardy": ["--order"],
+                 "atoms": ["--orders", "--sides"], "report": ["--methods", "--pq"], "freeze": []}
+COMMANDS = set(COMMAND_FLAGS)
 
 
 def assert_help_lists_commands(proc):
@@ -563,16 +584,14 @@ class TestConsoleEntry:
         assert_help_lists_commands(proc)
 
     def test_import_loads_no_scipy_subpackage(self, tmp_path):
-        # every CLI command pays for what `import amalgam.cli` loads.  Of
-        # scipy it reads only the version, so the subprocess imports bare
-        # scipy first, and the check covers what amalgam itself adds: no
-        # scipy subpackage at all (a scipy.fft, scipy.special or
-        # scipy.ndimage import costs about 0.3 s).  The import starts no
-        # thread either: the worker pool of split stack passes is created
-        # by the first such pass.
+        # every CLI command pays for what `import amalgam.cli` loads, and it
+        # loads no scipy at all: a report reads only scipy's version, from
+        # its version.py (a scipy.fft, scipy.special or scipy.ndimage import
+        # costs about 0.3 s, bare scipy 10 ms).  The import starts no thread
+        # either: the worker pool of split stack passes is created by the
+        # first such pass.
         script = (
             "import json, sys, threading\n"
-            "import scipy\n"
             "before, threads = set(sys.modules), threading.enumerate()\n"
             "import amalgam.cli\n"
             "print(json.dumps([sorted(set(sys.modules) - before),\n"
@@ -583,7 +602,18 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         modules, new_threads = json.loads(proc.stdout)
         assert new_threads == 0
-        assert [m for m in modules if m.startswith("scipy.")] == []
+        assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_command_help_lists_its_flags(self, command, capsys):
+        # only the invoked command's flags are registered: each command's
+        # help still lists every RunConfig flag and its own
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+        common = {f"--{f.name.removeprefix('do_')}" for f in dataclasses.fields(RunConfig)}
+        assert listed == common | {"--config", "--help", *COMMAND_FLAGS[command]}
 
     def test_numpy_fft_only_in_grid(self):
         # grid.apply_symbols is the one Fourier route: no other module of

@@ -314,6 +314,17 @@ class TestLiftedField:
         want = np.sqrt(sum(np.abs(c.values) ** 2 for c in stored(f, tg16, "caloric").components))
         assert_same_bits(G._mag, want)
 
+    @pytest.mark.parametrize("mode", ["spectral", "quadrature"])
+    def test_no_record_when_not_kept(self, small2, tg16, mode):
+        # keep_magnitude=False holds no |F| and changes no residual bit
+        f = bandlimited_random(small2, 2, 0.5, 2.0)
+        G, kept = caloric_lift(f, tg16), caloric_lift(f, tg16)
+        rep = caloric_cr_residual(G, mode, keep_magnitude=False)
+        assert G._mag is None
+        want = caloric_cr_residual(kept, mode)
+        assert kept._mag is not None
+        assert_same_bits(rep.per_slice, want.per_slice)
+
     def test_holds_block_spectra_and_one_real_stack(self, desk2, tg48):
         """The lift holds the half-lattice block (in a mapping of its own)
         and the d+1 spectra, no stack; the residual walk adds one real

@@ -471,6 +471,19 @@ class TestFileFormat:
             with pytest.raises(ValueError, match=f"index columns are not the {spec.size} nodes"):
                 read_grid_function(path)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_csv_non_numeric_field_named(self, tmp_path, d):
+        # the file's line number, counted as the field-count message counts
+        # it (the header and column lines are 1 and 2), and the path
+        spec = make_grid(d, 1, 4)
+        path = tmp_path / "f.csv"
+        write_grid_function(GridFunction(spec, np.arange(spec.size, dtype=float)), path)
+        lines = path.read_text().splitlines(True)
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",x\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4 has the non-numeric field 'x'$"):
+            read_grid_function(path)
+
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("d", [1, 2])
     def test_csv_column_count_checked(self, tmp_path, d, kind):
