@@ -56,6 +56,15 @@ def _quadrature_tail(spec) -> tuple:
     return "exp_decay", (np.pi / spec.L) ** 2
 
 
+def _quadrature_rows(ts) -> range:
+    """The slices whose t lies in the QUAD_WINDOW fraction of [t_min, t_max]."""
+    lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in QUAD_WINDOW)
+    idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
+    if not idx:
+        raise ValueError("quadrature window selects no slices")
+    return range(idx[0], idx[-1] + 1)
+
+
 def _modulus(values, out=None) -> np.ndarray:
     """|F| = sqrt(sum |u_a|^2) over the components' values, into out: the
     squares summed in place, in component order."""
@@ -311,11 +320,7 @@ def _quadrature_half(F: ConjugateField) -> tuple:
     it in place: it holds no rows from one chunk to the next.
     """
     spec, ts = F.spec, F.tgrid.values
-    lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in QUAD_WINDOW)
-    idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
-    if not idx:
-        raise ValueError("quadrature window selects no slices")
-    rows = range(idx[0], idx[-1] + 1)
+    rows = _quadrature_rows(ts)
     # strip the exact t-constant part (spatial mean) and hand the rest to
     # the quadrature.  W is linear, so W @ (v - dc) = W @ v - dc (W @ 1)
     # needs no shifted copy: the shift is at xi = 0 alone.

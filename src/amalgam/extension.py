@@ -467,6 +467,9 @@ def write_stack(stack: ExtensionStack, path) -> None:
 
 def read_stack(path) -> ExtensionStack:
     header, spec, values = _read_binary(path, "tcount")
-    tg = TimeGrid(float(header["tmin"]), float(header["tmax"]), int(header["tcount"]))
+    try:
+        tg = TimeGrid(float(header["tmin"]), float(header["tmax"]), int(header["tcount"]))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return ExtensionStack(spec, tg, values.reshape((tg.count,) + spec.shape),
                           header.get("kernel", "custom"))

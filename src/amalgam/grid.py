@@ -525,12 +525,16 @@ def _heat_kernel(spec: GridSpec, t=1.0) -> np.ndarray:
 
 
 def _indicator(spec: GridSpec, lo=0.0, hi=1.0) -> np.ndarray:
+    if not float(lo) < float(hi):
+        raise ValueError(f"indicator interval must satisfy lo < hi, got [{lo}, {hi})")
     return reduce(np.multiply, [(a >= float(lo)) & (a < float(hi)) for a in spec.nodes()], np.ones(spec.shape))
 
 
 def _haar(spec: GridSpec, corner=0.0, side=1.0) -> np.ndarray:
     """Per axis +1 on the lower and -1 on the upper half of [c, c + side), 0 off it."""
     side, v = float(side), np.ones(spec.shape)
+    if side <= 0:
+        raise ValueError(f"haar side must be positive, got {side}")
     for a, c in zip(spec.nodes(), _centers(spec, corner)):
         v = v * ((a >= c) & (a < c + side)) * np.where(a < c + side / 2, 1.0, -1.0)
     return v
@@ -582,8 +586,7 @@ def sample(family, spec: GridSpec) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# File format: text header (key=value lines, blank line) + raw binary samples,
-# or CSV with index columns then re (and im for complex samples).
+# File format: text header (key=value lines, blank line) + raw binary samples.
 # ---------------------------------------------------------------------------
 
 # the header's dtype names, by whether the samples are complex; complex
@@ -592,53 +595,10 @@ _DTYPES = {True: ("complex-float64-little-endian", "<c16"), False: ("float64-lit
 
 
 def write_grid_function(f: GridFunction, path) -> None:
-    path = str(path)
-    if path.endswith(".csv"):
-        cplx = np.iscomplexobj(f.values)
-        with open(path, "w") as fh:
-            fh.write(f"# dim={f.spec.d},L={f.spec.L},n={f.spec.n}\n")
-            fh.write(",".join(["i", "j"][:f.spec.d] + ["re", "im"][:1 + cplx]) + "\n")
-            for k, z in enumerate(f.values.reshape(-1)):
-                idx = (k,) if f.spec.d == 1 else divmod(k, f.spec.n)
-                parts = (z.real, z.imag) if cplx else (z,)
-                fh.write(",".join([*map(str, idx), *(repr(float(x)) for x in parts)]) + "\n")
-        return
     _write_binary(path, f.spec, f.values)
 
 
 def read_grid_function(path) -> GridFunction:
-    path = str(path)
-    if path.endswith(".csv"):
-        with open(path) as fh:
-            first, columns, lines = fh.readline().strip(), fh.readline().strip(), fh.read().splitlines()
-        if not first.startswith("#"):
-            raise ValueError("CSV is missing its '# dim=..,L=..,n=..' header line")
-        meta = _Header(item.split("=") for item in first.lstrip("# ").split(","))
-        spec = GridSpec(int(meta["dim"]), int(meta["L"]), int(meta["n"]))
-        real, cplx = (",".join(["i", "j"][:spec.d] + ["re", "im"][:k]) for k in (1, 2))
-        if columns not in (real, cplx):
-            raise ValueError(f"{path}: the column line {columns!r} is neither {real!r} nor {cplx!r}")
-        for k, line in enumerate(lines, 3):
-            if line.strip() and line.count(",") != columns.count(","):
-                raise ValueError(f"{path}: line {k} has {line.count(',') + 1} fields, "
-                                 f"the column line {columns.count(',') + 1}")
-        try:
-            rows = np.loadtxt(lines, delimiter=",", ndmin=2)
-        except ValueError:  # numpy's message counts data rows from 0 and names no file
-            for k, line in enumerate(lines, 3):
-                for text in line.split(",") if line.strip() else ():
-                    try:
-                        float(text)
-                    except ValueError:
-                        raise ValueError(f"{path}: line {k} has the non-numeric field "
-                                         f"{text.strip()!r}") from None
-            raise
-        if not np.array_equal(rows[:, :spec.d], np.indices(spec.shape).reshape(spec.d, -1).T):
-            raise ValueError(f"{path}: the index columns are not the {spec.size} nodes of "
-                             f"{spec.grid_id()} in row-major order")
-        # a view of the (re, im) columns keeps im = -0.0
-        values = np.ascontiguousarray(rows[:, spec.d:]).view(complex if columns == cplx else float)
-        return GridFunction(spec, values[:, 0])
     _, spec, values = _read_binary(path)
     return GridFunction(spec, values)
 
@@ -665,26 +625,30 @@ def _read_binary(path, count_key: str | None = None) -> tuple:
     """(header, spec, samples) of a file written by _write_binary; the payload
     must be exactly count * n^d samples of the header's dtype, count read
     from the header field count_key (1 without one).  The samples are read
-    straight into the returned array, with no intermediate bytes object."""
-    with open(path, "rb") as fh:
-        header = _Header()
-        while (line := fh.readline().decode("ascii")) not in ("\n", ""):
-            key, _, val = line.strip().partition("=")
-            header[key] = val
-        if (dtype := dict(_DTYPES.values()).get(header.get("dtype"))) is None:
-            raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
-        if header.get("layout") != "row-major":
-            raise ValueError(f"unsupported layout {header.get('layout')!r}")
-        spec = GridSpec(int(header["dim"]), int(header["L"]), int(header["n"]))
-        count = int(header[count_key]) if count_key else 1
-        item = np.dtype(dtype).itemsize
-        expected = count * spec.size * item
-        actual = os.fstat(fh.fileno()).st_size - fh.tell()
-        if actual != expected:
-            raise ValueError(f"{path}: payload is {actual} bytes, expected {count} x {spec.size} "
-                             f"x {item} = {expected}")
-        values = np.empty(count * spec.size, dtype=dtype)
-        got = fh.readinto(memoryview(values).cast("B"))
-        if got != expected:
-            raise ValueError(f"{path}: short read, {got} of {expected} payload bytes")
+    straight into the returned array, with no intermediate bytes object.
+    Every refusal is a ValueError that names the file."""
+    try:
+        with open(path, "rb") as fh:
+            header = _Header()
+            while (line := fh.readline().decode("ascii")) not in ("\n", ""):
+                key, _, val = line.strip().partition("=")
+                header[key] = val
+            if (dtype := dict(_DTYPES.values()).get(header["dtype"])) is None:
+                raise ValueError(f"unsupported dtype {header['dtype']!r}")
+            if header["layout"] != "row-major":
+                raise ValueError(f"unsupported layout {header['layout']!r}")
+            spec = GridSpec(int(header["dim"]), int(header["L"]), int(header["n"]))
+            count = int(header[count_key]) if count_key else 1
+            item = np.dtype(dtype).itemsize
+            expected = count * spec.size * item
+            actual = os.fstat(fh.fileno()).st_size - fh.tell()
+            if actual != expected:
+                raise ValueError(f"payload is {actual} bytes, expected {count} x {spec.size} "
+                                 f"x {item} = {expected}")
+            values = np.empty(count * spec.size, dtype=dtype)
+            got = fh.readinto(memoryview(values).cast("B"))
+            if got != expected:
+                raise ValueError(f"short read, {got} of {expected} payload bytes")
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return header, spec, values

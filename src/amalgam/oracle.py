@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import analytic
-from .crsys import QUAD_NODES, QUAD_WINDOW, _quadrature_tail
+from .crsys import QUAD_NODES, _quadrature_rows, _quadrature_tail
 from .grid import GridFunction, GridSpec, _as_values, _fftn, _ifftn, _lattice, apply_symbols
 from .kernels import riesz_kernel_split
 from .weyl import half_derivative_spectral, half_derivative_stack_quadrature, time_derivative
@@ -178,11 +178,7 @@ def _quadrature_half(F) -> tuple:
     as a range, and the quadrature half-derivative stack of every component
     on them, each taken of the component minus its spatial mean at t_min."""
     ts = F.tgrid.values
-    lo, hi = (ts[0] + w * (ts[-1] - ts[0]) for w in QUAD_WINDOW)
-    idx = [i for i, t in enumerate(ts) if lo <= t <= hi and t < ts[-1]]
-    if not idx:
-        raise ValueError("quadrature window selects no slices")
-    rows = range(idx[0], idx[-1] + 1)
+    rows = _quadrature_rows(ts)
     half = []
     for c in F.components:
         dc = complex(np.mean(c.values[0]))

@@ -100,6 +100,8 @@ class TestUsageErrors:
         "gaussian:width=-1",
         "gaussian:center=1e400",  # read as inf, the gaussian would sample to zero
         "gaussian:width=1,width=2",  # a repeated key, not the last value silently
+        "haar:corner=0,side=-1",  # an empty cube would sample to zero
+        "indicator:lo=5,hi=1",  # so would an empty interval
     ])
     def test_malformed_function_spec(self, function, tmp_path, capsys):
         function = function.format(missing=tmp_path / "missing.grid")
@@ -110,16 +112,17 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("name, header, key", [
         ("f.grid", b"L=8\nn=512\nlayout=row-major\ndtype=float64-little-endian\n\n" + bytes(8 * 512), "dim"),
-        ("f.csv", b"# dim=1,L=8\ni,re\n", "n"),
-    ], ids=["grid-without-dim", "csv-without-n"])
+        # a grid file in CSV form: its header has no dtype= field
+        ("f.csv", b"# dim=1,L=8,n=512\ni,re\n" + b"".join(b"%d,0.0\n" % i for i in range(512)), "dtype"),
+    ], ids=["grid-without-dim", "csv-file"])
     def test_grid_file_header_without_key(self, name, header, key, tmp_path, capsys):
-        # the missing key is bad input (exit 1), named in the message
+        # the missing key is bad input (exit 1), named in the message with the file
         path = tmp_path / name
         path.write_bytes(header)
         assert run(["norm", *BASE, "--function", f"from_file:path={path}"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("usage error:") and f"no {key}= field" in err
+        assert err.startswith("usage error:") and f"{path}: the file header has no {key}= field" in err
 
     @pytest.mark.parametrize("flag, value", [("--orders", "x"), ("--orders", "0,1.5"),
                                              ("--sides", "1,y")])

@@ -442,70 +442,6 @@ class TestFileFormat:
         assert g.spec == small1
         np.testing.assert_array_equal(g.values, f.values)
 
-    def test_csv_roundtrip(self, tmp_path):
-        spec = make_grid(1, 2, 16)
-        f = GridFunction(spec, np.arange(16) + 1j)
-        path = tmp_path / "f.csv"
-        write_grid_function(f, path)
-        g = read_grid_function(str(path))
-        np.testing.assert_allclose(g.values, f.values)
-
-    def test_csv_roundtrip_2d(self, tmp_path):
-        spec = make_grid(2, 1, 8)
-        rng = np.random.default_rng(0)
-        f = GridFunction(spec, rng.standard_normal((8, 8)))
-        path = tmp_path / "f2.csv"
-        write_grid_function(f, path)
-        np.testing.assert_allclose(read_grid_function(str(path)).values, f.values)
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_csv_index_columns_checked(self, tmp_path, d):
-        # rows out of order would put each value at another node
-        spec = make_grid(d, 1, 4)
-        path = tmp_path / "f.csv"
-        write_grid_function(GridFunction(spec, np.arange(spec.size, dtype=float)), path)
-        lines = path.read_text().splitlines(True)
-        head, rows = lines[:2], lines[2:]
-        for bad in (rows[::-1], rows[:-1], rows + rows[-1:]):
-            path.write_text("".join(head + bad))
-            with pytest.raises(ValueError, match=f"index columns are not the {spec.size} nodes"):
-                read_grid_function(path)
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_csv_non_numeric_field_named(self, tmp_path, d):
-        # the file's line number, counted as the field-count message counts
-        # it (the header and column lines are 1 and 2), and the path
-        spec = make_grid(d, 1, 4)
-        path = tmp_path / "f.csv"
-        write_grid_function(GridFunction(spec, np.arange(spec.size, dtype=float)), path)
-        lines = path.read_text().splitlines(True)
-        lines[3] = lines[3].rsplit(",", 1)[0] + ",x\n"
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4 has the non-numeric field 'x'$"):
-            read_grid_function(path)
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_csv_column_count_checked(self, tmp_path, d, kind):
-        # a field too many or too few is refused, naming the file: not
-        # dropped, nor read as the other half of a complex value
-        spec = make_grid(d, 1, 4)
-        path = tmp_path / "f.csv"
-        values = np.arange(spec.size) * (1 + 2j if kind == "complex" else 1.0)
-        write_grid_function(GridFunction(spec, values), path)
-        head, columns, *rows = path.read_text().splitlines(True)
-        width = columns.count(",") + 1
-        wider = [r.rstrip("\n") + ",7.0\n" for r in rows]
-        narrower = [r.rsplit(",", 1)[0] + "\n" for r in rows]
-        extra = columns.rstrip("\n") + ",x"
-        for names, body, message in ((columns, wider, f"line 3 has {width + 1} fields"),
-                                     (columns, narrower, f"line 3 has {width - 1} fields"),
-                                     (columns, rows[:-1] + wider[-1:], f"line {len(rows) + 2} has {width + 1}"),
-                                     (extra + "\n", wider, f"the column line {extra!r} is neither")):
-            path.write_text("".join([head, names] + body))
-            with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-                read_grid_function(path)
-
     @pytest.mark.parametrize("delta", [1, -1])
     def test_payload_length_checked(self, tmp_path, small1, delta):
         f = bandlimited_random(small1, 5, 0.5, 2.0)
@@ -538,11 +474,12 @@ class TestFileFormat:
     @pytest.mark.parametrize("key", ["dim", "L", "n"])
     @pytest.mark.parametrize("suffix", [".grid", ".csv"])
     def test_header_without_grid_key(self, tmp_path, key, suffix):
-        # a missing key is bad input, a ValueError that names it
+        # a missing key is bad input, a ValueError that names it and the
+        # file; the suffix is not read, so a .csv path holds the same format
         path = tmp_path / f"f{suffix}"
         write_grid_function(GridFunction(make_grid(1, 1, 4), np.arange(4.0)), path)
         _drop_header_key(path, key)
-        with pytest.raises(ValueError, match=f"header has no {key}= field"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the file header has no {key}= field$"):
             read_grid_function(path)
 
     @pytest.mark.parametrize("key", ["tmin", "tmax", "tcount"])
@@ -551,7 +488,22 @@ class TestFileFormat:
         path = tmp_path / "s.stack"
         write_stack(ExtensionStack(spec, tg, np.ones((3, 4))), path)
         _drop_header_key(path, key)
-        with pytest.raises(ValueError, match=f"header has no {key}= field"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the file header has no {key}= field$"):
+            read_stack(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        ((b"dtype=", b"type="), "the file header has no dtype= field"),
+        ((b"layout=", b"order="), "the file header has no layout= field"),
+        ((b"dtype=float64", b"dtype=float32"), "unsupported dtype 'float32-little-endian'"),
+        ((b"layout=row-major", b"layout=column-major"), "unsupported layout 'column-major'"),
+        ((b"n=4", b"n=5"), "points per axis n must be a power of two >= 2, got 5"),
+        ((b"tmin=0.5", b"tmin=x"), "could not convert string to float: 'x'"),
+    ], ids=["dtype", "layout", "bad-dtype", "bad-layout", "bad-n", "bad-tmin"])
+    def test_stack_header_refusal_names_path(self, tmp_path, edit, message):
+        path = tmp_path / "s.stack"
+        write_stack(ExtensionStack(make_grid(1, 1, 4), TimeGrid(0.5, 2.0, 3), np.ones((3, 4))), path)
+        path.write_bytes(path.read_bytes().replace(*edit, 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_stack(path)
 
     def test_from_file_family(self, tmp_path, small1):
@@ -563,16 +515,10 @@ class TestFileFormat:
 
 
 def _drop_header_key(path, key: str) -> None:
-    """Remove key's field from the header of a grid, CSV grid or stack file."""
-    raw = path.read_bytes()
-    if path.suffix == ".csv":
-        first, _, rest = raw.partition(b"\n")
-        items = [item for item in first[2:].split(b",") if not item.startswith(key.encode() + b"=")]
-        path.write_bytes(b"# " + b",".join(items) + b"\n" + rest)
-    else:
-        head, _, payload = raw.partition(b"\n\n")
-        lines = [line for line in head.split(b"\n") if not line.startswith(key.encode() + b"=")]
-        path.write_bytes(b"\n".join(lines) + b"\n\n" + payload)
+    """Remove key's field from the header of a grid or stack file."""
+    head, _, payload = path.read_bytes().partition(b"\n\n")
+    lines = [line for line in head.split(b"\n") if not line.startswith(key.encode() + b"=")]
+    path.write_bytes(b"\n".join(lines) + b"\n\n" + payload)
 
 
 _FINITE = st.complex_numbers(allow_nan=False, allow_infinity=False)
@@ -593,9 +539,9 @@ def _samples(data, shape):
 
 
 class TestFileRoundTripProperties:
-    """.grid, CSV grid, .stack and symbol files give back every bit and the
-    dtype (float64 or complex128) written, signed zeros and subnormals
-    included."""
+    """Grid (whatever the path's suffix), .stack and symbol files give back
+    every bit and the dtype (float64 or complex128) written, signed zeros
+    and subnormals included."""
 
     @staticmethod
     def grid(d, log_n, log_l):

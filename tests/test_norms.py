@@ -199,7 +199,7 @@ class TestInterpolationGap:
         assert interpolation_gap(g, (1, 1), 2.0).gap >= 0
 
     def test_zero_input_rejected(self, desk1):
-        z = sample("indicator:lo=5,hi=5", desk1)
+        z = GridFunction(desk1, np.zeros(desk1.shape))
         with pytest.raises(ValueError, match="zero"):
             interpolation_gap(z, (1, 1), 2.0)
 
